@@ -1,7 +1,8 @@
 """Asyncio ``/metrics`` exporter: live telemetry over plain HTTP.
 
-A tiny stdlib-only HTTP server (``asyncio.start_server``; no framework)
-that exposes the process's active observability run while it works:
+A tiny stdlib-only HTTP server (a route table on the shared
+:mod:`repro.runtime.http` core; no framework) that exposes the process's
+active observability run while it works:
 
 * ``GET /metrics``  — Prometheus text exposition 0.0.4 rendered from the
   run's metrics registry *and* live aggregates (EWMA rates, span-latency
@@ -21,193 +22,71 @@ standalone exporter (mostly useful for poking at the endpoints).
 
 from __future__ import annotations
 
-import asyncio
-import json
 import os
-import threading
 import time
 
 from repro.obs import trace
 from repro.obs.prom import CONTENT_TYPE, render_run
+from repro.runtime.http import HttpServer, Request, Response, json_response
 
 __all__ = ["MetricsServer", "serve_from_args", "main"]
 
-_MAX_HEADER_LINES = 100
+#: stop(): seconds in-flight scrapes get to finish before they are cut.
+_DRAIN_SECONDS = 1.0
+_TEXT = [("Content-Type", "text/plain; charset=utf-8")]
 
 
-class MetricsServer:
+class MetricsServer(HttpServer):
     """Background ``/metrics`` + ``/health`` + ``/snapshot`` HTTP server.
 
     ``port=0`` binds an ephemeral port; read the real one from ``.port``
     after :meth:`start`. ``run_provider`` defaults to
     :func:`repro.obs.last_run`, so the server always serves the run the
     process is currently collecting into (or the one just finished).
+    The lifecycle (``start``/``close``/``join``/``stop``) is
+    :class:`repro.runtime.http.HttpServer`'s.
     """
+
+    thread_name = "repro-metrics-server"
 
     def __init__(self, port: int = 0, host: str = "127.0.0.1", *,
                  run_provider=None, prefix: str = "repro_") -> None:
-        self.host = host
-        self.requested_port = int(port)
-        self.port: int | None = None
+        super().__init__(host, port, self._route,
+                         drain_seconds=_DRAIN_SECONDS)
         self.prefix = prefix
         self.run_provider = run_provider or trace.last_run
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
         self._t0 = time.monotonic()
 
-    # ------------------------------------------------------------------ #
-    def start(self) -> "MetricsServer":
-        """Bind and serve on a daemon thread; returns self when ready.
-
-        Raises ``RuntimeError`` on a double start of the same instance,
-        and ``RuntimeError`` (chained from the ``OSError``) when the port
-        is already bound — e.g. by another exporter. A stopped server may
-        be started again (state is reset here).
-        """
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._started.clear()
-        self._error = None
-        self._loop = None
-        self._stop = None
-        self.port = None
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._serve()),
-            name="repro-metrics-server", daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("metrics server failed to start within 10s")
-        if self._error is not None:
-            self._thread.join()
-            self._thread = None
-            raise RuntimeError(
-                f"metrics server failed to bind {self.host}:"
-                f"{self.requested_port}") from self._error
-        return self
-
-    def close(self) -> None:
-        """Begin shutdown: stop accepting, let in-flight responses finish.
-
-        Does not block; pair with :meth:`join` (or call :meth:`stop`,
-        which does both). Safe to call more than once.
-        """
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # loop already closed
-                pass
-
-    def join(self, timeout: float = 10.0) -> None:
-        """Wait for the server thread to exit; frees the port on return.
-
-        Raises ``RuntimeError`` if the thread is still alive after
-        ``timeout`` — a leaked port must fail loudly in tests, not flake
-        the next case that binds the same port.
-        """
-        thread = self._thread
-        if thread is None:
-            return
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            raise RuntimeError("metrics server thread did not exit "
-                               f"within {timeout}s")
-        self._thread = None
-
-    def stop(self) -> None:
-        """Shut the server down and join its thread (idempotent)."""
-        if self._thread is None:
-            return
-        self.close()
-        self.join()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------ #
-    async def _serve(self) -> None:
-        self._stop = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        try:
-            server = await asyncio.start_server(
-                self._handle, self.host, self.requested_port)
-        except OSError as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        async with server:
-            await self._stop.wait()
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            parts = request.decode("latin-1").split()
-            if len(parts) < 2:
-                raise ValueError("malformed request line")
-            method, target = parts[0], parts[1]
-            for _ in range(_MAX_HEADER_LINES):  # drain headers
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            status, ctype, body = self._route(method, target.split("?", 1)[0])
-        # a broken scrape must never take the exporter down with it — any
-        # handler error degrades to a 500 response (or a dropped conn).
-        except Exception as exc:  # noqa: BLE001
-            status, ctype = 500, "text/plain; charset=utf-8"
-            body = f"internal error: {type(exc).__name__}: {exc}\n"
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
-                  500: "Internal Server Error"}.get(status, "Error")
-        payload = body.encode("utf-8")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n")
-        try:
-            writer.write(head.encode("latin-1") + payload)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # client went away mid-response
-            pass
-
-    # ------------------------------------------------------------------ #
-    def _route(self, method: str, path: str) -> tuple[int, str, str]:
-        if method != "GET":
-            return 405, "text/plain; charset=utf-8", "only GET is supported\n"
+    async def _route(self, request: Request) -> Response:
+        if request.method != "GET":
+            return 405, _TEXT, b"only GET is supported\n"
         run = self.run_provider()
         if run is not None:
             run.metrics.counter("obs.server.requests").inc()
+        path = request.path
         if path == "/metrics":
-            return 200, CONTENT_TYPE, render_run(run, self.prefix)
+            return (200, [("Content-Type", CONTENT_TYPE)],
+                    render_run(run, self.prefix).encode("utf-8"))
         if path == "/health":
-            body = json.dumps({
+            return json_response(200, {
                 "status": "ok",
                 "pid": os.getpid(),
                 "uptime_seconds": round(time.monotonic() - self._t0, 3),
                 "run": None if run is None else run.run_id,
                 "collecting": trace.get_run() is not None,
-            }, sort_keys=True) + "\n"
-            return 200, "application/json; charset=utf-8", body
+            })
         if path == "/snapshot":
             if run is None:
-                body = json.dumps({"run": None}) + "\n"
-            else:
-                body = json.dumps({
-                    "run": run.run_id,
-                    "tags": run.tags,
-                    "n_spans": len(run.spans()),
-                    "metrics": run.metrics.snapshot(),
-                    "live": run.live.snapshot(),
-                }, sort_keys=True) + "\n"
-            return 200, "application/json; charset=utf-8", body
-        return 404, "text/plain; charset=utf-8", \
-            f"unknown path {path!r}; try /metrics, /health, /snapshot\n"
+                return json_response(200, {"run": None})
+            return json_response(200, {
+                "run": run.run_id,
+                "tags": run.tags,
+                "n_spans": len(run.spans()),
+                "metrics": run.metrics.snapshot(),
+                "live": run.live.snapshot(),
+            })
+        return 404, _TEXT, (f"unknown path {path!r}; try /metrics, "
+                            "/health, /snapshot\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
-"""repro.runtime — crash-consistent durable I/O and the journaled run ledger.
+"""repro.runtime — durable I/O, the journaled run ledger, the HTTP core.
 
 Everything in this package is pure stdlib (no numpy), so it imports on a
 bare interpreter — the same constraint :mod:`repro.analysis` honours — and
 can be reused by any layer without pulling in the scientific stack.
 
-Two building blocks:
+Three building blocks:
 
 * :func:`atomic_write` / :func:`fsync_dir` — the durable-I/O primitive
   every artifact writer in the repo routes through (enforced by the
@@ -14,6 +14,10 @@ Two building blocks:
   lifecycles (``planned -> running -> done | failed``) whose replay is
   tolerant of a torn final line, the substrate of the kill-resumable
   sweep driver (:mod:`repro.experiments.sweep`).
+* :mod:`repro.runtime.http` — the one HTTP/1.1 server core (lifecycle,
+  request reader, response framing, bounded drain) under the ``/metrics``
+  exporter, the compression service and the cluster router. Import it
+  as ``repro.runtime.http``; it is not re-exported here.
 
 See ``docs/ROBUSTNESS.md`` ("Checkpoint & resume") for the commit-ordering
 invariant and ``docs/FORMATS.md`` for the ledger record schema.

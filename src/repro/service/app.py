@@ -23,17 +23,24 @@ phases never shifts the schedule.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from repro import _CODEC_NAMES
 from repro.faults import FaultInjector
 from repro.obs import inc_counter, observe_latency, set_gauge
+from repro.runtime.http import (
+    HttpServer,
+    Request,
+    Response,
+    json_response,
+    retry_after_header,
+)
 from repro.service.admission import AdmissionController
 from repro.service.blobstore import BlobStore
 from repro.service.breakers import BreakerBoard
@@ -53,13 +60,6 @@ from repro.service.schemas import (
 __all__ = ["ServiceConfig", "ServiceServer"]
 
 _KNOWN_CODECS = tuple(_CODEC_NAMES)
-_MAX_BODY = 96 * 1024 * 1024
-_MAX_HEADER_LINES = 100
-_REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
-            404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            502: "Bad Gateway", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
 
 
 @dataclass
@@ -81,16 +81,22 @@ class ServiceConfig:
     clock: object = None  # injectable monotonic clock (drills)
 
 
-class ServiceServer:
-    """Threaded-asyncio compression service (same shape as MetricsServer).
+class ServiceServer(HttpServer):
+    """Threaded-asyncio compression service.
 
     ``port=0`` binds an ephemeral port; read ``.port`` after
-    :meth:`start`. All codec work runs on a bounded thread pool so the
-    event loop only ever parses requests and writes responses.
+    :meth:`start`. The lifecycle and the drain bounded by
+    ``drain_deadline`` are :class:`repro.runtime.http.HttpServer`'s. All
+    codec work runs on a bounded thread pool so the event loop only ever
+    parses requests and writes responses.
     """
+
+    thread_name = "repro-service"
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
+        super().__init__(self.config.host, self.config.port, self._dispatch,
+                         drain_seconds=self.config.drain_deadline)
         clock = self.config.clock
         self.store = BlobStore(self.config.store_root,
                                faults=self.config.faults,
@@ -101,127 +107,23 @@ class ServiceServer:
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown, clock=clock)
-        self.port: int | None = None
         self._seq = 0
         self._seq_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._inflight = 0  # mutated on the loop thread only
-        self._lifecycle = threading.Lock()
         self._t0 = time.monotonic()
 
-    # ------------------------------------------------------------------ #
-    # lifecycle (mirrors repro.obs.server.MetricsServer)
-    def start(self) -> "ServiceServer":
-        with self._lifecycle:
-            if self._thread is not None:
-                raise RuntimeError("service already started")
-            self._started.clear()
-            self._error = None
-            self._loop = None
-            self._stop = None
-            self.port = None
-            self._thread = threading.Thread(
-                target=lambda: asyncio.run(self._serve()),
-                name="repro-service", daemon=True)
-            self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("service failed to start within 10s")
-        if self._error is not None:
-            with self._lifecycle:
-                thread, self._thread = self._thread, None
-            if thread is not None:
-                thread.join()
-            raise RuntimeError(
-                f"service failed to bind {self.config.host}:"
-                f"{self.config.port}") from self._error
-        return self
-
-    def close(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # loop already closed
-                pass
-
-    def join(self, timeout: float = 30.0) -> None:
-        with self._lifecycle:
-            thread = self._thread
-        if thread is None:
-            return
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            raise RuntimeError(
-                f"service thread did not exit within {timeout}s")
-        with self._lifecycle:
-            if self._thread is thread:
-                self._thread = None
-
-    def stop(self) -> None:
-        """Drain and stop the server.
-
-        Idempotent and safe from any state: stop before start, double
-        stop, stop after a failed bind, and concurrent stops from a
-        supervisor's crash-cleanup path are all no-ops beyond the first
-        effective one.
-        """
-        with self._lifecycle:
-            if self._thread is None:
-                return
-        self.close()
-        self.join()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    # ------------------------------------------------------------------ #
-    async def _serve(self) -> None:
-        self._stop = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
+    async def _serve(self) -> int:
+        # the worker pool lives exactly as long as the loop, drain included
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_queue,
             thread_name_prefix="repro-service-worker")
         try:
-            server = await asyncio.start_server(
-                self._handle, self.config.host, self.config.port)
-        except OSError as exc:
-            self._error = exc
-            self._started.set()
-            self._executor.shutdown(wait=False)
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        try:
-            async with server:
-                await self._stop.wait()
-                # graceful drain: stop accepting first, then let already-
-                # admitted requests finish writing their responses
-                # (bounded by drain_deadline) so a TERM'd server answers
-                # everyone it accepted.
-                server.close()
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + max(
-                    0.0, float(self.config.drain_deadline))
-                # wait_closed() on 3.12.1+ also waits for every active
-                # connection, so a wedged client could hold it forever —
-                # bound the whole drain by drain_deadline instead.
-                try:
-                    await asyncio.wait_for(
-                        server.wait_closed(),
-                        timeout=max(0.0, deadline - loop.time()))
-                except asyncio.TimeoutError:
-                    inc_counter("service.drain.deadline_hit")
-                # older interpreters return from wait_closed immediately:
-                # the in-flight counter covers handler completion there.
-                while self._inflight > 0 and loop.time() < deadline:
-                    await asyncio.sleep(0.02)
+            cut_off = await super()._serve()
         finally:
             self._executor.shutdown(wait=True)
+        if cut_off:
+            inc_counter("service.drain.deadline_hit")
+        return cut_off
 
     def _next_index(self) -> int:
         with self._seq_lock:
@@ -229,116 +131,65 @@ class ServiceServer:
             self._seq += 1
             return index
 
-    # ------------------------------------------------------------------ #
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self._inflight += 1  # loop-thread only: no lock needed
-        try:
-            await self._handle_inner(reader, writer)
-        finally:
-            self._inflight -= 1
-
-    async def _handle_inner(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        try:
-            method, path, headers, body = await self._read_request(reader)
-        except (ValueError, ConnectionError, OSError, asyncio.TimeoutError):
-            writer.close()
-            return
-        try:
-            status, doc, extra_headers, drop = await self._dispatch(
-                method, path, headers, body)
-        # the final backstop: a bug in routing must degrade to a 500
-        # body, never a dropped connection or a dead server task.
-        except Exception as exc:  # noqa: BLE001
-            inc_counter("service.http.500")
-            status, extra_headers, drop = 500, [], False
-            doc = {"error": "internal", "status": 500,
-                   "message": f"{type(exc).__name__}: {exc}"}
-        if drop:  # injected client abort: vanish without a response
-            writer.close()
-            return
+    def _reply(self, status: int, doc: dict,
+               headers: Iterable[tuple[str, str]] = ()) -> Response:
         if self.config.partition is not None:
             # which shard served: the cluster router relays this so
             # drills and operators can see routing decisions.
-            extra_headers = [*extra_headers,
-                             ("X-Repro-Shard", str(self.config.partition[0]))]
-        payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}",
-                "Content-Type: application/json; charset=utf-8",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
-        head.extend(f"{k}: {v}" for k, v in extra_headers)
-        try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                         + payload)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # client went away mid-response
-            pass
+            headers = [*headers,
+                       ("X-Repro-Shard", str(self.config.partition[0]))]
+        return json_response(status, doc, headers)
 
-    async def _read_request(self, reader):
-        request = await asyncio.wait_for(reader.readline(), timeout=10.0)
-        parts = request.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ValueError("malformed request line")
-        method, target = parts[0].upper(), parts[1].split("?", 1)[0]
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length < 0 or length > _MAX_BODY:
-            raise ValueError(f"bad content-length {length}")
-        body = await asyncio.wait_for(reader.readexactly(length),
-                                      timeout=30.0) if length else b""
-        return method, target, headers, body
+    def _error_response(self, exc: Exception) -> Response:
+        inc_counter("service.http.500")
+        return self._reply(500, {"error": "internal", "status": 500,
+                                 "message": f"{type(exc).__name__}: {exc}"})
 
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, method, path, headers, body):
-        """Route one request; returns (status, doc, extra_headers, drop)."""
+    async def _dispatch(self, request: Request) -> Response | None:
+        """Route one request; ``None`` drops the connection."""
+        method, path, headers, body = request
         if path in ("/health", "/ready"):
             if method != "GET":
-                return 405, {"error": "method_not_allowed",
-                             "message": f"{path} only supports GET"}, [], False
-            return (*self._health(path), [], False)
+                return self._reply(405, {
+                    "error": "method_not_allowed",
+                    "message": f"{path} only supports GET"})
+            return self._reply(*self._health(path))
         if path not in ("/compress", "/decompress", "/estimate"):
             err = NotFoundError(
                 f"unknown path {path!r}; try /compress, /decompress, "
                 "/estimate, /health, /ready")
-            return err.status, err.to_dict(), [], False
+            return self._reply(err.status, err.to_dict())
         if method != "POST":
-            return 405, {"error": "method_not_allowed",
-                         "message": f"{path} only supports POST"}, [], False
+            return self._reply(405, {
+                "error": "method_not_allowed",
+                "message": f"{path} only supports POST"})
 
         index = self._next_index()
         faults = self.config.faults
         if faults is not None and faults.abort_request(index):
             inc_counter("service.aborted")
-            return 0, {}, [], True
+            return None  # injected client abort: vanish without a response
 
         client = headers.get("x-client") or "anon"
         try:
             self.admission.admit(client)
         except ServiceError as err:
             inc_counter(f"service.http.{err.status}")
-            return err.status, err.to_dict(), self._retry_headers(err), False
+            return self._reply(err.status, err.to_dict(),
+                               self._retry_headers(err))
         try:
             status, doc, extra = await self._process(
                 index, path, headers, body)
         finally:
             self.admission.release()
         inc_counter(f"service.http.{status}")
-        return status, doc, extra, False
+        return self._reply(status, doc, extra)
 
     def _retry_headers(self, err: ServiceError) -> list[tuple[str, str]]:
         if err.retry_after is None:
             return []
-        return [("Retry-After", str(max(1, int(err.retry_after + 0.999))))]
+        return [retry_after_header(err.retry_after)]
 
     # ------------------------------------------------------------------ #
     async def _process(self, index, path, headers, body):

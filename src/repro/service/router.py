@@ -35,11 +35,20 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 
 from repro.obs import inc_counter, set_gauge, trace
 from repro.obs.prom import CONTENT_TYPE, render_run, sanitize_metric_name
+from repro.runtime.http import (
+    HttpServer,
+    Request,
+    Response,
+    frame_request,
+    json_body,
+    json_response,
+    read_response,
+    retry_after_header,
+)
 from repro.service.blobstore import KeyRing
 from repro.service.schemas import (
     NotFoundError,
@@ -50,13 +59,6 @@ from repro.service.supervise import ShardSupervisor
 
 __all__ = ["ClusterRouter", "do_forward"]
 
-_MAX_BODY = 96 * 1024 * 1024
-_MAX_HEADER_LINES = 100
-_REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
-            404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            502: "Bad Gateway", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
 #: Response headers relayed from shard to client (all else is hop-local).
 _RELAY_HEADERS = ("content-type", "retry-after", "x-repro-shard")
 #: Endpoints safe to hedge/fail over: repeating one changes nothing.
@@ -92,33 +94,10 @@ async def do_forward(port: int, method: str, path: str,
 async def _forward_raw(host, port, method, path, headers, body):
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        head = [f"{method} {path} HTTP/1.1",
-                f"Host: {host}:{port}",
-                f"Content-Length: {len(body)}",
-                "Connection: close"]
-        head.extend(f"{k}: {v}" for k, v in headers.items()
-                    if k.lower() not in ("host", "content-length",
-                                         "connection"))
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                     + body)
+        writer.write(frame_request(method, path, f"{host}:{port}",
+                                   headers, body))
         await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split()
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ValueError(f"malformed shard status line {status_line!r}")
-        status = int(parts[1])
-        resp_headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
-        length = int(resp_headers.get("content-length", "0") or 0)
-        if length < 0 or length > _MAX_BODY:
-            raise ValueError(f"bad shard content-length {length}")
-        payload = await reader.readexactly(length) if length else b""
-        return status, resp_headers, payload
+        return await read_response(reader)
     finally:
         writer.close()
         try:
@@ -127,183 +106,63 @@ async def _forward_raw(host, port, method, path, headers, body):
             pass
 
 
-class ClusterRouter:
-    """Threaded-asyncio router over a supervised shard fleet."""
+class ClusterRouter(HttpServer):
+    """Threaded-asyncio router over a supervised shard fleet.
+
+    The lifecycle is :class:`repro.runtime.http.HttpServer`'s; ``stop()``
+    drains in-flight forwards for at most the supervisor's
+    ``drain_deadline``.
+    """
+
+    thread_name = "repro-cluster-router"
 
     def __init__(self, supervisor: ShardSupervisor, *,
                  host: str = "127.0.0.1", port: int = 0,
                  hedge_budget: float = 0.25,
                  forward_timeout: float = 60.0) -> None:
+        super().__init__(host, port, self._dispatch,
+                         drain_seconds=supervisor.drain_deadline)
         self.supervisor = supervisor
-        self.host = host
         self.ring = KeyRing(supervisor.n_shards)
         self.hedge_budget = float(hedge_budget)
         self.forward_timeout = float(forward_timeout)
-        self.port: int | None = None
-        self._requested_port = int(port)
         self._rr = 0  # loop-thread only
         self._draining = False
         self._t0 = time.monotonic()
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
-        self._lifecycle = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # lifecycle (same contract as ServiceServer)
-    def start(self) -> "ClusterRouter":
-        with self._lifecycle:
-            if self._thread is not None:
-                raise RuntimeError("router already started")
-            self._started.clear()
-            self._error = None
-            self._loop = None
-            self._stop_event = None
-            self.port = None
-            self._thread = threading.Thread(
-                target=lambda: asyncio.run(self._serve()),
-                name="repro-cluster-router", daemon=True)
-            self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("router failed to start within 10s")
-        if self._error is not None:
-            with self._lifecycle:
-                thread, self._thread = self._thread, None
-            if thread is not None:
-                thread.join()
-            raise RuntimeError(
-                f"router failed to bind {self.host}:"
-                f"{self._requested_port}") from self._error
-        return self
 
     def drain(self) -> None:
         """Start refusing new work (503 + Retry-After) without stopping."""
         self._draining = True
 
-    def close(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass
-
-    def join(self, timeout: float = 30.0) -> None:
-        with self._lifecycle:
-            thread = self._thread
-        if thread is None:
-            return
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            raise RuntimeError(f"router thread did not exit within {timeout}s")
-        with self._lifecycle:
-            if self._thread is thread:
-                self._thread = None
-
-    def stop(self) -> None:
-        """Idempotent: safe on a never-started or already-stopped router."""
-        with self._lifecycle:
-            if self._thread is None:
-                return
-        self.close()
-        self.join()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------ #
-    async def _serve(self) -> None:
-        self._stop_event = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        try:
-            server = await asyncio.start_server(
-                self._handle, self.host, self._requested_port)
-        except OSError as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        async with server:
-            await self._stop_event.wait()
-            server.close()
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            method, path, headers, body = await self._read_request(reader)
-        except (ValueError, ConnectionError, OSError, asyncio.TimeoutError):
-            writer.close()
-            return
-        try:
-            status, resp_headers, payload = await self._dispatch(
-                method, path, headers, body)
-        except ServiceError as err:
-            status, resp_headers, payload = self._render_error(err)
-        except Exception as exc:  # noqa: BLE001 -- backstop: a router bug
-            # must degrade to a 500 body, never a dropped connection
-            inc_counter("service.cluster.http.500")
-            doc = {"error": "internal", "status": 500,
-                   "message": f"{type(exc).__name__}: {exc}"}
-            payload = (json.dumps(doc, sort_keys=True) + "\n").encode()
-            status, resp_headers = 500, {"content-type": "application/json"}
-        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}",
-                f"Content-Length: {len(payload)}",
-                "Connection: close"]
-        for name in _RELAY_HEADERS:
-            if name in resp_headers:
-                head.append(f"{name.title()}: {resp_headers[name]}")
-        try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                         + payload)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _read_request(self, reader):
-        request = await asyncio.wait_for(reader.readline(), timeout=10.0)
-        parts = request.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ValueError("malformed request line")
-        method, target = parts[0].upper(), parts[1].split("?", 1)[0]
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length < 0 or length > _MAX_BODY:
-            raise ValueError(f"bad content-length {length}")
-        body = await asyncio.wait_for(reader.readexactly(length),
-                                      timeout=30.0) if length else b""
-        return method, target, headers, body
+    def _error_response(self, exc: Exception) -> Response:
+        if isinstance(exc, ServiceError):
+            return self._render_error(exc)
+        # a router bug must degrade to a 500 body, never a dropped
+        # connection
+        inc_counter("service.cluster.http.500")
+        doc = {"error": "internal", "status": 500,
+               "message": f"{type(exc).__name__}: {exc}"}
+        return 500, [("Content-Type", "application/json")], json_body(doc)
 
     @staticmethod
-    def _render_error(err: ServiceError):
-        payload = (json.dumps(err.to_dict(), sort_keys=True) + "\n").encode()
-        headers = {"content-type": "application/json; charset=utf-8"}
-        if err.retry_after is not None:
-            headers["retry-after"] = str(max(1, int(err.retry_after + 0.999)))
+    def _render_error(err: ServiceError) -> Response:
         inc_counter(f"service.cluster.http.{err.status}")
-        return err.status, headers, payload
+        return json_response(
+            err.status, err.to_dict(),
+            [] if err.retry_after is None
+            else [retry_after_header(err.retry_after)])
 
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, method, path, headers, body):
+    async def _dispatch(self, request: Request) -> Response:
+        """Route one request; a raised ServiceError renders as its status."""
+        method, path, headers, body = request
         if path in ("/health", "/ready", "/metrics"):
             if method != "GET":
-                doc = {"error": "method_not_allowed",
-                       "message": f"{path} only supports GET"}
-                return (405,
-                        {"content-type": "application/json; charset=utf-8"},
-                        (json.dumps(doc, sort_keys=True) + "\n").encode())
+                return json_response(405, {
+                    "error": "method_not_allowed",
+                    "message": f"{path} only supports GET"})
             if path == "/metrics":
-                return (200, {"content-type": CONTENT_TYPE},
+                return (200, [("Content-Type", CONTENT_TYPE)],
                         self._metrics_text().encode("utf-8"))
             return self._health(path)
         if path not in _WORK_PATHS:
@@ -311,10 +170,9 @@ class ClusterRouter:
                 f"unknown path {path!r}; try /compress, /decompress, "
                 "/estimate, /health, /ready, /metrics")
         if method != "POST":
-            doc = {"error": "method_not_allowed",
-                   "message": f"{path} only supports POST"}
-            return (405, {"content-type": "application/json; charset=utf-8"},
-                    (json.dumps(doc, sort_keys=True) + "\n").encode())
+            return json_response(405, {
+                "error": "method_not_allowed",
+                "message": f"{path} only supports POST"})
         if self._draining:
             raise ShardUnavailableError(
                 "cluster is draining; no new work accepted",
@@ -322,7 +180,9 @@ class ClusterRouter:
         status, resp_headers, payload = await self._route(
             method, path, headers, body)
         inc_counter(f"service.cluster.http.{status}")
-        return status, resp_headers, payload
+        return status, [(name.title(), resp_headers[name])
+                        for name in _RELAY_HEADERS
+                        if name in resp_headers], payload
 
     # ------------------------------------------------------------------ #
     def _candidates(self, path: str, body: bytes) -> list[int]:
@@ -435,7 +295,7 @@ class ClusterRouter:
                     task.cancel()
 
     # ------------------------------------------------------------------ #
-    def _health(self, path: str):
+    def _health(self, path: str) -> Response:
         table = self.supervisor.table()
         degraded = self.supervisor.degraded_partitions()
         set_gauge("service.cluster.degraded", float(len(degraded)))
@@ -447,24 +307,14 @@ class ClusterRouter:
             "backoff_model": self.supervisor.backoff_model(),
             "draining": self._draining,
         }
-        headers = {"content-type": "application/json; charset=utf-8"}
-        if path == "/health":
-            return (200,
-                    headers,
-                    (json.dumps(doc, sort_keys=True) + "\n").encode())
-        if degraded or self._draining:
-            doc["error"] = "not_ready"
-            doc["reasons"] = (["draining"] if self._draining else []) + [
-                f"shard {i} {table[i]['state']}: keyspace partition "
-                f"{i}/{self.supervisor.n_shards} degraded" for i in degraded]
-            retry = self.supervisor.retry_after_hint()
-            headers["retry-after"] = str(max(1, int(retry + 0.999)))
-            return (503,
-                    headers,
-                    (json.dumps(doc, sort_keys=True) + "\n").encode())
-        return (200,
-                headers,
-                (json.dumps(doc, sort_keys=True) + "\n").encode())
+        if path == "/health" or not (degraded or self._draining):
+            return json_response(200, doc)
+        doc["error"] = "not_ready"
+        doc["reasons"] = (["draining"] if self._draining else []) + [
+            f"shard {i} {table[i]['state']}: keyspace partition "
+            f"{i}/{self.supervisor.n_shards} degraded" for i in degraded]
+        return json_response(
+            503, doc, [retry_after_header(self.supervisor.retry_after_hint())])
 
     def _metrics_text(self) -> str:
         """Router-process metrics plus per-shard labeled aggregates.

@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.server import MetricsServer
+from tests.runtime.test_http import ServerContract
 
 
 @pytest.fixture
@@ -84,85 +85,13 @@ class TestEndpoints:
         assert run.metrics.counter("obs.server.requests").value >= 3
 
 
-class TestLifecycle:
-    def test_ephemeral_port_bound(self, clean_run):
-        trace.start_run()
-        srv = MetricsServer(port=0).start()
-        try:
-            assert srv.port not in (None, 0)
-        finally:
-            srv.stop()
+class TestLifecycle(ServerContract):
+    """The shared server contract, plus the exporter across obs runs."""
 
-    def test_stop_is_idempotent(self, clean_run):
-        trace.start_run()
-        srv = MetricsServer(port=0).start()
-        srv.stop()
-        srv.stop()
-
-    def test_double_start_rejected(self, clean_run):
-        trace.start_run()
-        srv = MetricsServer(port=0).start()
-        try:
-            with pytest.raises(RuntimeError):
-                srv.start()
-        finally:
-            srv.stop()
-
-    def test_bind_conflict_raises(self, clean_run):
-        trace.start_run()
-        first = MetricsServer(port=0).start()
-        try:
-            with pytest.raises(RuntimeError, match="failed to bind"):
-                MetricsServer(port=first.port).start()
-        finally:
-            first.stop()
-
-    def test_close_then_join_frees_the_port(self, clean_run):
-        """The split API: close() is non-blocking, join() waits and frees."""
-        trace.start_run()
-        srv = MetricsServer(port=0).start()
-        port = srv.port
-        srv.close()
-        srv.close()  # safe to repeat
-        srv.join()
-        # the port is genuinely free: a new server can bind it immediately
-        again = MetricsServer(port=port).start()
-        try:
-            assert again.port == port
-        finally:
-            again.stop()
-
-    def test_join_without_start_is_a_noop(self, clean_run):
-        MetricsServer(port=0).join()
-
-    def test_restart_after_stop_rebinds(self, clean_run):
-        """Regression: a stopped instance must reset its state on restart
-        instead of reporting the stale port / startup error."""
-        trace.start_run()
-        srv = MetricsServer(port=0).start()
-        srv.stop()
-        srv.start()
-        try:
-            assert srv.port not in (None, 0)
-            status, _, _ = get(srv.url + "/health")
-            assert status == 200
-        finally:
-            srv.stop()
-
-    def test_failed_bind_allows_retry(self, clean_run):
-        """Regression: a bind failure must clear the thread handle so the
-        same instance can start again once the port is free."""
-        trace.start_run()
-        holder = MetricsServer(port=0).start()
-        contender = MetricsServer(port=holder.port)
-        with pytest.raises(RuntimeError, match="failed to bind"):
-            contender.start()
-        holder.stop()
-        contender.start()
-        try:
-            assert contender.port == contender.requested_port
-        finally:
-            contender.stop()
+    @pytest.fixture
+    def make(self, clean_run):
+        return lambda port=0: MetricsServer(port=port,
+                                            run_provider=lambda: None)
 
     def test_serves_last_run_after_end(self, clean_run):
         """The exporter stays useful after collection stops."""

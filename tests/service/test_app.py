@@ -11,6 +11,7 @@ from repro.obs import trace
 from repro.service.app import ServiceConfig, ServiceServer
 from repro.service.drill import DrillClock
 from repro.service.schemas import encode_array
+from tests.runtime.test_http import ServerContract
 
 
 @pytest.fixture(autouse=True)
@@ -215,44 +216,8 @@ class TestDegradation:
             srv.stop()
 
 
-class TestLifecycle:
-    def test_double_start_raises(self, tmp_path):
-        srv = ServiceServer(ServiceConfig(store_root=tmp_path)).start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                srv.start()
-        finally:
-            srv.stop()
-
-    def test_restart_after_stop(self, tmp_path):
-        srv = ServiceServer(ServiceConfig(store_root=tmp_path))
-        srv.start()
-        first_port = srv.port
-        srv.stop()
-        srv.start()
-        try:
-            assert srv.port is not None and srv.port != 0
-            status, _, _ = call(srv.port, "GET", "/health")
-            assert status == 200
-        finally:
-            srv.stop()
-        assert first_port is not None
-
-    def test_stop_before_start_is_a_safe_noop(self, tmp_path):
-        srv = ServiceServer(ServiceConfig(store_root=tmp_path))
-        srv.stop()  # never started: nothing to tear down, nothing raised
-        srv.stop()
-        # and the server is still perfectly startable afterwards
-        srv.start()
-        try:
-            status, _, _ = call(srv.port, "GET", "/health")
-            assert status == 200
-        finally:
-            srv.stop()
-
-    def test_double_stop_after_start_is_idempotent(self, tmp_path):
-        srv = ServiceServer(ServiceConfig(store_root=tmp_path)).start()
-        srv.stop()
-        srv.stop()  # already stopped: no-op, no error
-        with pytest.raises(ConnectionError):
-            call(srv.port, "GET", "/health")  # really down, exactly once
+class TestLifecycle(ServerContract):
+    @pytest.fixture
+    def make(self, tmp_path):
+        return lambda port=0: ServiceServer(ServiceConfig(
+            store_root=tmp_path, port=port, drain_deadline=0.5))

@@ -3,6 +3,7 @@
 import http.client
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from repro.obs import trace
 from repro.service.blobstore import BlobStore, KeyRing, blob_key, shard_for_key
 from repro.service.cluster import ClusterConfig, ClusterServer
+from repro.service.router import ClusterRouter
 from repro.service.schemas import encode_array
+from tests.runtime.test_http import ServerContract
 
 
 @pytest.fixture(autouse=True)
@@ -190,3 +193,13 @@ class TestClusterIntegration:
         server.stop()
         server.stop()  # second stop is a no-op
         assert all(h.proc is None for h in server.supervisor.handles)
+
+
+class TestRouterLifecycle(ServerContract):
+    """The shared server contract on a router over a stand-in supervisor
+    (lifecycle and drain read only ``n_shards`` and ``drain_deadline``)."""
+
+    @pytest.fixture
+    def make(self):
+        supervisor = SimpleNamespace(n_shards=1, drain_deadline=0.5)
+        return lambda port=0: ClusterRouter(supervisor, port=port)
