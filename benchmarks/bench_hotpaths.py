@@ -25,7 +25,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core import CliZ  # noqa: E402
+from repro.datasets import hurricane_t  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
+from repro.encoding.container import Container  # noqa: E402
 from repro.encoding.huffman import HuffmanCode  # noqa: E402
 from repro.encoding.lz import lz_compress, lz_decompress  # noqa: E402
 
@@ -90,28 +93,48 @@ def bench_huffman(n: int, reps: int) -> list[dict]:
 
 
 def bench_bitwriter(n: int, reps: int) -> list[dict]:
+    """Bulk writes: Huffman-like skewed widths, plus fixed widths."""
     rng = np.random.default_rng(1)
-    lengths = np.where(rng.random(n) < 0.9, 1, rng.integers(2, 17, n)).astype(np.uint8)
-    codes = rng.integers(0, 1 << 16, n).astype(np.uint64)
-    codes &= (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
+    skewed = np.where(rng.random(n) < 0.9, 1, rng.integers(2, 17, n)).astype(np.uint8)
+    cases = {
+        "skewed-lengths": skewed,
+        "fixed-1": np.full(n, 1, dtype=np.uint8),
+        "fixed-12": np.full(n, 12, dtype=np.uint8),
+        "fixed-64": np.full(n, 64, dtype=np.uint8),
+    }
+    rows = []
+    for name, lengths in cases.items():
+        codes = rng.integers(0, 2**63, n, dtype=np.uint64)
+        codes &= (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
 
-    def run():
-        w = BitWriter()
-        w.write_varwidth(codes, lengths)
-        w.getvalue()
+        def run():
+            w = BitWriter()
+            w.write_varwidth(codes, lengths)
+            w.getvalue()
 
-    t = _best(run, reps)
-    total_bits = int(lengths.sum(dtype=np.int64))
-    return [{
-        "kernel": "bitwriter.write_varwidth",
-        "stream": "skewed-lengths",
-        "n_codes": int(n),
-        "ms": round(t * 1e3, 3),
-        "mbits_s": round(total_bits / t / 1e6, 1),
-    }]
+        t = _best(run, reps)
+        total_bits = int(lengths.sum(dtype=np.int64))
+        rows.append({
+            "kernel": "bitwriter.write_varwidth",
+            "stream": name,
+            "n_codes": int(n),
+            "ms": round(t * 1e3, 3),
+            "mbits_s": round(total_bits / t / 1e6, 1),
+        })
+    return rows
 
 
-def bench_lz(n: int, reps: int) -> list[dict]:
+def _cliz_code_stream(smoke: bool) -> bytes:
+    """The Huffman payload CliZ hands to LZ for a Hurricane-T field."""
+    shape = (13, 50, 50) if smoke else (50, 140, 140)
+    field = hurricane_t(shape=shape, seed=5)
+    blob = CliZ().compress(field.data, rel_eb=1e-3)
+    container = Container.from_bytes(blob)
+    name = next(s for s in container.section_names if s.endswith(".codes"))
+    return lz_decompress(container.section(name))
+
+
+def bench_lz(n: int, reps: int, smoke: bool) -> list[dict]:
     rng = np.random.default_rng(2)
     syms = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 64, n))
     code = HuffmanCode.from_symbols(syms)
@@ -121,6 +144,7 @@ def bench_lz(n: int, reps: int) -> list[dict]:
         "huffman_output": w.getvalue(),
         "zero_runs": bytes(min(n, 4 * n // 4)),
         "text": b"the quick brown fox jumps over the lazy dog " * max(1, n // 45),
+        "cliz_codes": _cliz_code_stream(smoke),
     }
     rows = []
     for name, payload in cases.items():
@@ -182,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         "config": {"n_symbols": n, "reps": reps, "smoke": bool(args.smoke)},
         "huffman": bench_huffman(n, reps),
         "bitwriter": bench_bitwriter(n, reps),
-        "lz": bench_lz(n, reps),
+        "lz": bench_lz(n, reps, args.smoke),
     }
 
     for row in results["huffman"]:
@@ -191,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
               f"decode(scalar) {row['decode_scalar_mb_s']:8.1f} MB/s  "
               f"speedup {row['decode_speedup']:5.2f}x")
     for row in results["bitwriter"]:
-        print(f"{row['kernel']}: {row['mbits_s']} Mbit/s")
+        print(f"{row['kernel']}/{row['stream']}: {row['mbits_s']} Mbit/s")
     for row in results["lz"]:
         print(f"lz/{row['stream']:16s} ratio {row['ratio']:6.2f}  "
               f"compress {row['compress_mb_s']:7.1f} MB/s  "

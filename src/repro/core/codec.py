@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.encoding.bitstream import BitWriter
 from repro.encoding.codebook import active_cache
+from repro.encoding.container import CorruptStreamError
 from repro.encoding.huffman import HuffmanCode
 from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.varint import decode_uvarint, encode_uvarint
@@ -62,8 +63,14 @@ def decode_code_stream(blob: bytes) -> np.ndarray:
     code, _ = HuffmanCode.deserialize(payload[pos : pos + table_len])
     pos += table_len
     bit_len, pos = decode_uvarint(payload, pos)
+    if len(payload) - pos != (bit_len + 7) // 8:
+        raise CorruptStreamError(
+            f"code stream holds {len(payload) - pos} bytes for {bit_len} bits")
     with profile_stage("huffman.decode", nbytes=len(payload) - pos):
-        codes, _ = code.decode(payload[pos:], n)
+        codes, end = code.decode(payload[pos:], n)
+    if end != bit_len:
+        raise CorruptStreamError(
+            f"code stream decoded to {end} bits, header says {bit_len}")
     return codes
 
 

@@ -12,17 +12,19 @@ Implementation highlights:
   holds, then greedily shorten where slack remains). A 16-bit ceiling lets
   the decoder use a single flat 65536-entry lookup table.
 * Encoding is fully vectorized (gather codes/lengths per symbol, one bulk
-  repeat-based pack in :class:`~repro.encoding.bitstream.BitWriter`).
+  word-plane pack in :class:`~repro.encoding.bitstream.BitWriter`).
 * Decoding dispatches between two kernels. Small streams use a tight scalar
   loop (16-bit window per symbol, C-level ``bytes`` indexing, plain-list
   table lookups). Large streams use a batched NumPy kernel
-  (:meth:`HuffmanCode.decode_vectorized`): the 16-bit window at *every* bit
-  position is decoded in one vectorized pass, then many chains are walked in
+  (:meth:`HuffmanCode.decode_vectorized`): phase 1 looks up only the
+  codeword length of the 16-bit window at *every* bit position, in one
+  vectorized pass over a ``uint8`` table, then many chains are walked in
   lockstep from evenly spaced anchor bit positions. Chains started at wrong
   positions resynchronize with the true codeword chain after a few symbols
   (the classic Huffman self-synchronization property), so a final stitch
   pass only has to follow the true chain at anchor granularity, copying
-  whole spans of already-decoded symbols. Equal-length codebooks skip the
+  whole spans of already-walked codeword starts. Symbols are gathered
+  once, at those starts. Equal-length codebooks skip the
   chains entirely (codeword boundaries are known in closed form), and a
   scalar fallback keeps pathological non-synchronizing streams correct.
   The scalar loop is retained as the differential-testing oracle.
@@ -228,7 +230,7 @@ class HuffmanCode:
     def _build_decode_table(self) -> None:
         size = 1 << MAX_CODE_LENGTH
         sym_t = np.zeros(size, dtype=np.int64)
-        len_t = np.zeros(size, dtype=np.int32)
+        len_t = np.zeros(size, dtype=np.uint8)
         for s in np.flatnonzero(self.lengths):
             ln = int(self.lengths[s])
             start = int(self.codes[s]) << (MAX_CODE_LENGTH - ln)
@@ -285,7 +287,8 @@ class HuffmanCode:
         Phases, all vectorized except a short stitch loop:
 
         1. decode the 16-bit window at *every* bit position of the stream in
-           one pass, yielding per-position ``(symbol, length)`` arrays;
+           one pass, yielding a per-position codeword length (``uint8``);
+           symbols are gathered later, at the true codeword starts only;
         2. equal-length codebooks finish immediately (codeword boundaries
            are ``offset + k * L``);
         3. otherwise walk one decode chain per anchor (anchors every
@@ -345,12 +348,11 @@ class HuffmanCode:
         w24 = (buf[:-2] << 16) | (buf[1:-1] << 8) | buf[2:]
         shifts = np.arange(8, 0, -1, dtype=np.int32)
         w_all = ((w24[:, None] >> shifts[None, :]) & 0xFFFF).ravel()[:nb]
-        # Padded variants: walking chains may briefly run past the stream
+        # Padded lengths: walking chains may briefly run past the stream
         # end; invalid/pad positions advance 1 bit and flag length 0.
-        len_ext = np.zeros(nb + pad, dtype=np.int32)
+        # Symbols are gathered only at the final codeword starts.
+        len_ext = np.zeros(nb + pad, dtype=np.uint8)
         np.take(len_np, w_all, out=len_ext[:nb])  # 0 marks an invalid prefix
-        sym_ext = np.zeros(nb + pad, dtype=np.int64)
-        np.take(sym_np, w_all, out=sym_ext[:nb])
         len_walk = np.maximum(len_ext, 1)
 
         # --- anchor chain walk (positions only) -------------------------- #
@@ -415,7 +417,7 @@ class HuffmanCode:
                         return self.decode_scalar(data, n_symbols, bit_offset)
                     rest, p = self.decode_scalar(data, n_symbols - count, p)
                     out = np.empty(n_symbols, dtype=np.int64)
-                    out[:count] = sym_ext[prefix]
+                    out[:count] = sym_np[w_all[prefix]]
                     out[count:] = rest
                     return out, p
 
@@ -424,7 +426,7 @@ class HuffmanCode:
             # Invalid window or overrun on the true chain: the oracle raises
             # EOFError at the exact failing symbol.
             return self.decode_scalar(data, n_symbols, bit_offset)
-        return sym_ext[pos_all], p
+        return sym_np[w_all[pos_all]], p
 
     # ------------------------------------------------------------------ #
     def serialize(self) -> bytes:

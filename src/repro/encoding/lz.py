@@ -5,9 +5,12 @@ the Huffman output to squeeze residual redundancy (long zero runs, repeated
 code patterns). Any LZ-family coder fills that role; this one uses:
 
 * an exact nearest-previous-occurrence index over 4-byte shingles, built
-  with one stable NumPy argsort (equal shingle values end up adjacent in
-  position order, so each position's predecessor is its nearest earlier
-  occurrence) — no hash table and no per-byte Python loop,
+  with one in-place sort of packed ``uint64`` keys ``(shingle << 32) |
+  position`` (keys are unique, so equal shingles end up adjacent in
+  position order, exactly as under a stable argsort, and each position's
+  predecessor is its nearest earlier occurrence) — no hash table and no
+  per-byte Python loop; the position must fit the low 32 bits, so inputs
+  of 2**32 shingles or more take the stable argsort instead,
 * greedy chunked-memcmp match extension, window 65535 bytes,
 * a byte-oriented token format: control byte ``0xxxxxxx`` = literal run of
   ``x+1`` bytes (1..128) follows; ``1xxxxxxx`` = match of length ``x+4``
@@ -17,7 +20,8 @@ code patterns). Any LZ-family coder fills that role; this one uses:
 The compress loop iterates once per emitted match (jumping over literal
 stretches with ``bisect``), not once per input byte. ``compress`` falls back
 to a stored block when expansion would occur, so the output is never more
-than ``len(data) + 6`` bytes.
+than ``len(data) + 6`` bytes. The active obs run counts each token pass in
+``lz.attempted`` and each block that beat the stored form in ``lz.kept``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.encoding.varint import decode_uvarint, encode_uvarint
+from repro.obs import inc_counter
 
 __all__ = ["lz_compress", "lz_decompress"]
 
@@ -35,14 +40,21 @@ _MIN_MATCH = 4
 _MAX_MATCH = 131  # per token; longer matches chain tokens
 _MAGIC_COMPRESSED = 1
 _MAGIC_STORED = 0
+_PACK_LIMIT = 1 << 32  # shingle positions must fit the low half of the key
 
 
 def _prev_occurrence(data: bytes) -> np.ndarray:
     """``prev[i]`` = nearest ``j < i`` with the same 4-byte shingle, else -1."""
-    a = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    v = a[:-3] | (a[1:-2] << np.uint32(8)) | (a[2:-1] << np.uint32(16)) | (a[3:] << np.uint32(24))
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
+    a = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+    v = a[:-3] | (a[1:-2] << np.uint64(8)) | (a[2:-1] << np.uint64(16)) | (a[3:] << np.uint64(24))
+    if v.size < _PACK_LIMIT:
+        key = (v << np.uint64(32)) | np.arange(v.size, dtype=np.uint64)
+        key.sort()
+        order = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        sv = key >> np.uint64(32)
+    else:
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
     same = sv[1:] == sv[:-1]
     prev = np.full(v.size, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
@@ -82,6 +94,7 @@ def lz_compress(data: bytes) -> bytes:
         header.append(_MAGIC_STORED)
         encode_uvarint(n, header)
         return bytes(header) + data
+    inc_counter("lz.attempted")
     tokens = bytearray()
     prev = _prev_occurrence(data)
     in_window = (prev >= 0) & ((np.arange(prev.size, dtype=np.int64) - prev) <= _WINDOW)
@@ -131,6 +144,7 @@ def lz_compress(data: bytes) -> bytes:
         header.append(_MAGIC_STORED)
         encode_uvarint(n, header)
         return bytes(header) + data
+    inc_counter("lz.kept")
     header.append(_MAGIC_COMPRESSED)
     encode_uvarint(n, header)
     return bytes(header) + bytes(tokens)

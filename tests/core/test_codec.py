@@ -13,6 +13,9 @@ from repro.core.codec import (
     encode_code_stream,
     encode_floats,
 )
+from repro.encoding.container import CorruptStreamError
+from repro.encoding.lz import lz_compress, lz_decompress
+from repro.encoding.varint import decode_uvarint, encode_uvarint
 
 
 class TestCodeStream:
@@ -40,6 +43,48 @@ class TestCodeStream:
     def test_roundtrip_property(self, values):
         codes = np.array(values, dtype=np.int64)
         np.testing.assert_array_equal(decode_code_stream(encode_code_stream(codes)), codes)
+
+
+def _reframe(blob: bytes, *, extra_bits: int = 0, tail: bytes = b"") -> tuple[int, bytes]:
+    """Rewrite a code stream's stored ``bit_len`` and/or pad its bit payload.
+
+    Returns the original ``bit_len`` and the re-framed blob.
+    """
+    payload = lz_decompress(blob)
+    n, pos = decode_uvarint(payload, 0)
+    table_len, pos = decode_uvarint(payload, pos)
+    pos += table_len
+    head = payload[:pos]
+    bit_len, pos = decode_uvarint(payload, pos)
+    out = bytearray(head)
+    encode_uvarint(bit_len + extra_bits, out)
+    out += payload[pos:] + tail
+    return bit_len, lz_compress(bytes(out))
+
+
+class TestCodeStreamFraming:
+    """The stored ``bit_len`` must agree with the decoded bit payload."""
+
+    @pytest.mark.parametrize("n", [1, 5, 100, 3000])
+    def test_valid_streams_still_decode(self, n):
+        rng = np.random.default_rng(n)
+        codes = np.where(rng.random(n) < 0.8, 7, rng.integers(0, 40, n))
+        _, blob = _reframe(encode_code_stream(codes))
+        np.testing.assert_array_equal(decode_code_stream(blob), codes)
+
+    def test_bit_len_one_too_long_rejected(self):
+        codes = np.arange(5)  # 5 codewords of 2-3 bits: 12 bits, not byte-aligned
+        bit_len, blob = _reframe(encode_code_stream(codes), extra_bits=1)
+        assert bit_len % 8 != 0  # same byte count, so only the end position differs
+        with pytest.raises(CorruptStreamError):
+            decode_code_stream(blob)
+
+    @pytest.mark.parametrize("n", [100, 3000])
+    def test_payload_byte_count_checked(self, n):
+        codes = np.random.default_rng(n).integers(0, 40, n)
+        _, blob = _reframe(encode_code_stream(codes), tail=b"\x00")
+        with pytest.raises(CorruptStreamError):
+            decode_code_stream(blob)
 
 
 class TestFloats:

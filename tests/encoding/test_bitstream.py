@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encoding import bitstream
 from repro.encoding.bitstream import BitReader, BitWriter
+from tests.encoding.reference import ReferenceBitWriter
 
 
 class TestBitWriterBasics:
@@ -183,3 +185,71 @@ def test_mixed_scalar_and_bulk_property(n, width, seed):
     assert r.read(3) == 0b101
     np.testing.assert_array_equal(r.read_array(n, width), arr)
     assert r.read(2) == 0b11
+
+
+def _replay(writer_cls, ops) -> tuple[bytes, int]:
+    w = writer_cls()
+    for op in ops:
+        if op[0] == "write":
+            w.write(op[1], op[2])
+        else:
+            w.write_varwidth(op[1], op[2])
+    return w.getvalue(), w.bit_length
+
+
+def _assert_same_as_oracle(ops) -> None:
+    assert _replay(BitWriter, ops) == _replay(ReferenceBitWriter, ops)
+
+
+def _batch(rng, n: int, lo: int, hi: int):
+    lengths = rng.integers(lo, hi + 1, n).astype(np.uint8)
+    codes = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    codes &= (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)  # 1 << 64 is 0 in NumPy
+    return ("bulk", codes, lengths)
+
+
+class TestWriterOracle:
+    """The word-plane pack must write the bytes the bit-by-bit expansion wrote."""
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_equal_length_batches_at_every_offset(self, width):
+        rng = np.random.default_rng(width)
+        ops = []
+        for lead in range(8):  # bulk writes start at every bit phase
+            ops.append(("write", (1 << lead) - 1, lead))
+            ops.append(_batch(rng, 37, width, width))
+        _assert_same_as_oracle(ops)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 16), (1, 32), (20, 40), (1, 64), (33, 64)])
+    def test_mixed_widths_with_scalar_writes(self, lo, hi):
+        rng = np.random.default_rng(lo * 100 + hi)
+        ops = []
+        for i in range(6):
+            ops.append(("write", int(rng.integers(0, 2**13)), 13))
+            ops.append(_batch(rng, 500 + 97 * i, lo, hi))
+            ops.append(("write", 2**64 - 1, 64))
+        _assert_same_as_oracle(ops)
+
+    def test_zero_lengths_and_wide_values_write_low_bits_only(self):
+        codes = np.array([7, 2**40 + 5, 3, 2**64 - 1], dtype=np.uint64)
+        lengths = np.array([0, 3, 2, 33], dtype=np.uint8)
+        _assert_same_as_oracle([("write", 1, 3), ("bulk", codes, lengths)])
+
+    def test_batches_span_several_pack_blocks(self, monkeypatch):
+        monkeypatch.setattr(bitstream, "_PACK_BLOCK", 64)
+        rng = np.random.default_rng(9)
+        _assert_same_as_oracle([("write", 5, 3), _batch(rng, 1000, 1, 64), _batch(rng, 300, 7, 7)])
+
+    def test_pending_scalar_writes_flush_through_the_pack(self):
+        ops = [("write", v % (1 << n), n) for v, n in zip(range(3, 3000, 7), [1, 5, 64, 33, 17, 2] * 100)]
+        _assert_same_as_oracle(ops)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                          st.integers(min_value=0, max_value=64)), min_size=1, max_size=300),
+       st.integers(min_value=0, max_value=63))
+@settings(max_examples=60, deadline=None)
+def test_varwidth_matches_oracle_property(pairs, lead):
+    codes = np.array([v for v, _ in pairs], dtype=np.uint64)
+    lengths = np.array([n for _, n in pairs], dtype=np.uint8)
+    _assert_same_as_oracle([("write", 0, lead), ("bulk", codes, lengths)])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.encoding import lz
+from repro.encoding.bitstream import BitWriter
+from repro.encoding.huffman import HuffmanCode
 from repro.encoding.lz import lz_compress, lz_decompress
+from tests.encoding.reference import prev_occurrence_reference
 
 
 class TestRoundtrip:
@@ -90,3 +95,67 @@ def test_tiled_roundtrip_property(tile, reps):
     assert lz_decompress(blob) == data
     if len(data) > 2000:
         assert len(blob) < len(data)
+
+
+def _huffman_output(n: int, seed: int) -> bytes:
+    rng = np.random.default_rng(seed)
+    syms = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 64, n))
+    w = BitWriter()
+    HuffmanCode.from_symbols(syms).encode(syms, w)
+    return w.getvalue()
+
+
+def _assert_index_matches(data: bytes) -> None:
+    np.testing.assert_array_equal(lz._prev_occurrence(data), prev_occurrence_reference(data))
+
+
+class TestMatchIndexOracle:
+    """The packed-key sort must reproduce the stable-argsort index exactly."""
+
+    @pytest.mark.parametrize("data", [
+        *(bytes(range(n)) for n in range(16, 21)),
+        *(b"\x00" * n for n in range(16, 21)),
+        b"\xff" * 5000,
+        b"ab" * 2000,
+        b"abc" * 2000,
+        b"\x00\x01" * 7 + b"\x00\x00\x01" * 9,
+        bytes(range(256)) * 40,
+    ])
+    def test_edge_inputs(self, data):
+        _assert_index_matches(data)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_real_huffman_output(self, seed):
+        _assert_index_matches(_huffman_output(20000, seed))
+
+    def test_unpacked_fallback_matches(self, monkeypatch):
+        """Inputs with 2**32 shingles or more take the stable argsort branch."""
+        data = _huffman_output(5000, 2) + b"abc" * 300
+        expect = lz_compress(data)
+        monkeypatch.setattr(lz, "_PACK_LIMIT", 0)
+        _assert_index_matches(data)
+        assert lz_compress(data) == expect
+
+
+@given(st.binary(min_size=4, max_size=3000))
+@settings(max_examples=80, deadline=None)
+def test_match_index_matches_oracle_property(data):
+    _assert_index_matches(data)
+
+
+class TestCounters:
+    def _counts(self, payloads):
+        with obs.run() as run:
+            for p in payloads:
+                lz_compress(p)
+        snap = run.metrics.snapshot()
+        return tuple(snap.get(f"lz.{k}", {}).get("value", 0) for k in ("attempted", "kept"))
+
+    def test_stored_fallback_counts_attempt_not_keep(self):
+        rng = np.random.default_rng(3)
+        noise = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes()
+        assert lz_compress(noise)[0] == 0  # stored block
+        assert self._counts([noise]) == (1, 0)
+
+    def test_kept_block_counts_both(self):
+        assert self._counts([b"climate-data-" * 200, b"tiny"]) == (1, 1)
