@@ -20,8 +20,11 @@ overhead stays negligible, per the HPC-Python guidance.
 
 Resilience (see ``docs/ROBUSTNESS.md``): every dispatch accepts a retry
 budget (``retries`` + bounded exponential ``retry_backoff``), a per-job
-``timeout`` (enforced inside the worker via ``SIGALRM``), and a
-``faults`` injector (:mod:`repro.faults`). A worker process dying takes
+``timeout`` (``SIGALRM``; checked post-hoc off the main thread), a
+dispatch-wide ``deadline``, and a ``faults`` injector (:mod:`repro.faults`).
+Serial and pooled dispatch run the same job loop over an inline or a
+process-pool executor; only an injected crash differs (an exception
+inline, a real worker death on a pool). A worker process dying takes
 down the whole ``ProcessPoolExecutor`` (``BrokenProcessPool``) — the
 dispatcher respawns the pool and requeues only the unfinished jobs
 instead of aborting the batch. With ``strict=False`` callers get
@@ -48,7 +51,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -237,15 +240,15 @@ def _run_attempt(fn, payload, directive: JobFaults | None, attempt: int,
 
 
 def _worker_call(fn, payload, directive: JobFaults | None, attempt: int,
-                 timeout: float | None, traced: bool):
-    """Pool-worker entry: run one attempt, optionally shipping telemetry."""
+                 timeout: float | None, traced: bool, in_worker: bool):
+    """Executor entry: run one attempt, optionally shipping telemetry."""
     if not traced:
         return _run_attempt(fn, payload, directive, attempt, timeout,
-                            in_worker=True), None, None
+                            in_worker=in_worker), None, None
     with obs.run(tags={"role": "worker"}) as run:
         with obs.span("worker", attempt=attempt):
             out = _run_attempt(fn, payload, directive, attempt, timeout,
-                               in_worker=True)
+                               in_worker=in_worker)
     return out, run.span_records(), run.metrics.snapshot()
 
 
@@ -317,66 +320,40 @@ def _failure(index: int, attempts: int, exc: BaseException | None,
     )
 
 
-def _run_serial(fn, payloads, directives, policy: RetryPolicy,
-                deadline_at: float | None = None) -> list[JobResult]:
-    results: list[JobResult] = []
-    for i, payload in enumerate(payloads):
-        attempt = 1
-        while True:
-            now = time.monotonic()
-            if deadline_at is not None and now >= deadline_at:
-                obs.inc_counter("parallel.deadline_exceeded")
-                results.append(_failure(i, attempt - 1, DeadlineExceededError(
-                    "dispatch deadline exceeded before the job could run")))
-                break
-            t0 = time.perf_counter()
-            try:
-                value = _run_attempt(fn, payload, directives[i], attempt,
-                                     _clamp_timeout(policy.timeout, deadline_at, now),
-                                     in_worker=False)
-            # job boundary: ANY failure must become a JobResult record (or a
-            # retry) so one bad chunk cannot abort its siblings; narrowing
-            # this catch would turn unexpected errors into lost work.
-            except Exception as exc:  # noqa: BLE001
-                if isinstance(exc, TimeoutError):
-                    obs.inc_counter("parallel.timeouts")
-                    obs.mark_rate("parallel.timeouts")
-                expired = (deadline_at is not None
-                           and time.monotonic() >= deadline_at)
-                if attempt > policy.retries or expired:
-                    if expired:
-                        obs.inc_counter("parallel.deadline_exceeded")
-                        # a timeout at the deadline IS the deadline firing:
-                        # surface it as such so callers (the service's 504
-                        # mapping) need not guess from a bare TimeoutError
-                        if isinstance(exc, TimeoutError) and not isinstance(
-                                exc, DeadlineExceededError):
-                            wrapped = DeadlineExceededError(
-                                "dispatch deadline exceeded during the attempt")
-                            wrapped.__cause__ = exc
-                            exc = wrapped
-                    results.append(_failure(i, attempt, exc))
-                    break
-                obs.inc_counter("parallel.retries")
-                obs.mark_rate("parallel.retries")
-                time.sleep(policy.delay(attempt))
-                attempt += 1
-            else:
-                obs.inc_counter("parallel.jobs_ok")
-                obs.observe("parallel.job_attempts", attempt)
-                obs.observe_latency("parallel.job", time.perf_counter() - t0)
-                obs.mark_rate("parallel.jobs")
-                results.append(JobResult(index=i, ok=True, value=value,
-                                         attempts=attempt))
-                break
-    return results
+class _InlineExecutor:
+    """Executor whose ``submit()`` runs the attempt now, in the calling thread.
+
+    It stands in for the process pool when ``workers`` is unset, so serial
+    dispatch goes through the same job loop; the returned future is
+    already completed.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        # job boundary: ANY failure must become a JobResult record (or a
+        # retry) so one bad chunk cannot abort its siblings; narrowing this
+        # catch would turn unexpected errors into lost work.
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        pass
 
 
-def _run_pool(fn, payloads, directives, workers: int, policy: RetryPolicy,
-              dispatch, deadline_at: float | None = None) -> list[JobResult]:
-    """Pool execution with retries, requeue, and pool respawn.
+def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
+              faults: FaultInjector | None, scope: str, dispatch,
+              directives: list[JobFaults | None] | None = None,
+              deadline_at: float | None = None) -> list[JobResult]:
+    """Dispatch ``payloads`` with retries, requeue, and pool respawn.
 
-    A hard worker death breaks the whole executor: every in-flight future
+    ``workers`` alone picks the executor: a ``ProcessPoolExecutor`` of that
+    many workers, or (unset) an inline executor that runs each attempt in
+    the calling thread — one loop drives both.
+
+    A hard worker death breaks the whole pool: every in-flight future
     raises ``BrokenProcessPool``. We respawn the pool once per break
     (bounded by ``policy.max_pool_respawns``) and requeue only unfinished
     jobs — the innocent in-flight jobs consume a retry each, which keeps
@@ -386,63 +363,88 @@ def _run_pool(fn, payloads, directives, workers: int, policy: RetryPolicy,
     dispatch: once it passes, queued jobs fail with
     :class:`DeadlineExceededError`, unstarted futures are cancelled, and
     running workers are cut short by their clamped per-attempt timeout —
-    nothing keeps computing for a caller that has stopped waiting.
+    nothing keeps computing for a caller that has stopped waiting. A
+    failure seen at or after the deadline is final, never requeued.
+
+    ``directives`` overrides the internally planned fault directives —
+    multi-wave dispatchers (``compress_chunked``) plan once for the whole
+    logical job set and pass each wave its slice, so ``only=N`` fault
+    clauses keep addressing the logical job index.
     """
+    if directives is None:
+        directives = _plan_directives(faults, scope, len(payloads))
     run = obs.get_run()
-    traced = run is not None
+    # inline attempts record spans straight into the parent run
+    traced = bool(workers) and run is not None
+    capacity = 2 * workers if workers else 1
     n = len(payloads)
     results: list[JobResult | None] = [None] * n
     ready: deque[tuple[int, int]] = deque((i, 1) for i in range(n))
     delayed: list[tuple[float, int, int]] = []  # (ready_time, index, attempt)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers else _InlineExecutor()
     in_flight: dict = {}
     respawns = 0
 
+    def expired() -> bool:
+        return deadline_at is not None and time.monotonic() >= deadline_at
+
     def requeue_or_fail(i: int, attempt: int, exc: BaseException | None,
                         reason: str | None = None, *, count_retry: bool = True) -> None:
-        if attempt > policy.retries:
-            results[i] = _failure(i, attempt, exc, reason)
+        if expired():
+            obs.inc_counter("parallel.deadline_exceeded")
+            # a timeout at the deadline IS the deadline firing: surface it
+            # as such so callers (the service's 504 mapping) need not guess
+            # from a bare TimeoutError
+            if isinstance(exc, TimeoutError) and not isinstance(
+                    exc, DeadlineExceededError):
+                wrapped = DeadlineExceededError(
+                    "dispatch deadline exceeded during the attempt")
+                wrapped.__cause__ = exc
+                exc = wrapped
+        elif attempt <= policy.retries:
+            if count_retry:
+                obs.inc_counter("parallel.retries")
+                obs.mark_rate("parallel.retries")
+            heapq.heappush(delayed,
+                           (time.monotonic() + policy.delay(attempt), i, attempt + 1))
             return
-        if count_retry:
-            obs.inc_counter("parallel.retries")
-            obs.mark_rate("parallel.retries")
-        heapq.heappush(delayed,
-                       (time.monotonic() + policy.delay(attempt), i, attempt + 1))
+        results[i] = _failure(i, attempt, exc, reason)
 
     try:
         while ready or delayed or in_flight:
             now = time.monotonic()
-            if deadline_at is not None and now >= deadline_at:
+            if expired():
                 exc = DeadlineExceededError(
-                    "dispatch deadline exceeded with jobs unfinished")
-                for i, attempt in list(ready) + [(di, da) for _, di, da in delayed]:
+                    "dispatch deadline exceeded before the job could run")
+                unstarted = list(ready) + [(di, da) for _, di, da in delayed]
+                for fut, (i, attempt, _t_submit) in list(in_flight.items()):
+                    if fut.cancel():
+                        del in_flight[fut]
+                        unstarted.append((i, attempt))
+                for i, attempt in unstarted:
                     obs.inc_counter("parallel.deadline_exceeded")
                     results[i] = _failure(i, attempt - 1, exc)
-                for fut, (i, attempt, _t_submit) in list(in_flight.items()):
-                    fut.cancel()
-                    obs.inc_counter("parallel.deadline_exceeded")
-                    results[i] = _failure(i, attempt, exc)
                 ready.clear()
                 delayed.clear()
-                in_flight.clear()
-                break
+                # running attempts end by their clamped timeout; collect them
             while delayed and delayed[0][0] <= now:
                 _, i, attempt = heapq.heappop(delayed)
                 ready.append((i, attempt))
             pool_broken = False
-            while ready and len(in_flight) < 2 * workers:
+            while ready and len(in_flight) < capacity:
                 i, attempt = ready.popleft()
+                t_submit = time.monotonic()
                 try:
                     fut = pool.submit(_worker_call, fn, payloads[i],
                                       directives[i], attempt,
                                       _clamp_timeout(policy.timeout, deadline_at,
-                                                     time.monotonic()),
-                                      traced)
+                                                     t_submit),
+                                      traced, bool(workers))
                 except BrokenProcessPool:
                     ready.appendleft((i, attempt))
                     pool_broken = True
                     break
-                in_flight[fut] = (i, attempt, time.monotonic())
+                in_flight[fut] = (i, attempt, t_submit)
             if traced:
                 # live queue health: gauge holds the latest depth for
                 # scrapes, the window keeps the recent trajectory
@@ -462,26 +464,17 @@ def _run_pool(fn, payloads, directives, workers: int, policy: RetryPolicy,
                         requeue_or_fail(i, attempt, None,
                                         "worker process died (BrokenProcessPool)",
                                         count_retry=False)
-                    # same job-boundary contract as _run_serial: the future's
-                    # exception (whatever its type — pickled worker error,
-                    # timeout, codec bug) is recorded or retried, never raised
-                    # past the dispatcher while other jobs are in flight.
+                    # the future's exception (whatever its type — pickled
+                    # worker error, timeout, codec bug) is recorded or
+                    # retried, never raised past the dispatcher while other
+                    # jobs are in flight.
                     except Exception as exc:  # noqa: BLE001
                         if isinstance(exc, TimeoutError):
                             obs.inc_counter("parallel.timeouts")
                             obs.mark_rate("parallel.timeouts")
-                            if (deadline_at is not None
-                                    and time.monotonic() >= deadline_at
-                                    and not isinstance(
-                                        exc, DeadlineExceededError)):
-                                wrapped = DeadlineExceededError(
-                                    "dispatch deadline exceeded during "
-                                    "the attempt")
-                                wrapped.__cause__ = exc
-                                exc = wrapped
                         requeue_or_fail(i, attempt, exc)
                     else:
-                        if traced and spans:
+                        if spans:
                             run.absorb(spans, metrics, reparent_to=dispatch)
                         obs.inc_counter("parallel.jobs_ok")
                         obs.observe("parallel.job_attempts", attempt)
@@ -520,25 +513,6 @@ def _run_pool(fn, payloads, directives, workers: int, policy: RetryPolicy,
     return results  # type: ignore[return-value]
 
 
-def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
-              faults: FaultInjector | None, scope: str, dispatch,
-              directives: list[JobFaults | None] | None = None,
-              deadline_at: float | None = None) -> list[JobResult]:
-    """Dispatch ``payloads`` serially or on a pool.
-
-    ``directives`` overrides the internally planned fault directives —
-    multi-wave dispatchers (``compress_chunked``) plan once for the whole
-    logical job set and pass each wave its slice, so ``only=N`` fault
-    clauses keep addressing the logical job index.
-    """
-    if directives is None:
-        directives = _plan_directives(faults, scope, len(payloads))
-    if workers:
-        return _run_pool(fn, payloads, directives, workers, policy, dispatch,
-                         deadline_at)
-    return _run_serial(fn, payloads, directives, policy, deadline_at)
-
-
 def _finalize(results: list[JobResult], strict: bool, what: str):
     """Strict mode: re-raise the first failure's original cause; otherwise
     hand the structured results back to the caller."""
@@ -557,12 +531,15 @@ def _finalize(results: list[JobResult], strict: bool, what: str):
 
 
 def _inject_storage_faults(blobs: list[bytes], faults: FaultInjector | None,
-                           scope: str) -> list[bytes]:
-    """Apply deterministic bit rot (bitflip/truncate clauses) to blobs."""
+                           scope: str, indices: list[int] | None = None) -> list[bytes]:
+    """Apply deterministic bit rot (bitflip/truncate clauses) to blobs.
+
+    ``indices`` gives each blob's logical job index (default: its position).
+    """
     if faults is None:
         return blobs
     out = []
-    for i, blob in enumerate(blobs):
+    for i, blob in zip(indices or range(len(blobs)), blobs):
         corrupted, events = faults.corrupt_blob(blob, f"{scope}.{i}", index=i)
         for event in events:
             obs.inc_counter(f"faults.{event['fault']}_injected")
@@ -898,22 +875,17 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
     if not np.issubdtype(dtype, np.inexact) and any(c is None for c in chunks):
         report.notes.append(f"integer dtype {dtype}: failed chunks zero-filled")
     for i, sl in enumerate(slices):
-        if chunks[i] is None:
-            chunk_shape = list(shape)
-            chunk_shape[axis] = sl.stop - sl.start
-            chunks[i] = _nan_fill(tuple(chunk_shape), dtype)
-        elif list(chunks[i].shape[:axis]) + list(chunks[i].shape[axis + 1:]) != \
-                shape[:axis] + shape[axis + 1:] or \
-                chunks[i].shape[axis] != sl.stop - sl.start:
+        chunk_shape = (*shape[:axis], sl.stop - sl.start, *shape[axis + 1:])
+        if chunks[i] is not None and chunks[i].shape != chunk_shape:
             if not salvage:
                 raise CorruptStreamError(
                     f"chunk {i} decoded to shape {chunks[i].shape}, "
                     f"expected axis-{axis} slice of {shape}")
             report.add(f"chunk{i}", "decode",
                        f"decoded to wrong shape {chunks[i].shape}")
-            chunk_shape = list(shape)
-            chunk_shape[axis] = sl.stop - sl.start
-            chunks[i] = _nan_fill(tuple(chunk_shape), dtype)
+            chunks[i] = None
+        if chunks[i] is None:
+            chunks[i] = _nan_fill(chunk_shape, dtype)
 
     out = np.concatenate(chunks, axis=axis)
     if list(out.shape) != shape:
@@ -967,13 +939,11 @@ def compress_many(arrays: list[np.ndarray], codec: str = "cliz", *,
     out = _finalize(results, strict, "compress_many")
     if strict:
         return _inject_storage_faults(out, faults, "many")
-    for r in out:
-        if r.ok and faults is not None:
-            blob, events = faults.corrupt_blob(r.value, f"many.{r.index}",
-                                               index=r.index)
-            for event in events:
-                obs.inc_counter(f"faults.{event['fault']}_injected")
-            r.value = blob
+    ok = [r for r in out if r.ok]
+    blobs = _inject_storage_faults([r.value for r in ok], faults, "many",
+                                   [r.index for r in ok])
+    for r, blob in zip(ok, blobs):
+        r.value = blob
     return out
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.faults import parse_fault_spec
 from repro.parallel import (
     DeadlineExceededError,
@@ -274,6 +275,23 @@ class TestDispatchDeadline:
                              faults=slow)
         # 5 retries x 4 chunks x 0.2s stall would take >= 4s if retried
         assert time.monotonic() - t0 < 2.0
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_deadline_during_attempt_is_final(self, workers):
+        # chunk 0 runs in-process first; only chunk 1 outlasts the deadline.
+        # Its timeout fires at the deadline, so the failure is final on
+        # either executor: no retry is counted and the message is the same.
+        slow = parse_fault_spec("seed=1;slow:only=1:delay=2.0")
+        with obs.run() as run:
+            with pytest.raises(DeadlineExceededError) as err:
+                compress_chunked(self._field(), "cliz", n_chunks=2,
+                                 workers=workers, rel_eb=1e-3, deadline=0.5,
+                                 retries=5, faults=slow)
+        retries = run.metrics.snapshot().get("parallel.retries", {})
+        assert retries.get("value", 0) == 0
+        assert str(err.value) == (
+            "compress_chunked job 1 failed after 1 attempt(s): "
+            "dispatch deadline exceeded during the attempt")
 
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ValueError):
