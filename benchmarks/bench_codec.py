@@ -45,11 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import compressor_for, decompress  # noqa: E402
 from repro.datasets.registry import load  # noqa: E402
-from repro.utils.profiling import (  # noqa: E402
-    disable_profiling,
-    enable_profiling,
-    get_profile,
-)
+from repro import obs  # noqa: E402
+from repro.obs.report import stage_table  # noqa: E402
 
 REL_EB = 1e-3
 DEFAULT_CODECS = ("cliz", "sz3", "zfp", "bitgroom")
@@ -74,14 +71,11 @@ def _best(fn, reps: int) -> float:
 
 
 def _stage_breakdown(fn) -> dict[str, float]:
-    """Run ``fn`` once under the obs profiler; return ms per stage path."""
-    enable_profiling()
-    try:
+    """Run ``fn`` once under an obs run; return ms per stage path."""
+    with obs.run() as run:
         fn()
-        records = get_profile()
-    finally:
-        disable_profiling()
-    return {rec.path: round(rec.seconds * 1e3, 2) for rec in records}
+    return {row["path"]: round(row["total_s"] * 1e3, 2)
+            for row in stage_table(run.span_records())}
 
 
 def bench_one(codec: str, ds_name: str, field, reps: int) -> dict:

@@ -82,15 +82,16 @@ def _obs_end(args, run) -> None:
     if run is None:
         return
     from repro import obs
-    from repro.utils.profiling import format_profile
 
     server = getattr(args, "_metrics_server", None)
     if server is not None:
         server.stop()
     obs.end_run()
     if getattr(args, "profile", False):
+        from repro.obs.report import print_stage_table, stage_table
+
         print("\nper-stage profile:", file=sys.stderr)
-        print(format_profile(), file=sys.stderr)
+        print_stage_table(stage_table(run.span_records()), file=sys.stderr)
     if getattr(args, "trace_out", None):
         n = obs.write_trace_jsonl(run, args.trace_out)
         print(f"trace    : {n} spans -> {args.trace_out}", file=sys.stderr)

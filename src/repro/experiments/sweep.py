@@ -447,7 +447,6 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                                          failures=breaker.consecutive[subject])
                             obs.set_gauge(f"sweep.breaker_open.{subject}", 1.0)
                         break
-                    obs.inc_counter("sweep.retries")
                     obs.mark_rate("sweep.retries")
                     time.sleep(_delay(retry_backoff, attempt))
                     attempt += 1

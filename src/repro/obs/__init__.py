@@ -4,11 +4,14 @@ See ``docs/OBSERVABILITY.md`` for the span model, metric names, and sink
 formats. The package is dependency-free and safe to import from any layer;
 with no active run every hook is a near-free no-op.
 
-Live telemetry rides on the same run: streaming aggregates in
-:mod:`repro.obs.live` (EWMA rates, sliding windows, P² quantiles), the
-Prometheus renderer in :mod:`repro.obs.prom`, the asyncio ``/metrics``
-exporter in :mod:`repro.obs.server`, and the offline analysis CLI in
-:mod:`repro.obs.report` (``python -m repro obs ...``).
+Live telemetry rides on the same run and the same registry: the
+streaming instruments of :mod:`repro.obs.live` (EWMA rates, sliding
+windows, P² quantiles) sit next to the exact counters, gauges and
+histograms of :mod:`repro.obs.metrics`, one kind per name.
+:mod:`repro.obs.prom` renders it as Prometheus text, the asyncio
+``/metrics`` exporter in :mod:`repro.obs.server` serves it, and the
+offline analysis CLI in :mod:`repro.obs.report` (``python -m repro obs
+...``) reads the exported files.
 """
 
 from repro.obs.instrument import (
@@ -19,7 +22,6 @@ from repro.obs.instrument import (
 from repro.obs.live import (
     EwmaMeter,
     LatencySummary,
-    LiveRegistry,
     P2Quantile,
     RingWindow,
 )
@@ -92,7 +94,6 @@ __all__ = [
     "RingWindow",
     "P2Quantile",
     "LatencySummary",
-    "LiveRegistry",
     "render_registry",
     "render_run",
     "JsonlSink",

@@ -1,8 +1,9 @@
 """Streaming aggregation primitives for live telemetry.
 
-The metrics registry (:mod:`repro.obs.metrics`) keeps exact totals; this
-module adds the *time-sensitive* views a scrape endpoint needs while a
-run is still in flight, all in O(1) memory per series:
+Counters, gauges and histograms (:mod:`repro.obs.metrics`) keep exact
+totals; this module adds the *time-sensitive* instruments a scrape
+endpoint needs while a run is still in flight, all in O(1) memory per
+series:
 
 * :class:`EwmaMeter` — an exponentially weighted moving-average rate
   (jobs/s, MB/s). The decay is continuous in elapsed time, so a meter
@@ -16,9 +17,10 @@ run is still in flight, all in O(1) memory per series:
   latency stream, built from three :class:`P2Quantile` instances. This
   is what gives ``/metrics`` span-latency quantiles *without* storing
   spans.
-* :class:`LiveRegistry` — named instances of the above, created on first
-  use, snapshot as plain dicts. Every :class:`~repro.obs.trace.Run`
-  carries one as ``run.live``.
+The run's one :class:`~repro.obs.metrics.MetricsRegistry` holds these
+next to the exact kinds, one kind per name: a meter can also be the rate
+view of a counter, and a window the view of a gauge. They are
+process-local — pool workers do not ship them back.
 
 All instruments are thread-safe (the dispatch loop, pool-result thread,
 and the metrics server's event loop all touch them) and take an optional
@@ -38,7 +40,6 @@ __all__ = [
     "RingWindow",
     "P2Quantile",
     "LatencySummary",
-    "LiveRegistry",
     "DEFAULT_QUANTILES",
 ]
 
@@ -310,63 +311,3 @@ class LatencySummary:
                 "quantiles": {f"p{q * 100:g}": self._estimators[q].value
                               for q in self.quantiles},
             }
-
-
-class LiveRegistry:
-    """Named live instruments, created on first use (like MetricsRegistry).
-
-    Unlike the exact metrics registry, live aggregates are *process-local
-    views* — P² markers and EWMA states cannot be merged losslessly, so
-    pool workers do not ship them back; the dispatching process observes
-    job-level events itself (latency on future completion, queue depth in
-    the dispatch loop), which is where the operationally meaningful
-    numbers live anyway.
-    """
-
-    def __init__(self, *, clock=time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._meters: dict[str, EwmaMeter] = {}
-        self._windows: dict[str, RingWindow] = {}
-        self._summaries: dict[str, LatencySummary] = {}
-
-    def _get(self, table: dict, name: str, factory):
-        with self._lock:
-            inst = table.get(name)
-            if inst is None:
-                inst = table[name] = factory()
-            return inst
-
-    def meter(self, name: str, tau: float = 30.0) -> EwmaMeter:
-        return self._get(self._meters, name,
-                         lambda: EwmaMeter(tau, clock=self._clock))
-
-    def window(self, name: str, window: float = 60.0,
-               maxlen: int = 4096) -> RingWindow:
-        return self._get(self._windows, name,
-                         lambda: RingWindow(window, maxlen, clock=self._clock))
-
-    def summary(self, name: str,
-                quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> LatencySummary:
-        return self._get(self._summaries, name,
-                         lambda: LatencySummary(quantiles))
-
-    def snapshot(self) -> dict[str, dict]:
-        """All live aggregates as ``{name: record}`` plain dicts.
-
-        Meters, windows, and summaries live in separate tables, so one
-        name may exist in several kinds; the first keeps the bare name
-        and later kinds get a ``<name>.<kind>`` key (with ``name`` in
-        the record matching the key) so nothing is silently shadowed.
-        """
-        with self._lock:
-            items = ([(n, m) for n, m in self._meters.items()]
-                     + [(n, w) for n, w in self._windows.items()]
-                     + [(n, s) for n, s in self._summaries.items()])
-        items.sort(key=lambda item: (item[0], type(item[1]).__name__))
-        out: dict[str, dict] = {}
-        for name, inst in items:
-            rec = inst.to_record()
-            key = name if name not in out else f"{name}.{rec['type']}"
-            out[key] = {"name": key, **rec}
-        return out

@@ -1,19 +1,38 @@
-"""Metrics registry: counters, gauges, histograms with a snapshot/merge API.
+"""The metrics registry: every instrument of a run, one kind per name.
 
 The registry is deliberately tiny and dependency-free — Prometheus
 semantics (monotonic counters, last-write gauges, fixed-bucket cumulative
-histograms) without the wire format. Pipelines record compression ratio,
-quantizer hit-rate, bits/value, predictor selections, WAN queue depths and
-link utilization; ``snapshot()`` renders everything as plain dicts that
-serialize to the same JSONL schema the benchmarks emit, and ``merge()``
-folds a worker's snapshot into the parent registry (counters and histogram
-buckets add; gauges keep the merged-in value, i.e. last writer wins).
+histograms) without the wire format, plus the streaming instruments of
+:mod:`repro.obs.live` (EWMA meters, sliding windows, latency summaries).
+Pipelines record compression ratio, quantizer hit-rate, bits/value,
+predictor selections, WAN queue depths, link utilization and span
+latencies here. Each name holds exactly one kind; asking for a name as a
+second kind raises ``TypeError``.
+
+A rate or a window is a *view*, not a second series: ``Counter.with_rate()``
+attaches an EWMA meter that every later ``inc`` feeds, and
+``Gauge.with_window()`` attaches a sliding window that every later ``set``
+feeds. The view renders next to its counter or gauge on ``/metrics``.
+
+Two read-outs:
+
+* ``snapshot()`` / ``records()`` — the exact kinds (counters, gauges,
+  histograms) as plain dicts in the JSONL schema the benchmarks emit.
+  ``merge()`` folds a worker's snapshot into the parent registry
+  (counters and histogram buckets add; gauges keep the merged-in value,
+  i.e. last writer wins).
+* ``scrape()`` — every instrument, live kinds and views included, for
+  ``/metrics`` and ``/snapshot``. Live state (EWMA, P² markers, windows)
+  cannot be merged losslessly, so it stays in the process that observed
+  it and is never shipped from pool workers.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+
+from repro.obs.live import EwmaMeter, LatencySummary, RingWindow
 
 __all__ = [
     "Counter",
@@ -60,6 +79,8 @@ class Counter:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
+        #: EWMA rate view, attached by :meth:`with_rate`.
+        self.meter: EwmaMeter | None = None
         self._lock = threading.Lock()
 
     def inc(self, value: int = 1) -> None:
@@ -69,6 +90,16 @@ class Counter:
         # two threads interleaving it lose increments, hence the lock.
         with self._lock:
             self.value += value
+            meter = self.meter
+        if meter is not None:
+            meter.mark(value)
+
+    def with_rate(self) -> "Counter":
+        """Attach the EWMA rate view (once); later ``inc`` calls feed it."""
+        with self._lock:
+            if self.meter is None:
+                self.meter = EwmaMeter()
+        return self
 
     def to_record(self) -> dict:
         return {"schema": SCHEMA_VERSION, "type": "counter",
@@ -81,11 +112,23 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float | None = None
+        #: Sliding-window view, attached by :meth:`with_window`.
+        self.window: RingWindow | None = None
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
+            window = self.window
+        if window is not None:
+            window.add(value)
+
+    def with_window(self) -> "Gauge":
+        """Attach the sliding-window view (once); later ``set`` calls feed it."""
+        with self._lock:
+            if self.window is None:
+                self.window = RingWindow()
+        return self
 
     def to_record(self) -> dict:
         return {"schema": SCHEMA_VERSION, "type": "gauge",
@@ -144,18 +187,22 @@ class Histogram:
         }
 
 
+#: The kinds ``snapshot()`` exports and ``merge()`` folds.
+_EXACT = (Counter, Gauge, Histogram)
+
+
 class MetricsRegistry:
-    """Named metric instruments, created on first use, snapshot as dicts."""
+    """Named instruments, created on first use; one kind per name."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, object] = {}
         self._lock = threading.Lock()
 
     def _get(self, name: str, cls, *args):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = self._metrics[name] = cls(name, *args)
+                metric = self._metrics[name] = cls(*args)
             elif not isinstance(metric, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as "
@@ -164,27 +211,52 @@ class MetricsRegistry:
             return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
+        return self._get(name, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
+        return self._get(name, Gauge, name)
 
     def histogram(self, name: str, buckets: list[float] | None = None) -> Histogram:
-        return self._get(name, Histogram, buckets)
+        return self._get(name, Histogram, name, buckets)
 
-    def clear(self) -> None:
+    def meter(self, name: str) -> EwmaMeter:
+        return self._get(name, EwmaMeter)
+
+    def window(self, name: str) -> RingWindow:
+        return self._get(name, RingWindow)
+
+    def summary(self, name: str) -> LatencySummary:
+        return self._get(name, LatencySummary)
+
+    def _items(self) -> list[tuple[str, object]]:
         with self._lock:
-            self._metrics.clear()
+            return sorted(self._metrics.items())
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, dict]:
-        """All metrics as ``{name: record}`` plain dicts (JSON-ready)."""
-        with self._lock:
-            return {name: m.to_record() for name, m in sorted(self._metrics.items())}
+        """The exact kinds as ``{name: record}`` plain dicts (JSON-ready)."""
+        return {name: m.to_record() for name, m in self._items()
+                if isinstance(m, _EXACT)}
 
     def records(self) -> list[dict]:
         """Snapshot as a list of JSONL-ready lines."""
         return list(self.snapshot().values())
+
+    def scrape(self) -> dict[str, dict]:
+        """Every instrument as ``{name: record}``, live kinds and views included.
+
+        Exact kinds keep their JSONL record; a counter's rate view rides
+        along under ``"meter"`` and a gauge's window under ``"window"``.
+        """
+        out: dict[str, dict] = {}
+        for name, m in self._items():
+            rec = {"name": name, **m.to_record()}
+            if isinstance(m, Counter) and m.meter is not None:
+                rec["meter"] = m.meter.to_record()
+            elif isinstance(m, Gauge) and m.window is not None:
+                rec["window"] = m.window.to_record()
+            out[name] = rec
+        return out
 
     def merge(self, snapshot: dict[str, dict]) -> None:
         """Fold a ``snapshot()`` (e.g. from a pool worker) into this registry.

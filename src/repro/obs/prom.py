@@ -1,25 +1,23 @@
 """Prometheus text exposition (format 0.0.4) for the obs registry.
 
-Renders a :class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.live.LiveRegistry` into the plain-text scrape format
-Prometheus and its ecosystem understand — no client library, no
-dependencies, just the documented line protocol:
+Renders a :class:`~repro.obs.metrics.MetricsRegistry` into the
+plain-text scrape format Prometheus and its ecosystem understand — no
+client library, no dependencies, just the documented line protocol.
+Each name holds one kind, so each renders its own families:
 
-* counters  -> ``<name>_total`` with ``# TYPE ... counter``;
+* counters  -> ``<name>_total`` with ``# TYPE ... counter``, plus a
+  ``<name>_rate`` gauge (units/second, EWMA) when the counter carries a
+  rate view;
 * gauges    -> ``<name>`` with ``# TYPE ... gauge`` (unset gauges are
-  omitted — Prometheus has no null);
+  omitted — Prometheus has no null), plus the window gauges below when
+  the gauge carries a window view;
 * histograms -> cumulative ``<name>_bucket{le="..."}`` series ending in
   ``le="+Inf"``, plus ``<name>_sum`` and ``<name>_count``;
-* live summaries -> ``<name>{quantile="0.5"}`` series plus ``_sum`` /
+* summaries -> ``<name>{quantile="0.5"}`` series plus ``_sum`` /
   ``_count`` with ``# TYPE ... summary``;
-* live meters  -> ``<name>_rate`` gauge (units/second, EWMA) plus a
-  ``<name>_total`` counter of everything marked — unless an exact
-  counter of the same name is rendered from the metrics registry, in
-  which case the meter's redundant ``_total`` is suppressed (several
-  series, e.g. ``parallel.retries``, are both counted exactly and
-  metered; emitting both would duplicate the family and make the
-  document unscrapeable);
-* live windows -> ``<name>_window_count`` / ``_window_mean`` /
+* meters    -> ``<name>_rate`` gauge plus a ``<name>_total`` counter of
+  everything marked;
+* windows   -> ``<name>_window_count`` / ``_window_mean`` /
   ``_window_last`` gauges over the sliding window.
 
 Metric names are sanitized to the legal charset
@@ -36,7 +34,6 @@ import re
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.live import LiveRegistry
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Run
 
@@ -85,6 +82,24 @@ def _family(lines: list[str], name: str, kind: str, help_text: str) -> None:
     lines.append(f"# TYPE {name} {kind}")
 
 
+def _render_rate(lines: list[str], name: str, raw: str, rec: dict) -> None:
+    _family(lines, f"{name}_rate", "gauge",
+            f"repro live EWMA rate {raw} (units/s, tau={rec['tau']:g}s)")
+    lines.append(f"{name}_rate {format_value(rec['rate'])}")
+
+
+def _render_window(lines: list[str], name: str, raw: str, rec: dict) -> None:
+    _family(lines, f"{name}_window_count", "gauge",
+            f"repro live window sample count {raw} ({rec['window']:g}s)")
+    lines.append(f"{name}_window_count {rec['count']}")
+    for field in ("mean", "last"):
+        if rec[field] is None:
+            continue
+        _family(lines, f"{name}_window_{field}", "gauge",
+                f"repro live window {field} {raw}")
+        lines.append(f"{name}_window_{field} {format_value(rec[field])}")
+
+
 def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
     kind = rec["type"]
     raw = rec["name"]
@@ -92,11 +107,14 @@ def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
     if kind == "counter":
         _family(lines, f"{name}_total", "counter", f"repro counter {raw}")
         lines.append(f"{name}_total {format_value(rec['value'])}")
+        if "meter" in rec:
+            _render_rate(lines, name, raw, rec["meter"])
     elif kind == "gauge":
-        if rec["value"] is None:
-            return
-        _family(lines, name, "gauge", f"repro gauge {raw}")
-        lines.append(f"{name} {format_value(rec['value'])}")
+        if rec["value"] is not None:
+            _family(lines, name, "gauge", f"repro gauge {raw}")
+            lines.append(f"{name} {format_value(rec['value'])}")
+        if "window" in rec:
+            _render_window(lines, name, raw, rec["window"])
     elif kind == "histogram":
         _family(lines, name, "histogram", f"repro histogram {raw}")
         cumulative = 0
@@ -107,14 +125,7 @@ def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
         lines.append(f'{name}_bucket{{le="+Inf"}} {rec["count"]}')
         lines.append(f"{name}_sum {format_value(rec['sum'])}")
         lines.append(f"{name}_count {rec['count']}")
-
-
-def _render_live(lines: list[str], rec: dict, prefix: str,
-                 counter_families: frozenset[str] = frozenset()) -> None:
-    kind = rec["type"]
-    raw = rec["name"]
-    name = sanitize_metric_name(raw, prefix)
-    if kind == "summary":
+    elif kind == "summary":
         _family(lines, name, "summary", f"repro live latency summary {raw}")
         for label, value in rec["quantiles"].items():
             if value is None:
@@ -124,48 +135,26 @@ def _render_live(lines: list[str], rec: dict, prefix: str,
         lines.append(f"{name}_sum {format_value(rec['sum'])}")
         lines.append(f"{name}_count {rec['count']}")
     elif kind == "meter":
-        _family(lines, f"{name}_rate", "gauge",
-                f"repro live EWMA rate {raw} (units/s, tau={rec['tau']:g}s)")
-        lines.append(f"{name}_rate {format_value(rec['rate'])}")
-        # an exact counter of the same name owns the _total family; the
-        # meter's copy would be a duplicate sample Prometheus rejects
-        if f"{name}_total" not in counter_families:
-            _family(lines, f"{name}_total", "counter",
-                    f"repro live meter total {raw}")
-            lines.append(f"{name}_total {format_value(rec['total'])}")
+        _render_rate(lines, name, raw, rec)
+        _family(lines, f"{name}_total", "counter",
+                f"repro live meter total {raw}")
+        lines.append(f"{name}_total {format_value(rec['total'])}")
     elif kind == "window":
-        _family(lines, f"{name}_window_count", "gauge",
-                f"repro live window sample count {raw} ({rec['window']:g}s)")
-        lines.append(f"{name}_window_count {rec['count']}")
-        for field in ("mean", "last"):
-            if rec[field] is None:
-                continue
-            _family(lines, f"{name}_window_{field}", "gauge",
-                    f"repro live window {field} {raw}")
-            lines.append(f"{name}_window_{field} {format_value(rec[field])}")
+        _render_window(lines, name, raw, rec)
 
 
 def render_registry(metrics: "MetricsRegistry | None" = None,
-                    live: "LiveRegistry | None" = None,
                     prefix: str = "repro_") -> str:
-    """Render registries into one exposition document (trailing newline)."""
+    """Render a registry into one exposition document (trailing newline)."""
     lines: list[str] = []
-    counter_families: set[str] = set()
     if metrics is not None:
-        for rec in metrics.records():
+        for rec in metrics.scrape().values():
             _render_metric(lines, rec, prefix)
-            if rec["type"] == "counter":
-                counter_families.add(
-                    sanitize_metric_name(rec["name"], prefix) + "_total")
-    if live is not None:
-        families = frozenset(counter_families)
-        for rec in live.snapshot().values():
-            _render_live(lines, rec, prefix, families)
     return "\n".join(lines) + "\n" if lines else "\n"
 
 
 def render_run(run: "Run | None", prefix: str = "repro_") -> str:
-    """Render a run's exact metrics + live aggregates (empty doc if None)."""
+    """Render a run's metrics registry (empty doc if None)."""
     if run is None:
         return "\n"
-    return render_registry(run.metrics, run.live, prefix)
+    return render_registry(run.metrics, prefix)

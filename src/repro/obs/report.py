@@ -38,6 +38,7 @@ __all__ = [
     "normalized_regressions",
     "throughput_series",
     "stage_table",
+    "print_stage_table",
     "critical_path",
     "add_arguments",
     "run_from_args",
@@ -344,22 +345,23 @@ def _fmt_bytes(n: int) -> str:
     return f"{n:.1f}GB"
 
 
-def _print_stage_table(rows: list[dict]) -> None:
+def print_stage_table(rows: list[dict], file=None) -> None:
+    """Print :func:`stage_table` rows; ``!`` flags a path with failed spans."""
     print(f"{'path':44s} {'calls':>6s} {'total s':>8s} {'p50 ms':>8s} "
-          f"{'p95 ms':>8s} {'p99 ms':>8s} {'MB/s':>8s}")
+          f"{'p95 ms':>8s} {'p99 ms':>8s} {'MB/s':>8s}", file=file)
     for row in rows:
         mbs = f"{row['mb_s']:.1f}" if row["mb_s"] else "-"
         flag = " !" if row["errors"] else ""
         print(f"{row['path'][:44]:44s} {row['calls']:6d} {row['total_s']:8.3f} "
               f"{row['p50_ms']:8.2f} {row['p95_ms']:8.2f} {row['p99_ms']:8.2f} "
-              f"{mbs:>8s}{flag}")
+              f"{mbs:>8s}{flag}", file=file)
 
 
 def _report_one(path) -> None:
     kind, payload = load_any(path)
     print(f"== {path} ({kind}) ==")
     if kind == "trace":
-        _print_stage_table(stage_table(payload))
+        print_stage_table(stage_table(payload))
     elif kind == "metrics":
         for rec in payload:
             if rec["type"] == "counter":

@@ -5,19 +5,20 @@ A tiny stdlib-only HTTP server (a route table on the shared
 active observability run while it works:
 
 * ``GET /metrics``  — Prometheus text exposition 0.0.4 rendered from the
-  run's metrics registry *and* live aggregates (EWMA rates, span-latency
-  p50/p95/p99, queue-depth windows). Scrape it with Prometheus, or just
-  ``curl`` it — the format is human-readable.
+  run's metrics registry: exact counters, gauges and histograms plus the
+  live instruments (EWMA rates, span-latency p50/p95/p99, queue-depth
+  windows). Scrape it with Prometheus, or just ``curl`` it — the format
+  is human-readable.
 * ``GET /health``   — liveness JSON: status, pid, run id, span count.
-* ``GET /snapshot`` — the full registry + live snapshot as JSON (the
-  machine-readable sibling of ``/metrics``).
+* ``GET /snapshot`` — the registry's ``scrape()`` as JSON under one
+  ``metrics`` key (the machine-readable sibling of ``/metrics``).
 
 The server runs its event loop on a daemon thread so synchronous
 workloads (the sweep driver, experiment harnesses) stay untouched; all
-shared state it reads is lock-protected (see :mod:`repro.obs.metrics` /
-:mod:`repro.obs.live`). Long-running CLI subcommands start one with
-``--serve-metrics PORT``; ``python -m repro.obs.server`` runs a
-standalone exporter (mostly useful for poking at the endpoints).
+shared state it reads is lock-protected (see :mod:`repro.obs.metrics`).
+Long-running CLI subcommands start one with ``--serve-metrics PORT``;
+``python -m repro.obs.server`` runs a standalone exporter (mostly useful
+for poking at the endpoints).
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ class MetricsServer(HttpServer):
                 "run": run.run_id,
                 "tags": run.tags,
                 "n_spans": len(run.spans()),
-                "metrics": run.metrics.snapshot(),
-                "live": run.live.snapshot(),
+                "metrics": run.metrics.scrape(),
             })
         return 404, _TEXT, (f"unknown path {path!r}; try /metrics, "
                             "/health, /snapshot\n").encode("utf-8")

@@ -42,7 +42,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.live import LiveRegistry
 from repro.obs.metrics import SCHEMA_VERSION, MetricsRegistry, latency_buckets
 
 __all__ = [
@@ -140,7 +139,6 @@ class Run:
         self.tags = dict(tags or {})
         self.t0_wall = time.time()
         self.metrics = MetricsRegistry()
-        self.live = LiveRegistry()
         self._spans: list[Span] = []
         self._lock = threading.Lock()
 
@@ -156,11 +154,6 @@ class Run:
     def span_records(self) -> list[dict]:
         """All finished spans as JSONL-ready dicts."""
         return [sp.to_record() for sp in self.spans()]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-        self.metrics.clear()
 
     # ------------------------------------------------------------------ #
     def record_span(self, name: str, *, t_start: float, dur: float,
@@ -191,9 +184,9 @@ class Run:
 
         Worker root spans become children of ``reparent_to`` (the parent's
         dispatching span) and every path is re-rooted under it, so
-        aggregations (``get_profile``) and the Chrome trace show worker
-        work nested where it was dispatched. Worker pids are preserved —
-        the trace viewer lays each worker out on its own track.
+        aggregations (``report.stage_table``) and the Chrome trace show
+        worker work nested where it was dispatched. Worker pids are
+        preserved — the trace viewer lays each worker out on its own track.
         """
         prefix = f"{reparent_to.path}/" if reparent_to is not None else ""
         absorbed = []
@@ -306,13 +299,13 @@ def span(name: str, nbytes: int | None = None, **tags: Any) -> Iterator[Span | N
     finally:
         sp.dur = time.perf_counter() - t0
         _current_span.reset(token)
-        # The run may have been swapped mid-span (enable_profiling() inside
-        # an open span); record into the run that opened the span.
+        # The run may have been swapped mid-span (start_run() inside an
+        # open span); record into the run that opened the span.
         r._append(sp)
         # Live span-latency quantiles (p50/p95/p99 on /metrics without
         # storing spans). Keyed by span *name*, not path: names are the
         # low-cardinality stage vocabulary, paths are per-call-site.
-        r.live.summary(f"span.{name}").observe(sp.dur)
+        r.metrics.summary(f"span.{name}").observe(sp.dur)
 
 
 def current_span() -> Span | None:
@@ -355,29 +348,29 @@ def observe(name: str, value: float, buckets: list[float] | None = None) -> None
         r.metrics.histogram(name, buckets).observe(value)
 
 
-def mark_rate(name: str, n: float = 1.0) -> None:
-    """Mark ``n`` events/bytes on the run's live EWMA meter ``name``."""
+def mark_rate(name: str, n: int = 1) -> None:
+    """Count ``n`` on counter ``name`` and feed its EWMA rate view."""
     r = _active_run
     if r is not None:
-        r.live.meter(name).mark(n)
+        r.metrics.counter(name).with_rate().inc(n)
 
 
 def observe_latency(name: str, seconds: float) -> None:
-    """Record one duration into both live and exact views.
+    """Record one duration into both live and exact instruments.
 
     Feeds the ``<name>.seconds`` histogram (``latency_buckets()`` edges,
-    so offline quantiles are meaningful) *and* the live
+    so offline quantiles are meaningful) *and* the
     :class:`~repro.obs.live.LatencySummary` ``name`` (p50/p95/p99 on
     ``/metrics`` while the run is still in flight).
     """
     r = _active_run
     if r is not None:
         r.metrics.histogram(f"{name}.seconds", latency_buckets()).observe(seconds)
-        r.live.summary(name).observe(seconds)
+        r.metrics.summary(name).observe(seconds)
 
 
 def observe_window(name: str, value: float) -> None:
-    """Add one sample to the run's sliding-window series ``name``."""
+    """Set gauge ``name`` and add the sample to its sliding-window view."""
     r = _active_run
     if r is not None:
-        r.live.window(name).add(value)
+        r.metrics.gauge(name).with_window().set(value)

@@ -35,11 +35,12 @@ to decode come back NaN-filled, with a
 :class:`~repro.encoding.container.SalvageReport` describing the damage.
 
 When an observability run is active in the dispatching process
-(``repro.obs`` / ``enable_profiling()``), each pool worker collects spans
-and metrics into a local run and ships them back alongside its result;
-the parent stitches them under the dispatching span, so profiles and
-traces see through the process boundary. Retries, pool respawns, and
-salvage outcomes land in ``parallel.*`` / ``salvage.*`` counters.
+(``repro.obs.run()``, or the CLI's ``--profile``), each pool worker
+collects spans and exact metrics into a local run and ships them back
+alongside its result; the parent stitches them under the dispatching
+span, so profiles and traces see through the process boundary.
+Retries, pool respawns, and salvage outcomes land in ``parallel.*`` /
+``salvage.*`` counters.
 """
 
 from __future__ import annotations
@@ -403,7 +404,6 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                 exc = wrapped
         elif attempt <= policy.retries:
             if count_retry:
-                obs.inc_counter("parallel.retries")
                 obs.mark_rate("parallel.retries")
             heapq.heappush(delayed,
                            (time.monotonic() + policy.delay(attempt), i, attempt + 1))
@@ -446,11 +446,10 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     break
                 in_flight[fut] = (i, attempt, t_submit)
             if traced:
-                # live queue health: gauge holds the latest depth for
-                # scrapes, the window keeps the recent trajectory
-                depth = len(ready) + len(delayed) + len(in_flight)
-                obs.set_gauge("parallel.queue_depth", depth)
-                obs.observe_window("parallel.queue_depth", depth)
+                # live queue health: the gauge holds the latest depth for
+                # scrapes, its window view keeps the recent trajectory
+                obs.observe_window("parallel.queue_depth",
+                                   len(ready) + len(delayed) + len(in_flight))
             if in_flight and not pool_broken:
                 done, _ = wait(set(in_flight), timeout=0.1,
                                return_when=FIRST_COMPLETED)
@@ -470,7 +469,6 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     # jobs are in flight.
                     except Exception as exc:  # noqa: BLE001
                         if isinstance(exc, TimeoutError):
-                            obs.inc_counter("parallel.timeouts")
                             obs.mark_rate("parallel.timeouts")
                         requeue_or_fail(i, attempt, exc)
                     else:

@@ -22,7 +22,7 @@ import numpy as np
 from repro import compressor_for
 from repro.encoding.container import DECODE_ERRORS
 from repro.faults import FaultInjector
-from repro.obs import add_bytes, inc_counter, observe_latency, span
+from repro.obs import add_bytes, inc_counter, observe, span
 from repro.parallel import (
     DeadlineExceededError,
     compress_chunked,
@@ -73,7 +73,7 @@ def do_compress(req: CompressRequest, store: BlobStore, *,
         add_bytes(len(blob))
     inc_counter("service.compress.ok")
     raw = req.array.nbytes
-    observe_latency("service.compress.ratio", raw / max(len(blob), 1))
+    observe("service.compress.ratio", raw / max(len(blob), 1))
     return {
         "key": key,
         "codec": req.codec,

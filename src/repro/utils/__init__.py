@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, timing, profiling, RNG helpers."""
+"""Shared utilities: argument validation and timing."""
 
 from repro.utils.validation import (
     check_array,
@@ -7,15 +7,6 @@ from repro.utils.validation import (
     ensure_float,
 )
 from repro.utils.timer import Timer
-from repro.utils.profiling import (
-    disable_profiling,
-    enable_profiling,
-    format_profile,
-    get_profile,
-    profile_stage,
-    profiling_enabled,
-    reset_profile,
-)
 
 __all__ = [
     "check_array",
@@ -23,11 +14,4 @@ __all__ = [
     "check_mask",
     "ensure_float",
     "Timer",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-    "reset_profile",
-    "profile_stage",
-    "get_profile",
-    "format_profile",
 ]

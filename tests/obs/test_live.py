@@ -11,10 +11,10 @@ from repro.obs.live import (
     DEFAULT_QUANTILES,
     EwmaMeter,
     LatencySummary,
-    LiveRegistry,
     P2Quantile,
     RingWindow,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -192,34 +192,24 @@ class TestLatencySummary:
 
 
 class TestLiveRegistry:
+    """The live kinds as held by the run's one :class:`MetricsRegistry`."""
+
     def test_same_name_same_instance(self):
-        reg = LiveRegistry(clock=FakeClock())
+        reg = MetricsRegistry()
         assert reg.meter("m") is reg.meter("m")
         assert reg.window("w") is reg.window("w")
         assert reg.summary("s") is reg.summary("s")
 
     def test_snapshot_is_sorted_and_typed(self):
-        clock = FakeClock()
-        reg = LiveRegistry(clock=clock)
+        reg = MetricsRegistry()
         reg.meter("b.meter").mark(1.0)
         reg.window("a.window").add(2.0)
         reg.summary("c.summary").observe(0.5)
-        snap = reg.snapshot()
+        snap = reg.scrape()
         assert list(snap) == ["a.window", "b.meter", "c.summary"]
         assert snap["a.window"]["type"] == "window"
         assert snap["b.meter"]["type"] == "meter"
         assert snap["c.summary"]["type"] == "summary"
         assert all(rec["name"] == name for name, rec in snap.items())
-
-    def test_snapshot_name_shared_across_kinds(self):
-        """A name reused by different instrument kinds must neither crash
-        the sort (instances aren't orderable) nor shadow an entry."""
-        reg = LiveRegistry(clock=FakeClock())
-        reg.meter("x").mark(1.0)
-        reg.window("x").add(2.0)
-        reg.summary("x").observe(0.5)
-        snap = reg.snapshot()
-        assert len(snap) == 3
-        assert sorted(rec["type"] for rec in snap.values()) == \
-            ["meter", "summary", "window"]
-        assert all(rec["name"] == name for name, rec in snap.items())
+        # live kinds are process-local: never exported or merged
+        assert reg.snapshot() == {}

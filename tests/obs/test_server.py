@@ -24,7 +24,7 @@ def server(clean_run):
     run = trace.start_run(tags={"test": "server"})
     run.metrics.counter("files.compressed").inc(2)
     run.metrics.gauge("parallel.queue_depth").set(4)
-    run.live.summary("span.compress").observe(0.01)
+    run.metrics.summary("span.compress").observe(0.01)
     srv = MetricsServer(port=0).start()
     yield srv, run
     srv.stop()
@@ -62,7 +62,8 @@ class TestEndpoints:
         doc = json.loads(body)
         assert doc["run"] == run.run_id
         assert doc["metrics"]["files.compressed"]["value"] == 2
-        assert doc["live"]["span.compress"]["count"] == 1
+        assert doc["metrics"]["span.compress"]["count"] == 1
+        assert "live" not in doc
 
     def test_unknown_path_404(self, server):
         srv, _ = server

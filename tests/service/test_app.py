@@ -71,6 +71,21 @@ class TestRoundTrip:
         bound = 1e-3 * (arr.max() - arr.min())
         assert np.abs(back - arr).max() <= bound * 1.0001
 
+    def test_compress_ratio_is_a_plain_histogram(self, server):
+        """The ratio is recorded on the default edges, not as a latency."""
+        from repro.obs.metrics import DEFAULT_BUCKETS
+
+        status, body, _ = call(server.port, "POST", "/compress",
+                               compress_doc())
+        assert status == 200
+        scraped = trace.get_run().metrics.scrape()
+        rec = scraped["service.compress.ratio"]
+        assert rec["type"] == "histogram" and rec["count"] == 1
+        assert rec["buckets"] == DEFAULT_BUCKETS
+        assert rec["min"] == pytest.approx(body["ratio"], rel=1e-3)
+        assert not any(name.startswith("service.compress.ratio.")
+                       for name in scraped)
+
     def test_estimate(self, server):
         status, body, _ = call(server.port, "POST", "/estimate",
                                compress_doc("sz3"))

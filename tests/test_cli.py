@@ -167,6 +167,25 @@ class TestTelemetryFlags:
             validate_trace_line(rec)
         assert any(r["name"] == "decompress" for r in recs)
 
+    def test_profile_flag_prints_stage_table(self, tmp_path, field_files, capsys):
+        dpath, _, _, _ = field_files
+        out = tmp_path / "d.rz"
+        back = tmp_path / "back.npy"
+        for argv, root in (
+                (["compress", str(dpath), str(out), "--abs-eb", "1e-3"],
+                 "compress"),
+                (["decompress", str(out), str(back)], "decompress")):
+            assert main(argv + ["--profile"]) == 0
+            err = capsys.readouterr().err
+            table = err.split("per-stage profile:\n", 1)[1].splitlines()
+            # the `repro obs report` stage table: header, then one row per path
+            assert table[0].split() == ["path", "calls", "total", "s",
+                                        "p50", "ms", "p95", "ms", "p99", "ms",
+                                        "MB/s"]
+            paths = {ln.split()[0] for ln in table[1:] if ln.strip()}
+            assert root in paths
+            assert any(p.startswith(f"{root}/") for p in paths)
+
 
 class TestTune:
     def test_tune_and_save_config(self, tmp_path, field_files, capsys):
