@@ -108,27 +108,6 @@ class TestStageTable:
         out = capsys.readouterr().out
         assert "outer" in out and "p95 ms" in out
 
-    def test_live_run_rows(self):
-        """Calls, nesting, byte totals and a span that raised, from one run."""
-        with trace.run() as run:
-            with trace.span("outer"):
-                for nbytes in (10, 5):
-                    with trace.span("inner", nbytes=nbytes):
-                        pass
-            with pytest.raises(RuntimeError):
-                with trace.span("boom"):
-                    raise RuntimeError("x")
-            # the span stack unwound: the next span is top-level again
-            with trace.span("after"):
-                pass
-        by_path = {r["path"]: r for r in report.stage_table(run.span_records())}
-        assert set(by_path) == {"outer", "outer/inner", "boom", "after"}
-        assert by_path["outer/inner"]["calls"] == 2
-        assert by_path["outer/inner"]["nbytes"] == 15
-        assert by_path["boom"]["calls"] == 1
-        assert by_path["boom"]["errors"] == 1
-        assert by_path["after"]["errors"] == 0
-
     def test_zero_duration_span_has_no_throughput(self, capsys):
         """A 0-duration span with bytes must not divide by zero."""
         with trace.run() as run:
@@ -139,21 +118,6 @@ class TestStageTable:
         line = next(ln for ln in capsys.readouterr().out.splitlines()
                     if ln.startswith("instant"))
         assert line.rstrip().endswith("-")
-
-    def test_printer_rows_and_flags(self, capsys):
-        with trace.run() as run:
-            run.record_span("compress", t_start=0.0, dur=0.5, nbytes=2_000_000)
-            run.record_span("empty", t_start=0.0, dur=0.25)
-            with pytest.raises(ValueError):
-                with trace.span("failed"):
-                    raise ValueError("x")
-        report.print_stage_table(report.stage_table(run.span_records()))
-        lines = capsys.readouterr().out.splitlines()
-        assert "path" in lines[0] and "MB/s" in lines[0]
-        rows = {ln.split()[0]: ln for ln in lines[1:]}
-        assert rows["compress"].rstrip().endswith("4.0")
-        assert rows["empty"].rstrip().endswith("-")
-        assert rows["failed"].rstrip().endswith("!")
 
     def test_empty_table_prints_header_only(self, capsys):
         report.print_stage_table(report.stage_table([]))

@@ -1,213 +1,135 @@
-"""Tests for the stage profiler and its pipeline/CLI integration."""
+"""Per-stage profiling: ``obs.span`` timings aggregated by ``report.stage_table``.
 
-import numpy as np
+``repro compress --profile`` prints these rows with ``report.print_stage_table``,
+the same printer ``repro obs report`` uses for trace files.
+"""
+
+import threading
+
 import pytest
 
-from repro.core.compressor import CliZ
-from repro.utils.profiling import (
-    disable_profiling,
-    enable_profiling,
-    format_profile,
-    get_profile,
-    profile_stage,
-    profiling_enabled,
-    reset_profile,
-)
+from repro.obs import report, trace
 
 
 @pytest.fixture(autouse=True)
-def _clean_profiler():
-    disable_profiling()
-    reset_profile()
+def _no_active_run():
+    trace.end_run()
     yield
-    disable_profiling()
-    reset_profile()
+    trace.end_run()
+
+
+def _rows(run):
+    return {r["path"]: r for r in report.stage_table(run.span_records())}
+
+
+def _printed(rows, capsys):
+    report.print_stage_table(rows)
+    return capsys.readouterr().out.splitlines()
 
 
 class TestProfileStage:
     def test_disabled_is_noop(self):
-        with profile_stage("x"):
+        with trace.run() as finished:
             pass
-        assert get_profile() == []
+        with trace.span("x", nbytes=10) as sp:
+            assert sp is None
+        assert trace.get_run() is None
+        assert finished.spans() == []
 
     def test_records_time_and_calls(self):
-        enable_profiling()
-        for _ in range(3):
-            with profile_stage("stage"):
-                pass
-        (rec,) = get_profile()
-        assert rec.path == "stage"
-        assert rec.calls == 3
-        assert rec.seconds >= 0.0
+        with trace.run() as run:
+            for _ in range(3):
+                with trace.span("stage"):
+                    pass
+        (row,) = report.stage_table(run.span_records())
+        assert row["path"] == "stage"
+        assert row["calls"] == 3
+        assert row["total_s"] >= 0.0
 
     def test_nested_paths(self):
-        enable_profiling()
-        with profile_stage("outer"):
-            with profile_stage("inner"):
-                pass
-            with profile_stage("inner"):
-                pass
-        paths = {r.path: r for r in get_profile()}
-        assert set(paths) == {"outer", "outer/inner"}
-        assert paths["outer/inner"].calls == 2
-        assert paths["outer/inner"].depth == 1
+        with trace.run() as run:
+            with trace.span("outer"):
+                with trace.span("inner"):
+                    pass
+                with trace.span("inner"):
+                    pass
+        rows = _rows(run)
+        assert set(rows) == {"outer", "outer/inner"}
+        assert rows["outer/inner"]["calls"] == 2
+        assert rows["outer"]["calls"] == 1
 
     def test_bytes_accumulate(self):
-        enable_profiling()
-        with profile_stage("s", nbytes=10):
-            pass
-        with profile_stage("s", nbytes=5):
-            pass
-        (rec,) = get_profile()
-        assert rec.nbytes == 15
-
-    def test_exception_still_recorded(self):
-        enable_profiling()
-        with pytest.raises(RuntimeError):
-            with profile_stage("boom"):
-                raise RuntimeError("x")
-        (rec,) = get_profile()
-        assert rec.path == "boom" and rec.calls == 1
-        # the stack unwound: the next stage is top-level again
-        with profile_stage("after"):
-            pass
-        assert {r.path for r in get_profile()} == {"boom", "after"}
-
-    def test_enable_clears_previous(self):
-        enable_profiling()
-        with profile_stage("a"):
-            pass
-        enable_profiling()
-        assert get_profile() == []
-        assert profiling_enabled()
-
-    def test_tree_order_parent_first(self):
-        enable_profiling()
-        with profile_stage("compress"):
-            with profile_stage("quantize"):
+        with trace.run() as run:
+            with trace.span("s", nbytes=10):
                 pass
-            with profile_stage("encode"):
-                with profile_stage("huffman"):
-                    pass
-        paths = [r.path for r in get_profile()]
-        assert paths == [
-            "compress",
-            "compress/quantize",
-            "compress/encode",
-            "compress/encode/huffman",
-        ]
-
-    def test_format_profile(self):
-        enable_profiling()
-        with profile_stage("compress", nbytes=1000):
-            with profile_stage("quantize"):
+            with trace.span("s", nbytes=5):
                 pass
-        text = format_profile()
-        lines = text.splitlines()
-        assert "stage" in lines[0] and "MB/s" in lines[0]
-        assert any("compress" in ln for ln in lines)
-        assert any("quantize" in ln for ln in lines)
+        (row,) = report.stage_table(run.span_records())
+        assert row["nbytes"] == 15
 
-    def test_format_empty(self):
-        assert "no profile" in format_profile()
+    def test_exception_still_recorded(self, capsys):
+        with trace.run() as run:
+            with pytest.raises(RuntimeError):
+                with trace.span("boom"):
+                    raise RuntimeError("x")
+            # the span stack unwound: the next span is top-level again
+            with trace.span("after"):
+                pass
+        rows = _rows(run)
+        assert set(rows) == {"boom", "after"}
+        assert rows["boom"]["calls"] == 1 and rows["boom"]["errors"] == 1
+        assert rows["after"]["errors"] == 0
+        lines = {ln.split()[0]: ln for ln in _printed(list(rows.values()), capsys)[1:]}
+        assert lines["boom"].rstrip().endswith("!")
+        assert not lines["after"].rstrip().endswith("!")
 
-    def test_format_zero_duration_with_bytes(self):
-        """A 0-duration stage with bytes must not crash on the MB/s column."""
-        from repro.obs import get_run
+    def test_format_profile(self, capsys):
+        with trace.run() as run:
+            run.record_span("compress", t_start=0.0, dur=0.5, nbytes=2_000_000)
+            run.record_span("quantize", t_start=0.0, dur=0.25)
+        lines = _printed(report.stage_table(run.span_records()), capsys)
+        assert "path" in lines[0] and "MB/s" in lines[0]
+        rows = {ln.split()[0]: ln for ln in lines[1:]}
+        assert set(rows) == {"compress", "quantize"}
+        assert rows["compress"].rstrip().endswith("4.0")
+        # heaviest total first
+        assert lines[1].startswith("compress")
 
-        enable_profiling()
-        run = get_run()
-        run.record_span("instant", t_start=0.0, dur=0.0, nbytes=1024)
-        text = format_profile()
-        line = next(ln for ln in text.splitlines() if "instant" in ln)
-        assert "inf" in line
-        assert "1024" in line
-
-    def test_format_zero_bytes_shows_dash(self):
-        enable_profiling()
-        with profile_stage("empty"):
-            pass
-        line = next(ln for ln in format_profile().splitlines() if "empty" in ln)
+    def test_format_zero_bytes_shows_dash(self, capsys):
+        with trace.run() as run:
+            with trace.span("empty"):
+                pass
+        (row,) = report.stage_table(run.span_records())
+        assert row["nbytes"] == 0 and row["mb_s"] is None
+        line = next(ln for ln in _printed([row], capsys) if ln.startswith("empty"))
         assert line.rstrip().endswith("-")
 
 
 class TestThreadSafety:
     def test_two_threads_profile_independently(self):
-        """Regression: the old module-global stack interleaved under threads,
-        producing bogus cross-thread parent/child paths."""
-        import threading
-
-        enable_profiling()
+        """Two threads nesting spans under one run never produce cross-thread
+        parent/child paths in the stage table."""
         barrier = threading.Barrier(2)
         errors = []
 
         def worker(name):
             try:
                 for _ in range(30):
-                    with profile_stage(f"{name}.outer"):
+                    with trace.span(f"{name}.outer"):
                         barrier.wait(timeout=10)
-                        with profile_stage(f"{name}.inner"):
+                        with trace.span(f"{name}.inner"):
                             pass
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with trace.run() as run:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert not errors
-        paths = {r.path: r for r in get_profile()}
-        assert set(paths) == {"a.outer", "a.outer/a.inner",
-                              "b.outer", "b.outer/b.inner"}
-        assert all(r.calls == 30 for r in paths.values())
-
-
-class TestPipelineIntegration:
-    def test_cliz_roundtrip_produces_stages(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((16, 20)).astype(np.float64)
-        comp = CliZ()
-        enable_profiling()
-        blob = comp.compress(data, abs_eb=1e-3)
-        paths = {r.path for r in get_profile()}
-        assert "compress" in paths
-        assert "compress/predict+quantize" in paths
-        assert "compress/encode.codes" in paths
-        assert any(p.endswith("lz.compress") for p in paths)
-
-        enable_profiling()  # reset, profile the decode side
-        out = comp.decompress(blob)
-        assert np.allclose(out, data, atol=1e-3)
-        paths = {r.path for r in get_profile()}
-        assert "decompress" in paths
-        assert "decompress/decode.codes" in paths
-        assert "decompress/reconstruct" in paths
-
-    def test_disabled_costs_nothing_and_collects_nothing(self):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((8, 8))
-        CliZ().compress(data, abs_eb=1e-3)
-        assert get_profile() == []
-
-
-class TestCLIProfileFlag:
-    def test_compress_profile_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rng = np.random.default_rng(2)
-        src = tmp_path / "a.npy"
-        dst = tmp_path / "a.rz"
-        np.save(src, rng.standard_normal((12, 12)))
-        rc = main(["compress", str(src), str(dst), "--abs-eb", "1e-3", "--profile"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "per-stage profile" in captured.err
-        assert "compress" in captured.err
-
-        out = tmp_path / "a_out.npy"
-        rc = main(["decompress", str(dst), str(out), "--profile"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "per-stage profile" in captured.err
-        assert "decompress" in captured.err
+        rows = _rows(run)
+        assert set(rows) == {"a.outer", "a.outer/a.inner",
+                             "b.outer", "b.outer/b.inner"}
+        assert all(r["calls"] == 30 for r in rows.values())
