@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks: Huffman encode/decode, BitWriter, LZ.
+"""Hot-path micro-benchmarks: Huffman, BitWriter, LZ, interpolation.
 
 Measures throughput of the vectorized kernels against their scalar
 reference paths and writes the results to ``BENCH_hotpaths.json``. Run
@@ -26,11 +26,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import CliZ  # noqa: E402
-from repro.datasets import hurricane_t  # noqa: E402
+from repro.datasets import hurricane_t, ssh  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
 from repro.encoding.container import Container  # noqa: E402
 from repro.encoding.huffman import HuffmanCode  # noqa: E402
 from repro.encoding.lz import lz_compress, lz_decompress  # noqa: E402
+from repro.prediction import InterpSpec, interp_compress, interp_decompress  # noqa: E402
 
 
 def _best(fn, reps: int) -> float:
@@ -166,6 +167,45 @@ def bench_lz(n: int, reps: int, smoke: bool) -> list[dict]:
     return rows
 
 
+def bench_interp(reps: int, smoke: bool) -> list[dict]:
+    """Predict+quantize and reconstruct on SSH, with and without its mask.
+
+    Both rows run the same fused engine; the unmasked row feeds it the
+    same values with the land points zeroed, so the pair shows what the
+    mask itself costs per point.
+    """
+    field = ssh(shape=(24, 20, 96) if smoke else (48, 40, 252), seed=0)
+    data = field.data.astype(np.float64)
+    eb = 1e-3 * float(np.ptp(data[field.mask]))
+    spec = InterpSpec(order=(0, 1, 2), fitting="cubic")
+    cases = {
+        "ssh-masked": (data, field.mask),
+        "ssh-unmasked": (np.where(field.mask, data, 0.0), None),
+    }
+    rows = []
+    for name, (values, mask) in cases.items():
+        res = interp_compress(values, eb, spec, mask=mask)
+
+        def decode():
+            return interp_decompress(values.shape, eb, spec, res.codes,
+                                     res.unpredictable, mask=mask)
+
+        assert np.array_equal(decode(), res.reconstructed)
+        t_c = _best(lambda: interp_compress(values, eb, spec, mask=mask), reps)
+        t_d = _best(decode, reps)
+        rows.append({
+            "kernel": "interp",
+            "stream": name,
+            "shape": list(values.shape),
+            "n_valid": int(res.codes.size),
+            "compress_ms": round(t_c * 1e3, 3),
+            "compress_mb_s": round(values.nbytes / t_c / 1e6, 1),
+            "decompress_ms": round(t_d * 1e3, 3),
+            "decompress_mb_s": round(values.nbytes / t_d / 1e6, 1),
+        })
+    return rows
+
+
 def write_metrics_jsonl(results: dict, path) -> int:
     """Flatten benchmark rows into the shared metrics-JSONL schema.
 
@@ -177,7 +217,8 @@ def write_metrics_jsonl(results: dict, path) -> int:
     from repro.obs import MetricsRegistry, JsonlSink
 
     registry = MetricsRegistry()
-    for kernel_rows in (results["huffman"], results["bitwriter"], results["lz"]):
+    for kernel_rows in (results["huffman"], results["bitwriter"], results["lz"],
+                        results["interp"]):
         for row in kernel_rows:
             base = f"bench.{row['kernel']}.{row['stream']}"
             for key, value in row.items():
@@ -207,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         "huffman": bench_huffman(n, reps),
         "bitwriter": bench_bitwriter(n, reps),
         "lz": bench_lz(n, reps, args.smoke),
+        "interp": bench_interp(reps, args.smoke),
     }
 
     for row in results["huffman"]:
@@ -220,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lz/{row['stream']:16s} ratio {row['ratio']:6.2f}  "
               f"compress {row['compress_mb_s']:7.1f} MB/s  "
               f"decompress {row['decompress_mb_s']:7.1f} MB/s")
+    for row in results["interp"]:
+        print(f"interp/{row['stream']:12s} compress {row['compress_ms']:7.1f} ms  "
+              f"decompress {row['decompress_ms']:7.1f} ms")
 
     out_path = Path(args.out) if args.out else (
         Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json")

@@ -12,7 +12,6 @@ from repro.prediction.interpolation import (
     InterpResult,
     InterpSpec,
     interp_compress,
-    interp_compress_reference,
     interp_decompress,
     interpolation_steps,
     max_level,
@@ -29,7 +28,6 @@ __all__ = [
     "InterpSpec",
     "InterpResult",
     "interp_compress",
-    "interp_compress_reference",
     "interp_decompress",
     "interpolation_steps",
     "max_level",

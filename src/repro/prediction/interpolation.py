@@ -18,6 +18,12 @@ This engine is the shared substrate of the SZ3 baseline, QoZ, and CliZ:
   predicted from the already-reconstructed coarser grid, so there is no
   sequential dependency inside a pass (this is what makes a pure-NumPy SZ3
   practical).
+* One gather-free kernel (:func:`_predict_fast`) predicts every pass, masked
+  or not: references are strided views of the reconstruction and, with a
+  mask, each point's validity code comes from strided views of the mask.
+  :func:`interp_compress` fuses it with quantization in one loop and
+  :func:`interp_decompress` replays it in one loop. The gather form
+  :func:`_predict` remains for passes too small for the views to pay.
 
 The produced code stream (valid positions only, deterministic traversal
 order) plus the unpredictable-value list fully determine the reconstruction;
@@ -42,7 +48,6 @@ __all__ = [
     "InterpSpec",
     "InterpResult",
     "interp_compress",
-    "interp_compress_reference",
     "interp_decompress",
     "interpolation_steps",
     "max_level",
@@ -183,9 +188,9 @@ def _interior_rows(n: int, h: int, offsets: np.ndarray,
 
     Targets sit at ``h + 2*h*i`` along an axis of length ``n``; a row is
     *interior* when every reference offset ``o*h`` (``o`` in ``offsets``)
-    stays inside ``[0, n)``. Outside rows fall back to the generic
-    mask-aware predictor; rows inside use the full-validity stencil with
-    pure strided views (no gather, no per-point coefficient lookup).
+    stays inside ``[0, n)``. Rows inside form one block of strided views;
+    rows outside have some references clamped and dropped from the
+    validity code (see :func:`_predict_fast`).
     """
     o_min = int(offsets[0])
     o_max = int(offsets[-1])
@@ -199,68 +204,73 @@ def _interior_rows(n: int, h: int, offsets: np.ndarray,
     return i0, i1
 
 
-def _edge_row(view, axis, t, h, offsets, table, weights, n, out_row) -> None:
-    """One boundary target row of an unmasked pass, scalar-stencil form.
+def _stencil(view, vview, srcs, inb, table, out) -> None:
+    """``out = sum_j view[srcs[j]] * c_j`` with Theorem-1 coefficients ``c``.
 
-    Without a mask a target row's reference validity depends only on its
-    position along ``axis``, so the whole row shares one stencil code —
-    the reference kernel's clipped gather + per-point ``table[codes]``
-    lookup collapses to ``R`` strided multiply-adds with the same clipped
-    sources and the same left-to-right accumulation (zero-coefficient
-    terms included, preserving NaN/inf propagation).
+    ``srcs[j]`` selects reference ``j`` of every target in ``out`` (clipped
+    to the grid) and ``inb[j]`` says whether that reference is in bounds.
+    The validity code sums ``1 << (R-1-j)`` over the in-bounds references
+    that are valid: one scalar without a mask, and per point — from strided
+    views of the mask — with one (``vview``). The products are accumulated
+    left to right, zero-coefficient terms included, which is exactly the
+    reference kernel's ``(refs * coeffs).sum(axis)`` (NumPy reduces a
+    length-2/4 axis sequentially), so NaN/inf propagate the same way.
     """
-    code = 0
-    for j, o in enumerate(offsets):
-        p = t + int(o) * h
-        if 0 <= p < n:
-            code += int(weights[j])
-    head = (slice(None),) * axis
-    for j, (o, c) in enumerate(zip(offsets, table[code])):
-        p = min(max(t + int(o) * h, 0), n - 1)
-        src = view[head + (slice(p, p + 1),)]  # length-1 slice: stays an array
-        if j == 0:
-            np.multiply(src, c, out=out_row)
+    top = len(srcs) - 1
+    if vview is None:
+        coeffs = table[sum(1 << (top - j) for j in range(len(srcs)) if inb[j])]
+    else:
+        code = None
+        for j, src in enumerate(srcs):
+            if inb[j]:
+                bit = vview[src] << np.uint8(top - j)
+                code = bit if code is None else np.bitwise_or(code, bit, out=code)
+        code = code.astype(np.intp)  # take() is ~10x slower on uint8 indices
+    term = np.empty_like(out)  # one product buffer reused by every term
+    for j, src in enumerate(srcs):
+        if vview is None:
+            c = coeffs[j]
         else:
-            out_row += src * c
+            c = np.take(table[:, j], code, out=term, mode="clip")
+        np.multiply(view[src], c, out=out if j == 0 else term)
+        if j:
+            out += term
 
 
-def _predict_fast(rec, axis, slices, targets, h, fit):
-    """Unmasked fast path of :func:`_predict` — bit-identical predictions.
+def _predict_fast(rec, valid, axis, slices, targets, h, fit):
+    """Gather-free form of :func:`_predict` — bit-identical predictions.
 
-    Interior target rows (all references in bounds) are computed from
-    strided views with the scalar full-validity coefficients: the same
-    multiplies and left-to-right additions as the reference kernel's
-    ``(refs * coeffs).sum(axis)`` (NumPy reduces a length-2/4 axis
-    sequentially), without materializing the ``(T, R)`` gather or the
-    per-point coefficient table rows. Edge rows (at most three per pass)
-    take the same shape via :func:`_edge_row`'s per-row scalar stencil.
+    Interior target rows (all references in bounds) form one block of
+    strided views; each edge row (at most three per pass) is its own block
+    of length-1 slices clamped to the grid, with its out-of-bounds
+    references dropped from the validity code. Both go through
+    :func:`_stencil`, so masked and unmasked data share the kernel and no
+    ``(T, R)`` gather is materialized.
     """
     offsets = CUBIC_OFFSETS if fit == _FIT_CUBIC else LINEAR_OFFSETS
     table = CUBIC_TABLE if fit == _FIT_CUBIC else LINEAR_TABLE
-    weights = _WEIGHTS4 if fit == _FIT_CUBIC else _WEIGHTS2
     view = rec[slices]
+    vview = valid[slices].view(np.uint8) if valid is not None else None
     n = view.shape[axis]
     n_targets = targets.size
     i0, i1 = _interior_rows(n, h, offsets, n_targets)
     if i1 - i0 < 4:  # tiny pass: the view arithmetic is all overhead
-        return _predict(rec, None, axis, slices, targets, h, fit)
-    coeffs = table[(1 << len(offsets)) - 1]
+        return _predict(rec, valid, axis, slices, targets, h, fit)
+    head = (slice(None),) * axis
     block_shape = list(view.shape)
     block_shape[axis] = n_targets
     pred = np.empty(tuple(block_shape), dtype=np.float64)
-    head = (slice(None),) * axis
     t0 = int(targets[i0])
     t1 = int(targets[i1 - 1])
-    pred_int = pred[head + (slice(i0, i1),)]
-    for j, (o, c) in enumerate(zip(offsets, coeffs)):
-        src = view[head + (slice(t0 + int(o) * h, t1 + int(o) * h + 1, 2 * h),)]
-        if j == 0:
-            np.multiply(src, c, out=pred_int)
-        else:
-            pred_int += src * c
+    srcs = [head + (slice(t0 + int(o) * h, t1 + int(o) * h + 1, 2 * h),)
+            for o in offsets]
+    _stencil(view, vview, srcs, [True] * len(offsets), table,
+             pred[head + (slice(i0, i1),)])
     for i in list(range(i0)) + list(range(i1, n_targets)):
-        _edge_row(view, axis, int(targets[i]), h, offsets, table, weights, n,
-                  pred[head + (slice(i, i + 1),)])
+        refs = [int(targets[i]) + int(o) * h for o in offsets]
+        clamped = [min(max(p, 0), n - 1) for p in refs]
+        _stencil(view, vview, [head + (slice(p, p + 1),) for p in clamped],
+                 [0 <= p < n for p in refs], table, pred[head + (slice(i, i + 1),)])
     return pred
 
 
@@ -271,6 +281,12 @@ def _level_quantizer(spec: InterpSpec, eb: float, level_idx: int) -> LinearQuant
     return LinearQuantizer(eb * factor, radius=spec.radius)
 
 
+def _fit_error(tvals, pred, tmask):
+    """Summed absolute error of one candidate fit over the valid targets."""
+    err = np.abs(tvals - pred)
+    return (err if tmask is None else err[tmask]).sum()
+
+
 def interp_compress(data: np.ndarray, eb: float, spec: InterpSpec,
                     mask: np.ndarray | None = None) -> InterpResult:
     """Compress ``data`` to a quantization-code stream under bound ``eb``.
@@ -279,34 +295,21 @@ def interp_compress(data: np.ndarray, eb: float, spec: InterpSpec,
     stream, never used as references, and reconstructed as 0.0 (callers
     restore fill values).
 
-    Unmasked data takes the fused predict+quantize fast path (strided-view
-    predictions, in-place quantization into one preallocated stream) which
-    is bit-identical to :func:`interp_compress_reference`, the retained
-    two-pass implementation that also serves as the differential-testing
-    oracle. Masked data always uses the reference path.
-    """
-    if mask is None:
-        return _interp_compress_fused(data, eb, spec)
-    return interp_compress_reference(data, eb, spec, mask=mask)
-
-
-def _interp_compress_fused(data: np.ndarray, eb: float,
-                           spec: InterpSpec) -> InterpResult:
-    """Fused predict+quantize pass (unmasked data only).
-
-    One code stream is preallocated up front (the dyadic traversal visits
-    every grid point exactly once, so its length is ``data.size``); each
-    (level, dim) pass predicts via :func:`_predict_fast` and quantizes
-    straight into its stream segment via
-    :meth:`~repro.quantization.linear.LinearQuantizer.quantize_into` —
-    no per-step code/residual arrays, no final concatenate.
+    Each (level, dim) pass predicts via :func:`_predict_fast` and quantizes
+    with :meth:`~repro.quantization.linear.LinearQuantizer.quantize_into`.
+    Unmasked, the codes land straight in their segment of one preallocated
+    stream (the dyadic traversal visits every grid point exactly once); with
+    a mask they land in a per-pass buffer whose valid entries are copied
+    into the stream, and masked targets are reconstructed as 0.0.
     """
     data = np.asarray(data, dtype=np.float64)
     shape = data.shape
     if len(spec.order) != data.ndim:
         raise ValueError(f"spec.order has {len(spec.order)} dims, data has {data.ndim}")
+    valid = mask.astype(bool) if mask is not None else None
     rec = np.zeros_like(data)
-    codes_all = np.empty(data.size, dtype=np.int64)
+    n_stream = data.size if valid is None else int(np.count_nonzero(valid))
+    codes_all = np.empty(n_stream, dtype=np.int64)
     unpred_parts: list[np.ndarray] = []
     fit_choices: list[int] = []
     auto = spec.fitting == "auto"
@@ -314,13 +317,15 @@ def _interp_compress_fused(data: np.ndarray, eb: float,
 
     # --- anchor: origin, predicted as zero -------------------------------- #
     origin = (0,) * data.ndim
-    q0 = _level_quantizer(spec, eb, 0)
-    codes, recv = q0.quantize(np.array([data[origin]]), np.zeros(1))
-    rec[origin] = recv[0]
-    codes_all[0] = codes[0]
-    off = 1
-    if codes[0] == UNPREDICTABLE:
-        unpred_parts.append(np.array([data[origin]]))
+    off = 0
+    if valid is None or bool(valid[origin]):
+        q0 = _level_quantizer(spec, eb, 0)
+        codes, recv = q0.quantize(np.array([data[origin]]), np.zeros(1))
+        rec[origin] = recv[0]
+        codes_all[0] = codes[0]
+        off = 1
+        if codes[0] == UNPREDICTABLE:
+            unpred_parts.append(np.array([data[origin]]))
 
     # --- levels ------------------------------------------------------------ #
     for level_idx, s, h, k in interpolation_steps(shape, spec.order):
@@ -331,112 +336,43 @@ def _interp_compress_fused(data: np.ndarray, eb: float,
         axis = d
         # targets is arange(h, shape[d], 2h): a basic slice, so the target
         # values and the reconstruction destination are zero-copy views.
-        tslice = (slice(None),) * axis + (
-            slice(int(targets[0]), int(targets[-1]) + 1, 2 * h),)
+        tslice = (slice(None),) * axis + (slice(h, None, s),)
         tvals = data[slices][tslice]
+        # contiguous copy: the mask is read three times below
+        tmask = (np.ascontiguousarray(valid[slices][tslice])
+                 if valid is not None else None)
 
         if auto:
-            pred_lin = _predict_fast(rec, axis, slices, targets, h, _FIT_LINEAR)
-            pred_cub = _predict_fast(rec, axis, slices, targets, h, _FIT_CUBIC)
-            err_lin = np.abs(tvals - pred_lin).sum()
-            err_cub = np.abs(tvals - pred_cub).sum()
+            pred_lin = _predict_fast(rec, valid, axis, slices, targets, h, _FIT_LINEAR)
+            pred_cub = _predict_fast(rec, valid, axis, slices, targets, h, _FIT_CUBIC)
+            err_lin = _fit_error(tvals, pred_lin, tmask)
+            err_cub = _fit_error(tvals, pred_cub, tmask)
             fit = _FIT_CUBIC if err_cub <= err_lin else _FIT_LINEAR
             fit_choices.append(fit)
             pred = pred_cub if fit == _FIT_CUBIC else pred_lin
         else:
-            pred = _predict_fast(rec, axis, slices, targets, h, global_fit)
+            pred = _predict_fast(rec, valid, axis, slices, targets, h, global_fit)
 
-        codeseg = codes_all[off : off + pred.size].reshape(pred.shape)
-        recv, ok = quant.quantize_into(tvals, pred, codeseg)
+        if tmask is None:
+            codeseg = codes_all[off : off + pred.size].reshape(pred.shape)
+            recv, ok = quant.quantize_into(tvals, pred, codeseg)
+            off += pred.size
+            unp = ~ok
+        else:
+            codeseg = np.empty(pred.shape, dtype=np.int64)
+            recv, ok = quant.quantize_into(tvals, pred, codeseg)
+            kept = codeseg[tmask]
+            codes_all[off : off + kept.size] = kept
+            off += kept.size
+            unp = ~ok & tmask
+            np.copyto(recv, 0.0, where=~tmask)
         rec[slices][tslice] = recv
-        off += pred.size
-        if not ok.all():
-            unpred_parts.append(tvals[~ok])
+        if unp.any():
+            unpred_parts.append(tvals[unp])
 
     if off != codes_all.size:  # pragma: no cover - traversal covers the grid
         raise AssertionError(
             f"traversal covered {off} of {codes_all.size} points")
-    unpred_all = (
-        np.concatenate(unpred_parts) if unpred_parts else np.zeros(0, dtype=np.float64)
-    )
-    return InterpResult(codes_all, unpred_all, rec, fit_choices)
-
-
-def interp_compress_reference(data: np.ndarray, eb: float, spec: InterpSpec,
-                              mask: np.ndarray | None = None) -> InterpResult:
-    """Two-pass reference implementation (and masked-data path).
-
-    Kept as the differential-testing oracle for the fused fast path,
-    mirroring the Huffman scalar-decode oracle: simple, obviously-correct
-    full-size intermediates, identical output.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    shape = data.shape
-    if len(spec.order) != data.ndim:
-        raise ValueError(f"spec.order has {len(spec.order)} dims, data has {data.ndim}")
-    rec = np.zeros_like(data)
-    valid = mask.astype(bool) if mask is not None else None
-
-    code_parts: list[np.ndarray] = []
-    unpred_parts: list[np.ndarray] = []
-    fit_choices: list[int] = []
-    auto = spec.fitting == "auto"
-    global_fit = _FIT_CUBIC if spec.fitting == "cubic" else _FIT_LINEAR
-
-    # --- anchor: origin, predicted as zero -------------------------------- #
-    origin = (0,) * data.ndim
-    q0 = _level_quantizer(spec, eb, 0)
-    anchor_valid = valid is None or bool(valid[origin])
-    if anchor_valid:
-        codes, recv = q0.quantize(np.array([data[origin]]), np.zeros(1))
-        rec[origin] = recv[0]
-        code_parts.append(codes)
-        if codes[0] == UNPREDICTABLE:
-            unpred_parts.append(np.array([data[origin]]))
-
-    # --- levels ------------------------------------------------------------ #
-    for level_idx, s, h, k in interpolation_steps(shape, spec.order):
-        d, slices, targets = _step_geometry(shape, spec.order, s, h, k)
-        if targets.size == 0:
-            continue
-        quant = _level_quantizer(spec, eb, level_idx)
-        view_rec = rec[slices]
-        axis = d
-        tidx = (slice(None),) * axis + (targets,)
-        tvals = data[slices][tidx]
-        tmask = valid[slices][tidx] if valid is not None else None
-
-        if auto:
-            pred_lin = _predict(rec, valid, axis, slices, targets, h, _FIT_LINEAR)
-            pred_cub = _predict(rec, valid, axis, slices, targets, h, _FIT_CUBIC)
-            if tmask is not None:
-                err_lin = np.abs((tvals - pred_lin))[tmask].sum()
-                err_cub = np.abs((tvals - pred_cub))[tmask].sum()
-            else:
-                err_lin = np.abs(tvals - pred_lin).sum()
-                err_cub = np.abs(tvals - pred_cub).sum()
-            fit = _FIT_CUBIC if err_cub <= err_lin else _FIT_LINEAR
-            fit_choices.append(fit)
-            pred = pred_cub if fit == _FIT_CUBIC else pred_lin
-        else:
-            pred = _predict(rec, valid, axis, slices, targets, h, global_fit)
-
-        codes, recv = quant.quantize(tvals, pred)
-        if tmask is not None:
-            recv = np.where(tmask, recv, 0.0)
-            codes_stream = codes[tmask]
-            unpred_sel = (codes == UNPREDICTABLE) & tmask
-        else:
-            codes_stream = codes.ravel()
-            unpred_sel = codes == UNPREDICTABLE
-        view_rec[tidx] = recv
-        code_parts.append(codes_stream.ravel())
-        if unpred_sel.any():
-            unpred_parts.append(tvals[unpred_sel].ravel())
-
-    if valid is not None:
-        rec[~valid] = 0.0
-    codes_all = np.concatenate(code_parts) if code_parts else np.zeros(0, dtype=np.int64)
     unpred_all = (
         np.concatenate(unpred_parts) if unpred_parts else np.zeros(0, dtype=np.float64)
     )
@@ -450,7 +386,8 @@ def interp_decompress(shape: tuple[int, ...], eb: float, spec: InterpSpec,
     """Replay the traversal of :func:`interp_compress` and reconstruct.
 
     All arguments must match the compression call; ``fit_choices`` is
-    required when ``spec.fitting == 'auto'``.
+    required when ``spec.fitting == 'auto'``. Both streams must be consumed
+    exactly: leftover codes or unpredictable values raise ``ValueError``.
     """
     shape = tuple(shape)
     codes = np.asarray(codes, dtype=np.int64)
@@ -499,39 +436,36 @@ def interp_decompress(shape: tuple[int, ...], eb: float, spec: InterpSpec,
             continue
         quant = _level_quantizer(spec, eb, level_idx)
         axis = d
-        tidx = (slice(None),) * axis + (targets,)
+        tslice = (slice(None),) * axis + (slice(h, None, s),)
         if auto:
             fit = fit_choices[step_i]
             step_i += 1
         else:
             fit = global_fit
+        pred = _predict_fast(rec, valid, axis, slices, targets, h, fit)
         if valid is None:
-            pred = _predict_fast(rec, axis, slices, targets, h, fit)
-        else:
-            pred = _predict(rec, valid, axis, slices, targets, h, fit)
-        tmask = valid[slices][tidx] if valid is not None else None
-        if tmask is not None:
-            n_valid = int(tmask.sum())
-            cstep = take_codes(n_valid)
-            full = np.full(pred.shape, spec.radius, dtype=np.int64)
-            full[tmask] = cstep
-        else:
+            tmask = None
             full = take_codes(pred.size).reshape(pred.shape)
+        else:
+            # masked targets get the zero-residual code, so they are never
+            # read as unpredictable
+            tmask = np.ascontiguousarray(valid[slices][tslice])
+            full = np.full(pred.shape, spec.radius, dtype=np.int64)
+            full[tmask] = take_codes(int(np.count_nonzero(tmask)))
         recv = pred + (full - spec.radius) * (2.0 * quant.error_bound)
         unp = full == UNPREDICTABLE
-        if tmask is not None:
-            unp &= tmask
-        n_unp = int(unp.sum())
+        n_unp = int(np.count_nonzero(unp))
         if n_unp:
             recv[unp] = take_unpred(n_unp)
         if tmask is not None:
-            recv = np.where(tmask, recv, 0.0)
-        rec[slices][tidx] = recv
+            np.copyto(recv, 0.0, where=~tmask)
+        rec[slices][tslice] = recv
 
     if cpos != codes.size:
         raise ValueError(f"code stream has {codes.size - cpos} unconsumed entries")
-    if valid is not None:
-        rec[~valid] = 0.0
+    if upos != unpredictable.size:
+        raise ValueError(
+            f"unpredictable stream has {unpredictable.size - upos} unconsumed values")
     return rec
 
 

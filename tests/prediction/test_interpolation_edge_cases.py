@@ -110,6 +110,34 @@ class TestMaskEdgeCases:
         assert np.abs(dec - data)[mask].max() <= 1e-3
 
 
+class TestStreamConsumption:
+    """Decoding must use up both streams exactly."""
+
+    @staticmethod
+    def _stream(masked):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((10, 13)) * 50.0
+        mask = rng.random(data.shape) > 0.3 if masked else None
+        spec = InterpSpec(order=(0, 1))
+        res = interp_compress(data, 1e-4, spec, mask=mask)
+        assert res.unpredictable.size > 0
+        return data.shape, spec, res, mask
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_trailing_unpredictable_values_rejected(self, masked):
+        shape, spec, res, mask = self._stream(masked)
+        padded = np.concatenate([res.unpredictable, [1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="unpredictable stream has 3 unconsumed values"):
+            interp_decompress(shape, 1e-4, spec, res.codes, padded, mask=mask)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_trailing_codes_rejected(self, masked):
+        shape, spec, res, mask = self._stream(masked)
+        padded = np.concatenate([res.codes, [spec.radius]])
+        with pytest.raises(ValueError, match="code stream has 1 unconsumed entries"):
+            interp_decompress(shape, 1e-4, spec, padded, res.unpredictable, mask=mask)
+
+
 class TestTraversal:
     def test_full_cover_without_mask(self):
         for shape in [(7,), (5, 9), (3, 4, 5)]:
