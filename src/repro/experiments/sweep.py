@@ -21,12 +21,14 @@ Scheduling features:
   digest are skipped; ``running`` orphans (the process died mid-cell) and
   ``failed`` cells are requeued; all replay decisions are counted in the
   report and in ``sweep.*`` metrics.
-* **Retries** — per-cell retry budget with the same bounded exponential
-  backoff as :class:`repro.parallel.RetryPolicy`.
-* **Circuit breaker** — N *consecutive* failures of one codec opens that
-  codec's breaker: its remaining cells are skipped (ledger
-  ``breaker_open`` / ``breaker_skip`` events, ``sweep.breaker_open.*``
-  gauge) instead of burning the rest of the budget on a broken codec.
+* **Retries** — per-cell retry budget and bounded exponential backoff
+  from :class:`repro.parallel.RetryPolicy`, validated before the ledger opens.
+* **Circuit breaker** — N >= 1 *consecutive* failures of one codec open its
+  :class:`repro.service.breakers.CodecBreaker` (the service's breaker; an
+  infinite cooldown keeps it open for the rest of the run): its remaining
+  cells are skipped (ledger ``breaker_open`` / ``breaker_skip`` events,
+  ``sweep.breaker_open.<subject>`` gauge and ``.tripped`` counter) instead
+  of burning the rest of the budget on a broken codec.
 * **Deadline** — ``--deadline S`` sheds the lowest-priority (latest in
   plan order) cells once the budget is spent, recording a ``shed`` event
   per cell, instead of dying mid-flight with nothing journaled.
@@ -50,6 +52,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -61,7 +64,6 @@ from repro.runtime.ledger import LEDGER_FILENAME, blake2b_bytes
 __all__ = [
     "SweepCell",
     "SweepReport",
-    "CircuitBreaker",
     "plan_grid",
     "plan_experiments",
     "execute_cell",
@@ -207,39 +209,6 @@ def execute_cell(cell: SweepCell) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-class CircuitBreaker:
-    """Per-subject consecutive-failure breaker.
-
-    ``threshold`` consecutive exhausted cells for one subject (codec or
-    experiment name) open its breaker; later cells of that subject are
-    skipped. ``threshold <= 0`` disables the breaker entirely.
-    """
-
-    def __init__(self, threshold: int = 3) -> None:
-        self.threshold = int(threshold)
-        self.consecutive: dict[str, int] = {}
-        self.open: set[str] = set()
-
-    def subject(self, cell: SweepCell) -> str:
-        return cell.compressor or cell.experiment
-
-    def is_open(self, cell: SweepCell) -> bool:
-        return self.subject(cell) in self.open
-
-    def record(self, cell: SweepCell, ok: bool) -> bool:
-        """Record an outcome; returns True when this failure OPENED it."""
-        key = self.subject(cell)
-        if ok:
-            self.consecutive[key] = 0
-            return False
-        self.consecutive[key] = self.consecutive.get(key, 0) + 1
-        if (self.threshold > 0 and key not in self.open
-                and self.consecutive[key] >= self.threshold):
-            self.open.add(key)
-            return True
-        return False
-
-
 @dataclass
 class SweepReport:
     """Outcome of one ``run_sweep`` invocation (one process lifetime)."""
@@ -294,11 +263,6 @@ def _clean_stale_tmps(directory: Path) -> int:
     return n
 
 
-def _delay(backoff: float, attempt: int) -> float:
-    """Bounded exponential backoff, mirroring RetryPolicy.delay."""
-    return min(backoff * (2.0 ** (attempt - 1)), 2.0)
-
-
 def _update_live_progress(report: SweepReport, remaining: int,
                           exec_seconds: float) -> None:
     """Refresh the sweep's live progress gauges after each cell.
@@ -327,10 +291,17 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
     Raises ``FileExistsError`` when ``out`` already holds ledger records
     and ``resume`` is False — continuing a previous run must be an
     explicit decision, not an accident that silently mixes two sweeps.
+    Invalid ``retries``, ``retry_backoff`` or ``breaker_threshold`` raise
+    ``ValueError`` before anything is written.
     """
     from repro import obs
     from repro.faults import FaultInjectedError
+    from repro.parallel import RetryPolicy
+    from repro.service.breakers import BreakerBoard
 
+    policy = RetryPolicy(retries=retries, backoff=retry_backoff)
+    breakers = BreakerBoard(threshold=breaker_threshold, cooldown=math.inf,
+                            namespace="sweep.breaker_open")
     out = Path(out)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
@@ -349,7 +320,6 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
         ledger.event("resume", records=state.records, torn=state.torn_lines,
                      healed_bytes=ledger.healed_bytes, stale_tmps=janitor)
 
-    breaker = CircuitBreaker(breaker_threshold)
     t0 = time.monotonic()
     pending: list[tuple[int, SweepCell]] = []
 
@@ -390,9 +360,11 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                     obs.inc_counter("sweep.cells_shed")
                     report.shed += 1
                 break
-            if breaker.is_open(cell):
+            subject = cell.compressor or cell.experiment
+            breaker = breakers.for_codec(subject)
+            if not breaker.allow():
                 ledger.event("breaker_skip", cell=cell.cell_id,
-                             subject=breaker.subject(cell))
+                             subject=subject)
                 obs.inc_counter("sweep.breaker_skipped")
                 report.breaker_skipped += 1
                 continue
@@ -427,7 +399,7 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                     obs.observe_latency("sweep.cell", cell_dur)
                     obs.mark_rate("sweep.cells")
                     report.executed += 1
-                    breaker.record(cell, True)
+                    breaker.record(True)
                     break
                 # cell boundary: like repro.parallel's job boundary, ANY
                 # failure becomes a ledger record (or a retry) so one broken
@@ -437,18 +409,16 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
 
                     if isinstance(exc, InjectedKillError):
                         raise  # simulated process death: nothing may run after
-                    if attempt > retries:
+                    if attempt > policy.retries:
                         ledger.failed(cid, f"{exc}", type(exc).__name__, attempt)
                         obs.inc_counter("sweep.cells_failed")
                         report.failed += 1
-                        if breaker.record(cell, False):
-                            subject = breaker.subject(cell)
+                        if breaker.record(False):
                             ledger.event("breaker_open", subject=subject,
-                                         failures=breaker.consecutive[subject])
-                            obs.set_gauge(f"sweep.breaker_open.{subject}", 1.0)
+                                         failures=breaker.consecutive)
                         break
                     obs.mark_rate("sweep.retries")
-                    time.sleep(_delay(retry_backoff, attempt))
+                    time.sleep(policy.delay(attempt))
                     attempt += 1
             _update_live_progress(report, len(pending) - pos - 1, exec_seconds)
 
@@ -467,9 +437,9 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
     atomic_write(out / "results.json",
                  json.dumps(results, sort_keys=True, indent=1) + "\n",
                  fsync=fsync)
-    report.breakers_open = sorted(breaker.open)
-    for subject in report.breakers_open:
-        obs.set_gauge(f"sweep.breaker_open.{subject}", 1.0)
+    report.breakers_open = [subject for subject, snap
+                            in breakers.snapshot().items()
+                            if snap["state"] == "open"]
     return report
 
 
@@ -505,8 +475,8 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retry-backoff", type=float, default=0.05,
                    help="base backoff seconds between retries")
     p.add_argument("--breaker-threshold", type=int, default=3,
-                   help="consecutive failures that open a codec's circuit "
-                        "breaker (0 disables)")
+                   help="consecutive failures (>= 1) that open a codec's "
+                        "circuit breaker")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
                    help="wall-clock budget: shed remaining cells past this")
     p.add_argument("--inject-faults", default=None, metavar="SPEC",

@@ -1,15 +1,17 @@
-"""Per-codec circuit breakers with a closed / open / half-open lifecycle.
+"""Consecutive-failure circuit breakers with a closed / open / half-open lifecycle.
 
-Same consecutive-failure shape as the sweep driver's
-:class:`repro.experiments.sweep.CircuitBreaker`, extended for a live
-service: an open breaker *recovers*. After ``cooldown`` seconds the
-breaker admits one probe request (half-open); a success closes it, a
-failure re-opens it for another cooldown. The clock is injectable so the
-chaos drill can advance time deterministically instead of sleeping.
+The one breaker shared by the HTTP service (per codec, published under
+``service.breaker``) and the experiment sweep (per codec or experiment,
+under ``sweep.breaker_open``). After ``cooldown`` seconds an open breaker
+admits one probe request (half-open); a success closes it, a failure
+re-opens it. The sweep's infinite cooldown keeps its breakers open for the
+rest of a run. The clock is injectable so the chaos drill can advance time
+deterministically instead of sleeping.
 
-State transitions publish gauges (``service.breaker.<codec>`` is 0
-closed / 0.5 half-open / 1 open) so ``/metrics`` and the drill can watch
-recovery without touching internals.
+Only state changes publish: the gauge ``<namespace>.<codec>`` (0 closed /
+0.5 half-open / 1 open) and a ``.tripped`` / ``.half_open`` / ``.closed``
+counter, so ``/metrics`` and the drill can watch recovery without touching
+internals.
 """
 
 from __future__ import annotations
@@ -22,40 +24,54 @@ from repro.obs import inc_counter, set_gauge
 
 __all__ = ["CodecBreaker", "BreakerBoard"]
 
-_STATE_GAUGE = {"closed": 0.0, "half_open": 0.5, "open": 1.0}
+#: state -> (transition counter, gauge); "probing" (probe taken) is unpublished
+_TRANSITIONS = {"closed": ("closed", 0.0), "half_open": ("half_open", 0.5),
+                "open": ("tripped", 1.0)}
+
+
+def _validate(threshold: int, cooldown: float) -> None:
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    if cooldown <= 0:
+        raise ValueError("cooldown must be positive")
 
 
 class CodecBreaker:
-    """Consecutive-failure breaker for one codec."""
+    """Consecutive-failure breaker for one codec (or sweep subject)."""
 
     def __init__(self, codec: str, *, threshold: int = 3,
                  cooldown: float = 30.0,
-                 clock: Callable[[], float] | None = None) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if cooldown <= 0:
-            raise ValueError("cooldown must be positive")
+                 clock: Callable[[], float] | None = None,
+                 namespace: str = "service.breaker") -> None:
+        _validate(threshold, cooldown)
         self.codec = codec
         self.threshold = int(threshold)
         self.cooldown = float(cooldown)
         self.clock = clock or time.monotonic
+        self.namespace = namespace
         self.state = "closed"
         self.consecutive = 0
         self.opened_at: float | None = None
         self._lock = threading.Lock()
-        self._publish()
 
     # ------------------------------------------------------------------ #
-    def _publish(self) -> None:
-        set_gauge(f"service.breaker.{self.codec}", _STATE_GAUGE[self.state])
+    def _enter(self, state: str) -> None:
+        """Move to ``state`` (lock held); a change of published state
+        sets the gauge and counts the transition."""
+        if state == self.state:
+            return
+        self.state = state
+        if state in _TRANSITIONS:
+            counter, value = _TRANSITIONS[state]
+            name = f"{self.namespace}.{self.codec}"
+            inc_counter(f"{name}.{counter}")
+            set_gauge(name, value)
 
     def _tick(self) -> None:
         """Open -> half-open once the cooldown has elapsed (lock held)."""
         if (self.state == "open" and self.opened_at is not None
                 and self.clock() - self.opened_at >= self.cooldown):
-            self.state = "half_open"
-            inc_counter(f"service.breaker.{self.codec}.half_open")
-            self._publish()
+            self._enter("half_open")
 
     # ------------------------------------------------------------------ #
     def allow(self) -> bool:
@@ -70,8 +86,8 @@ class CodecBreaker:
             if self.state == "closed":
                 return True
             if self.state == "half_open":
-                # one probe at a time: mark it taken by moving opened_at
-                # forward so a second concurrent caller stays shut out.
+                # one probe at a time: the "probing" state shuts a second
+                # concurrent caller out until this probe reports back
                 self.state = "probing"
                 return True
             return False
@@ -85,23 +101,22 @@ class CodecBreaker:
                 return self.cooldown
             return max(0.0, self.cooldown - (self.clock() - self.opened_at))
 
-    def record(self, ok: bool) -> None:
-        """Report the outcome of an admitted request."""
+    def record(self, ok: bool) -> bool:
+        """Report the outcome of an admitted request; returns True exactly
+        when this call tripped the breaker open."""
         with self._lock:
             if ok:
-                if self.state != "closed":
-                    inc_counter(f"service.breaker.{self.codec}.closed")
-                self.state = "closed"
+                self._enter("closed")
                 self.consecutive = 0
                 self.opened_at = None
-            else:
-                self.consecutive += 1
-                if self.state == "probing" or self.consecutive >= self.threshold:
-                    if self.state != "open":
-                        inc_counter(f"service.breaker.{self.codec}.tripped")
-                    self.state = "open"
-                    self.opened_at = self.clock()
-            self._publish()
+                return False
+            self.consecutive += 1
+            if self.state != "probing" and self.consecutive < self.threshold:
+                return False
+            tripped = self.state != "open"
+            self._enter("open")
+            self.opened_at = self.clock()
+            return tripped
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -123,10 +138,13 @@ class BreakerBoard:
     """Lazily-created breaker per codec, shared across handler threads."""
 
     def __init__(self, *, threshold: int = 3, cooldown: float = 30.0,
-                 clock: Callable[[], float] | None = None) -> None:
+                 clock: Callable[[], float] | None = None,
+                 namespace: str = "service.breaker") -> None:
+        _validate(threshold, cooldown)
         self.threshold = threshold
         self.cooldown = cooldown
         self.clock = clock
+        self.namespace = namespace
         self._breakers: dict[str, CodecBreaker] = {}
         self._lock = threading.Lock()
 
@@ -136,7 +154,7 @@ class BreakerBoard:
             if breaker is None:
                 breaker = CodecBreaker(
                     codec, threshold=self.threshold, cooldown=self.cooldown,
-                    clock=self.clock)
+                    clock=self.clock, namespace=self.namespace)
                 self._breakers[codec] = breaker
             return breaker
 

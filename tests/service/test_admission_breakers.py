@@ -1,5 +1,7 @@
 """Admission control and circuit breakers on an injected clock."""
 
+import math
+
 import pytest
 
 from repro.obs import trace
@@ -147,6 +149,38 @@ class TestBreaker:
         counters = {k: v["value"] for k, v in snap.items()
                     if k.startswith("service.breaker.qoz.")}
         assert counters.get("service.breaker.qoz.tripped") == 1
+
+    def test_record_returns_true_only_on_the_tripping_call(self):
+        b = CodecBreaker("cliz", threshold=2, cooldown=10, clock=Clock())
+        assert b.record(False) is False
+        assert b.record(False) is True  # this call opened it
+        assert b.record(False) is False  # already open
+        assert b.record(True) is False and b.state == "closed"
+
+    def test_infinite_cooldown_never_half_opens(self):
+        clock = Clock()
+        b = CodecBreaker("sz3", threshold=1, cooldown=math.inf, clock=clock)
+        b.record(False)
+        for step in (1.0, 1e6, 1e300):
+            clock.now += step
+            assert not b.allow()
+            assert b.snapshot()["state"] == "open"
+
+    def test_no_gauge_before_first_state_change(self):
+        run = trace.start_run()
+        board = BreakerBoard(threshold=2, cooldown=5, clock=Clock(),
+                             namespace="sweep.breaker_open")
+        b = board.for_codec("zfp")
+        b.record(True)
+        b.record(False)  # one failure below the threshold: still closed
+        assert b.allow()
+        assert not any(k.startswith("sweep.breaker_open.zfp")
+                       for k in run.metrics.snapshot())
+        b.record(False)
+        snap = run.metrics.snapshot()
+        assert snap["sweep.breaker_open.zfp"]["value"] == 1.0
+        assert snap["sweep.breaker_open.zfp.tripped"]["value"] == 1
+        assert "service.breaker.zfp" not in snap
 
     def test_validates(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ processes.
 """
 
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.faults import parse_fault_spec
 from repro.runtime import InjectedKillError, replay_ledger
 from repro.runtime.ledger import LEDGER_FILENAME
+from repro.service.breakers import BreakerBoard
 from repro.experiments.sweep import (
-    CircuitBreaker,
     SweepCell,
     plan_grid,
     run_sweep,
@@ -65,29 +67,17 @@ class TestCellIdentity:
         assert len(ids) == len(cells) == 4
 
 
+# ---------------------------------------------------------------------- #
 class TestBreaker:
-    def test_opens_after_consecutive_failures(self):
-        br = CircuitBreaker(threshold=2)
-        cell = SweepCell(kind="measure", experiment="grid", compressor="SZ3")
-        assert br.record(cell, ok=False) is False
-        assert br.record(cell, ok=False) is True   # this one opened it
-        assert br.is_open(cell)
-        assert br.record(cell, ok=False) is False  # already open
-
     def test_success_resets_the_streak(self):
-        br = CircuitBreaker(threshold=2)
-        cell = SweepCell(kind="measure", experiment="grid", compressor="SZ3")
-        br.record(cell, ok=False)
-        br.record(cell, ok=True)
-        assert br.record(cell, ok=False) is False
-        assert not br.is_open(cell)
-
-    def test_zero_threshold_disables(self):
-        br = CircuitBreaker(threshold=0)
-        cell = SweepCell(kind="measure", experiment="grid", compressor="SZ3")
-        for _ in range(10):
-            assert br.record(cell, ok=False) is False
-        assert not br.is_open(cell)
+        # the board as run_sweep builds it: never half-opens within a run
+        board = BreakerBoard(threshold=2, cooldown=math.inf,
+                             namespace="sweep.breaker_open")
+        br = board.for_codec("SZ3")
+        br.record(False)
+        br.record(True)
+        assert br.record(False) is False
+        assert br.allow() and br.state == "closed"
 
 
 # ---------------------------------------------------------------------- #
@@ -161,12 +151,28 @@ class TestRunSweep:
 
     def test_breaker_skips_remaining_cells_of_broken_codec(self, tmp_path):
         plan = tiny_plan(compressors=("Nope",), rel_ebs=(1e-2, 1e-3))
-        report = run_sweep(tmp_path, plan, breaker_threshold=1, fsync=False)
+        with obs.run() as run:
+            report = run_sweep(tmp_path, plan, breaker_threshold=1,
+                               fsync=False)
         assert report.failed == 1 and report.breaker_skipped == 1
         assert report.breakers_open == ["Nope"]
         state = replay_ledger(tmp_path / LEDGER_FILENAME)
         kinds = [e["kind"] for e in state.events]
         assert "breaker_open" in kinds and "breaker_skip" in kinds
+        snap = run.metrics.snapshot()
+        assert snap["sweep.breaker_open.Nope"]["value"] == 1.0
+        assert snap["sweep.breaker_open.Nope.tripped"]["value"] == 1
+
+    @pytest.mark.parametrize("plan, kwargs", [
+        (tiny_plan(compressors=("Nope",)), {"retries": 1, "retry_backoff": -1.0}),
+        (tiny_plan(), {"retries": -1}),
+        (tiny_plan(), {"breaker_threshold": 0}),
+    ], ids=["negative-backoff", "negative-retries", "zero-threshold"])
+    def test_invalid_settings_rejected_before_any_record(self, tmp_path,
+                                                         plan, kwargs):
+        with pytest.raises(ValueError):
+            run_sweep(tmp_path, plan, fsync=False, **kwargs)
+        assert replay_ledger(tmp_path / LEDGER_FILENAME).records == 0
 
     def test_deadline_sheds_lowest_priority_cells(self, tmp_path):
         report = run_sweep(tmp_path, tiny_plan(), deadline=-1.0, fsync=False)
