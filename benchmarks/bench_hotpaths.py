@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks: Huffman, BitWriter, LZ, interpolation.
+"""Hot-path micro-benchmarks: Huffman, BitWriter, LZ, interpolation, tuning.
 
 Measures throughput of the vectorized kernels against their scalar
 reference paths and writes the results to ``BENCH_hotpaths.json``. Run
@@ -25,7 +25,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import CliZ  # noqa: E402
+from repro import obs  # noqa: E402
+from repro.core import AutoTuner, CliZ  # noqa: E402
 from repro.datasets import hurricane_t, ssh  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
 from repro.encoding.container import Container  # noqa: E402
@@ -206,6 +207,35 @@ def bench_interp(reps: int, smoke: bool) -> list[dict]:
     return rows
 
 
+def bench_autotune(reps: int, smoke: bool) -> list[dict]:
+    """The auto-tuner on a 1% sample of SSH (periodic, masked): 192 trials.
+
+    Trials share one prediction per (periodic, layout, fitting) group, so
+    the row also reports how many predictions the tune made.
+    """
+    field = ssh(shape=(48, 40, 120) if smoke else (48, 40, 252), seed=1)
+    tuner = AutoTuner(sampling_rate=0.01, **field.tuner_kwargs())
+
+    def tune():
+        return tuner.tune(field.data, rel_eb=1e-3, mask=field.mask)
+
+    with obs.run() as run:
+        res = tune()
+    predictions = run.metrics.counter("autotune.predictions").value
+    assert res.period == 12 and len(res.trials) == 192 and predictions == 96
+    t = _best(tune, min(reps, 3))
+    return [{
+        "kernel": "autotune",
+        "stream": "ssh-sample",
+        "shape": list(field.data.shape),
+        "sample_shape": list(res.sample_shape),
+        "trials": len(res.trials),
+        "predictions": int(predictions),
+        "tune_ms": round(t * 1e3, 3),
+        "ms_per_trial": round(t * 1e3 / len(res.trials), 3),
+    }]
+
+
 def write_metrics_jsonl(results: dict, path) -> int:
     """Flatten benchmark rows into the shared metrics-JSONL schema.
 
@@ -218,7 +248,7 @@ def write_metrics_jsonl(results: dict, path) -> int:
 
     registry = MetricsRegistry()
     for kernel_rows in (results["huffman"], results["bitwriter"], results["lz"],
-                        results["interp"]):
+                        results["interp"], results["autotune"]):
         for row in kernel_rows:
             base = f"bench.{row['kernel']}.{row['stream']}"
             for key, value in row.items():
@@ -249,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         "bitwriter": bench_bitwriter(n, reps),
         "lz": bench_lz(n, reps, args.smoke),
         "interp": bench_interp(reps, args.smoke),
+        "autotune": bench_autotune(reps, args.smoke),
     }
 
     for row in results["huffman"]:
@@ -265,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     for row in results["interp"]:
         print(f"interp/{row['stream']:12s} compress {row['compress_ms']:7.1f} ms  "
               f"decompress {row['decompress_ms']:7.1f} ms")
+    for row in results["autotune"]:
+        print(f"autotune/{row['stream']} {row['trials']} trials on "
+              f"{row['predictions']} predictions: {row['tune_ms']:7.1f} ms")
 
     out_path = Path(args.out) if args.out else (
         Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json")

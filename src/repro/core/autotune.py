@@ -7,6 +7,14 @@ fitting × bin-classification × periodicity) and keeps the pipeline with the
 best estimated compression ratio. For a 3D periodic dataset that is the
 paper's 2 × 2 × 6 × 4 × 2 = 192 candidates.
 
+Trials share work: a candidate's prediction stage (periodic split, layout,
+predict+quantize) does not depend on its bin-classification choice, so the
+two candidates that differ only there encode one shared prediction
+(:func:`repro.core.compressor.predict` once, then
+:func:`~repro.core.compressor.encode` per candidate) — 96 predictions for
+the 192 candidates above, with the same ratios a full compress per
+candidate would give.
+
 The period itself is estimated once from full-length rows (the FFT is cheap
 regardless of sampling rate, which is why the paper's Table IV finds
 period 12 even at 0.001% sampling). When a period exists, sample blocks
@@ -23,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compressor import CliZ, resolve_error_bound
+from repro.core.compressor import encode, predict, prediction_key, resolve_error_bound
 from repro.core.dims import enumerate_layouts
 from repro.core.periodicity import detect_period
 from repro.core.pipeline import PipelineConfig
+from repro.obs import inc_counter
 from repro.utils.timer import Timer
 from repro.utils.validation import check_array, check_mask, ensure_float
 
@@ -129,7 +138,13 @@ def assemble_sample(data: np.ndarray, blocks: list[tuple[slice, ...]]) -> np.nda
 
 @dataclass
 class TrialResult:
-    """One candidate pipeline's estimated performance on the sample."""
+    """One candidate pipeline's estimated performance on the sample.
+
+    ``est_ratio`` is the sample's float32 size over the length of the blob
+    this pipeline makes of it (0.0 if the pipeline fails on the sample);
+    ``trial_time`` is the trial's own encode plus an equal share of the
+    prediction it shares with the other pipelines of its group.
+    """
 
     config: PipelineConfig
     est_ratio: float
@@ -153,6 +168,45 @@ class AutoTuneResult:
 
     def sorted_trials(self) -> list[TrialResult]:
         return sorted(self.trials, key=lambda t: -t.est_ratio)
+
+
+# A candidate layout/period combo can be invalid for the sample's shape
+# (ValueError), reference an axis the sample does not have (IndexError), or
+# be numerically degenerate (ArithmeticError); such a candidate is scored out
+# of the race rather than aborting the tune. Anything else (TypeError, ...)
+# is a real bug and must propagate. tests/core/test_autotune.py pins this
+# tuple against the known failure modes.
+_TRIAL_ERRORS = (ValueError, ArithmeticError, LookupError, NotImplementedError)
+
+
+def _score_group(configs: list[PipelineConfig], sample: np.ndarray, eb: float,
+                 sample_mask: np.ndarray | None) -> list[TrialResult]:
+    """Trial every config of one prediction group on a single prediction.
+
+    The configs share a :func:`prediction_key`; each encodes the same
+    prediction and is charged its own encode plus an equal share of the
+    prediction. The prediction is dropped on return.
+    """
+    inc_counter("autotune.predictions")
+    shared = Timer()
+    with shared:
+        try:
+            pred = predict(sample, configs[0], abs_eb=eb, mask=sample_mask)
+        except _TRIAL_ERRORS:
+            pred = None
+    share = shared.elapsed / len(configs)
+    out = []
+    for cfg in configs:
+        t = Timer()
+        with t:
+            ratio = 0.0
+            if pred is not None:
+                try:
+                    ratio = sample.size * 4 / len(encode(pred, cfg))  # single-precision convention
+                except _TRIAL_ERRORS:
+                    pass
+        out.append(TrialResult(cfg, ratio, share + t.elapsed))
+    return out
 
 
 class AutoTuner:
@@ -207,7 +261,7 @@ class AutoTuner:
                             layout=layout,
                             fitting=fitting,
                             periodic=periodic,
-                            time_axis=self.time_axis if periodic else self.time_axis,
+                            time_axis=self.time_axis,
                             period=period if periodic else None,
                             binclass=binclass,
                             horiz_axes=self.horiz_axes,
@@ -216,7 +270,15 @@ class AutoTuner:
 
     def tune(self, data: np.ndarray, *, abs_eb: float | None = None,
              rel_eb: float | None = None, mask: np.ndarray | None = None) -> AutoTuneResult:
-        """Search all candidate pipelines on the sampled data; pick the best."""
+        """Search all candidate pipelines on the sampled data; pick the best.
+
+        Candidates are grouped by :func:`~repro.core.compressor.prediction_key`
+        (periodicity, layout, fitting): each group is predicted once and
+        that prediction is encoded once per bin-classification choice, so
+        every ``est_ratio`` is exactly what ``CliZ(cfg).compress`` of the
+        sample gives. Groups run one at a time; trials come back in
+        :meth:`candidate_pipelines` order and ``best`` is the first maximum.
+        """
         arr = ensure_float(check_array(data))
         mask = check_mask(mask, arr.shape)
         eb = resolve_error_bound(arr, abs_eb, rel_eb, mask)
@@ -242,25 +304,15 @@ class AutoTuner:
             if sample_mask is not None and not sample_mask.any():
                 sample_mask = None  # degenerate sample: fall back to unmasked
 
-            trials: list[TrialResult] = []
-            for cfg in self.candidate_pipelines(arr.ndim, period):
-                t = Timer()
-                with t:
-                    try:
-                        blob = CliZ(cfg).compress(sample, abs_eb=eb, mask=sample_mask)
-                        ratio = sample.size * 4 / len(blob)  # single-precision convention
-                    except (ValueError, ArithmeticError, LookupError,
-                            NotImplementedError):
-                        # a candidate layout/period combo can be invalid for
-                        # the sample's shape (ValueError), reference an axis
-                        # the sample does not have (IndexError), or be
-                        # numerically degenerate (ArithmeticError); score it
-                        # out of the race rather than aborting the tune.
-                        # Anything else (TypeError, ...) is a real bug and
-                        # must propagate. tests/core/test_autotune.py pins
-                        # this tuple against the known failure modes.
-                        ratio = 0.0
-                trials.append(TrialResult(cfg, ratio, t.elapsed))
+            candidates = self.candidate_pipelines(arr.ndim, period)
+            groups: dict[tuple, list[int]] = {}
+            for i, cfg in enumerate(candidates):
+                groups.setdefault(prediction_key(cfg), []).append(i)
+            scored: dict[int, TrialResult] = {}
+            for members in groups.values():
+                scored.update(zip(members, _score_group(
+                    [candidates[i] for i in members], sample, eb, sample_mask)))
+            trials = [scored[i] for i in range(len(candidates))]
 
         best = max(trials, key=lambda t: t.est_ratio).config
         return AutoTuneResult(

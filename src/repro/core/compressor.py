@@ -16,9 +16,17 @@
 
 The output is a self-describing :class:`~repro.encoding.container.Container`
 blob; ``CliZ.decompress`` needs nothing but the blob.
+
+Steps 1-4 are the prediction stage (:func:`predict`), step 5 and the
+container the encoding stage (:func:`encode`); ``CliZ.compress`` is
+``encode(predict(...))``. Pipelines with the same :func:`prediction_key`
+can encode one shared prediction, which is how the auto-tuner scores both
+bin-classification choices for the price of one predict+quantize.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +45,17 @@ from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.multihuffman import decode_grouped, encode_grouped
 from repro.encoding.rle import pack_bitmap, unpack_bitmap
 from repro.prediction.interpolation import (
+    InterpResult,
     InterpSpec,
     interp_compress,
     interp_decompress,
     traversal_indices,
 )
+from repro.quantization.linear import DEFAULT_RADIUS
 from repro.obs import inc_counter, set_gauge, span as profile_stage, traced_compress, traced_decompress
 from repro.utils.validation import check_array, check_error_bound, check_mask, ensure_float
 
-__all__ = ["CliZ", "resolve_error_bound"]
+__all__ = ["CliZ", "Prediction", "encode", "predict", "prediction_key", "resolve_error_bound"]
 
 _CODEC = "cliz"
 
@@ -93,6 +103,171 @@ def _mask_time_invariant(mask: np.ndarray, time_axis: int) -> bool:
     return bool((moved == moved[0]).all())
 
 
+@dataclass
+class PredictedComponent:
+    """One component after predict+quantize.
+
+    It keeps the laid-out values and the whole :class:`InterpResult` until
+    it is dropped, as the one-pass compressor did: releasing them before
+    encoding left the heap fragmented and raised peak RSS measurably.
+    """
+
+    name: str
+    shape: tuple[int, ...]  # before the layout transform
+    laid: np.ndarray
+    laid_mask: np.ndarray | None
+    result: InterpResult
+
+
+@dataclass
+class Prediction:
+    """Output of :func:`predict`: what :func:`encode` turns into a blob.
+
+    ``key`` is :func:`prediction_key` of the pipeline that made it; any
+    pipeline with the same key may encode it.
+    """
+
+    key: tuple
+    header: dict  # the blob's header, all but the pipeline config
+    mask: np.ndarray | None  # the mask the blob stores, if any
+    components: list[PredictedComponent]
+
+
+def prediction_key(cfg: PipelineConfig) -> tuple:
+    """The pipeline fields :func:`predict` reads.
+
+    Pipelines that differ only in their encoding choices (bin
+    classification and its parameters) share one key and one prediction.
+    """
+    return (cfg.layout, cfg.fitting, cfg.periodic, cfg.time_axis, cfg.period,
+            cfg.use_mask, cfg.template_eb_ratio)
+
+
+def predict(data: np.ndarray, cfg: PipelineConfig, *, abs_eb: float | None = None,
+            rel_eb: float | None = None, mask: np.ndarray | None = None,
+            fill_value: float | None = None) -> Prediction:
+    """The prediction stage: periodic split, layout, predict+quantize.
+
+    Arguments are those of :meth:`CliZ.compress` with the pipeline made
+    explicit.
+    """
+    arr = check_array(data)
+    work = ensure_float(arr)
+    if cfg.layout.ndim_in != work.ndim:
+        raise ValueError(
+            f"config layout is {cfg.layout.ndim_in}D but data is {work.ndim}D"
+        )
+    mask = check_mask(mask, work.shape)
+    eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
+    eff_mask = mask if mask is not None and cfg.use_mask else None
+
+    if fill_value is None:
+        if mask is not None and (~mask).any():
+            fill_value = float(work[~mask].flat[0])
+        else:
+            fill_value = 0.0
+
+    # ---- periodic split ------------------------------------------- #
+    period = None
+    if cfg.periodic and cfg.time_axis is not None:
+        n_time = work.shape[cfg.time_axis]
+        mask_ok = eff_mask is None or _mask_time_invariant(eff_mask, cfg.time_axis)
+        if n_time >= 8 and mask_ok:
+            period = cfg.period or detect_period(work, cfg.time_axis, mask=eff_mask)
+            if period is not None and not (2 <= period <= n_time // 2):
+                period = None
+
+    if period is not None:
+        template, residual = split_periodic(work, cfg.time_axis, period)
+        eb_t = eb * cfg.template_eb_ratio
+        t_mask = None
+        if eff_mask is not None:
+            moved = np.moveaxis(eff_mask, cfg.time_axis, 0)
+            t_mask = np.ascontiguousarray(
+                np.moveaxis(moved[:period], 0, cfg.time_axis)
+            )
+        parts = [("template", template, eb_t, t_mask), ("residual", residual, eb - eb_t, eff_mask)]
+    else:
+        parts = [("main", work, eb, eff_mask)]
+    components = [_predict_component(*part, cfg) for part in parts]
+    header = {
+        "shape": list(work.shape),
+        "dtype": arr.dtype.str,
+        "eb": eb,
+        "fill_value": float(fill_value),
+        "has_mask": eff_mask is not None,
+        "period": period,
+        "components": [{"name": name, "eb": part_eb, "shape": list(part.shape),
+                        "mask": part_mask is not None}
+                       for name, part, part_eb, part_mask in parts],
+    }
+    return Prediction(prediction_key(cfg), header, eff_mask, components)
+
+
+def _predict_component(name: str, arr: np.ndarray, eb: float, mask: np.ndarray | None,
+                       cfg: PipelineConfig) -> PredictedComponent:
+    laid = apply_layout(arr, cfg.layout)
+    lmask = apply_layout(mask, cfg.layout) if mask is not None else None
+    spec = InterpSpec(order=tuple(range(laid.ndim)), fitting=cfg.fitting)
+    with profile_stage("predict+quantize", nbytes=laid.nbytes, component=name):
+        res = interp_compress(laid, eb, spec, mask=lmask)
+    if res.codes.size:
+        set_gauge(f"cliz.quantize.hit_rate.{name}",
+                  1.0 - res.unpredictable.size / res.codes.size)
+    if res.fit_choices:
+        for fit in res.fit_choices:
+            inc_counter("cliz.predictor.cubic" if fit else "cliz.predictor.linear")
+    else:
+        inc_counter(f"cliz.predictor.{cfg.fitting}")
+    return PredictedComponent(name, arr.shape, laid, lmask, res)
+
+
+def encode(pred: Prediction, cfg: PipelineConfig) -> bytes:
+    """The encoding stage: quantization codes, unpredictables, container.
+
+    ``cfg`` picks single-tree Huffman or bin-classified multi-Huffman and is
+    the pipeline the blob records; it must have ``pred``'s prediction key.
+    ``pred`` is only read, so one prediction can be encoded many times.
+    """
+    if prediction_key(cfg) != pred.key:
+        raise ValueError("pipeline does not match the one the prediction was made with")
+    container = Container(_CODEC)
+    if pred.mask is not None:
+        with profile_stage("mask.pack"):
+            container.add_section("mask", pack_bitmap(pred.mask))
+    for comp in pred.components:
+        _encode_component(comp, cfg, container)
+    container.header = {**pred.header, "config": cfg.to_dict()}
+    return container.to_bytes()
+
+
+def _encode_component(comp: PredictedComponent, cfg: PipelineConfig,
+                      container: Container) -> None:
+    name = comp.name
+    if cfg.binclass and cfg.horiz_axes is not None:
+        with profile_stage("binclass"):
+            hgrid = apply_layout(_hpos_grid(comp.shape, cfg.horiz_axes), cfg.layout).ravel()
+            order = tuple(range(comp.laid.ndim))
+            hpos = hgrid[traversal_indices(comp.laid.shape, order, comp.laid_mask)]
+            lat, lon = cfg.horiz_axes
+            n_hpos = comp.shape[lat] * comp.shape[lon]
+            cls, shifted, groups = classify_bins(
+                comp.result.codes, hpos, n_hpos, DEFAULT_RADIUS,
+                j=cfg.binclass_j, k=cfg.binclass_k, lam=cfg.binclass_lambda,
+            )
+        with profile_stage("encode.codes"):
+            grouped = encode_grouped(shifted, groups, cls.n_groups)
+            with profile_stage("lz.compress", nbytes=len(grouped)):
+                blob = lz_compress(grouped)
+            container.add_section(f"{name}.codes", blob)
+        container.add_section(f"{name}.cls", cls.serialize())
+    else:
+        with profile_stage("encode.codes"):
+            container.add_section(f"{name}.codes", encode_code_stream(comp.result.codes))
+    with profile_stage("encode.unpred"):
+        container.add_section(f"{name}.unpred", encode_floats(comp.result.unpredictable))
+
+
 class CliZ:
     """CliZ compressor facade.
 
@@ -120,126 +295,11 @@ class CliZ:
         ``mask`` marks valid points (True). ``fill_value`` is what masked
         points decompress to (default: the first masked value in ``data``,
         matching CESM files where invalid points carry a fill constant).
+        The work is ``encode(predict(...))``.
         """
-        return self._compress_impl(data, abs_eb=abs_eb, rel_eb=rel_eb,
-                                   mask=mask, fill_value=fill_value)
-
-    def _compress_impl(self, data: np.ndarray, *, abs_eb: float | None,
-                       rel_eb: float | None, mask: np.ndarray | None,
-                       fill_value: float | None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        cfg = self.config or PipelineConfig.default(work.ndim)
-        if cfg.layout.ndim_in != work.ndim:
-            raise ValueError(
-                f"config layout is {cfg.layout.ndim_in}D but data is {work.ndim}D"
-            )
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
-        use_mask = mask is not None and cfg.use_mask
-        eff_mask = mask if use_mask else None
-
-        if fill_value is None:
-            if mask is not None and (~mask).any():
-                fill_value = float(work[~mask].flat[0])
-            else:
-                fill_value = 0.0
-
-        container = Container(_CODEC)
-        header: dict = {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-            "config": cfg.to_dict(),
-            "fill_value": float(fill_value),
-            "has_mask": bool(use_mask),
-        }
-        if use_mask:
-            with profile_stage("mask.pack"):
-                container.add_section("mask", pack_bitmap(eff_mask))
-
-        # ---- periodic split ------------------------------------------- #
-        period = None
-        if cfg.periodic and cfg.time_axis is not None:
-            n_time = work.shape[cfg.time_axis]
-            mask_ok = eff_mask is None or _mask_time_invariant(eff_mask, cfg.time_axis)
-            if n_time >= 8 and mask_ok:
-                period = cfg.period or detect_period(work, cfg.time_axis, mask=eff_mask)
-                if period is not None and not (2 <= period <= n_time // 2):
-                    period = None
-        header["period"] = period
-
-        components: list[dict] = []
-        if period is not None:
-            template, residual = split_periodic(work, cfg.time_axis, period)
-            eb_t = eb * cfg.template_eb_ratio
-            eb_r = eb - eb_t
-            t_mask = r_mask = None
-            if eff_mask is not None:
-                moved = np.moveaxis(eff_mask, cfg.time_axis, 0)
-                t_mask = np.ascontiguousarray(
-                    np.moveaxis(moved[:period], 0, cfg.time_axis)
-                )
-                r_mask = eff_mask
-            self._compress_component("template", template, eb_t, t_mask, cfg,
-                                     container, components)
-            self._compress_component("residual", residual, eb_r, r_mask, cfg,
-                                     container, components)
-        else:
-            self._compress_component("main", work, eb, eff_mask, cfg,
-                                     container, components)
-
-        header["components"] = components
-        container.header = header
-        return container.to_bytes()
-
-    def _compress_component(self, name: str, arr: np.ndarray, eb: float,
-                            mask: np.ndarray | None, cfg: PipelineConfig,
-                            container: Container, components: list[dict]) -> None:
-        laid = apply_layout(arr, cfg.layout)
-        lmask = apply_layout(mask, cfg.layout) if mask is not None else None
-        order = tuple(range(laid.ndim))
-        spec = InterpSpec(order=order, fitting=cfg.fitting)
-        with profile_stage("predict+quantize", nbytes=laid.nbytes, component=name):
-            res = interp_compress(laid, eb, spec, mask=lmask)
-        if res.codes.size:
-            set_gauge(f"cliz.quantize.hit_rate.{name}",
-                      1.0 - res.unpredictable.size / res.codes.size)
-        if res.fit_choices:
-            for fit in res.fit_choices:
-                inc_counter("cliz.predictor.cubic" if fit else "cliz.predictor.linear")
-        else:
-            inc_counter(f"cliz.predictor.{cfg.fitting}")
-
-        if cfg.binclass and cfg.horiz_axes is not None:
-            with profile_stage("binclass"):
-                hgrid = apply_layout(_hpos_grid(arr.shape, cfg.horiz_axes), cfg.layout).ravel()
-                tidx = traversal_indices(laid.shape, order, lmask)
-                hpos = hgrid[tidx]
-                lat, lon = cfg.horiz_axes
-                n_hpos = arr.shape[lat] * arr.shape[lon]
-                cls, shifted, groups = classify_bins(
-                    res.codes, hpos, n_hpos, spec.radius,
-                    j=cfg.binclass_j, k=cfg.binclass_k, lam=cfg.binclass_lambda,
-                )
-            with profile_stage("encode.codes"):
-                grouped = encode_grouped(shifted, groups, cls.n_groups)
-                with profile_stage("lz.compress", nbytes=len(grouped)):
-                    blob = lz_compress(grouped)
-                container.add_section(f"{name}.codes", blob)
-            container.add_section(f"{name}.cls", cls.serialize())
-        else:
-            with profile_stage("encode.codes"):
-                container.add_section(f"{name}.codes", encode_code_stream(res.codes))
-        with profile_stage("encode.unpred"):
-            container.add_section(f"{name}.unpred", encode_floats(res.unpredictable))
-        components.append({
-            "name": name,
-            "eb": eb,
-            "shape": list(arr.shape),
-            "mask": mask is not None,
-        })
+        cfg = self.config or PipelineConfig.default(np.ndim(data))
+        return encode(predict(data, cfg, abs_eb=abs_eb, rel_eb=rel_eb, mask=mask,
+                              fill_value=fill_value), cfg)
 
     # ------------------------------------------------------------------ #
     @traced_decompress

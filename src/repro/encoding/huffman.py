@@ -35,8 +35,6 @@ Implementation highlights:
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.encoding.bitstream import BitWriter
@@ -63,6 +61,7 @@ _ANCHOR_SYMS = 256
 _SLACK_BITS = 96
 _MAX_STEPS = 640
 _EOF_MSG = "corrupt or truncated Huffman stream"
+_INF = float("inf")
 
 
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -70,35 +69,54 @@ def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
 
     Returns an int array of the same size as ``freqs`` with 0 for unused
     symbols. Single-symbol alphabets get length 1.
+
+    Two-queue construction: leaves sorted by (weight, symbol) in one queue,
+    merged nodes in creation order in the other (their weights never
+    decrease). Taking the lighter front, a leaf on equal weight, pops nodes
+    in exactly the order of a heap keyed on (weight, tiebreak) with leaves
+    tied by symbol and merged nodes by creation, so the tree is that heap's.
     """
     syms = np.flatnonzero(freqs)
     lengths = np.zeros(len(freqs), dtype=np.int64)
-    if len(syms) == 0:
+    n = len(syms)
+    if n == 0:
         return lengths
-    if len(syms) == 1:
+    if n == 1:
         lengths[syms[0]] = 1
         return lengths
-    # Heap of (weight, tiebreak, node). Leaves are ints, internal nodes are
-    # [left, right] lists; depths assigned by a final traversal.
-    heap: list[tuple[int, int, object]] = [
-        (int(freqs[s]), int(s), int(s)) for s in syms
-    ]
-    heapq.heapify(heap)
-    counter = len(freqs)
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, counter, [n1, n2]))
-        counter += 1
-    # Iterative depth-first traversal to assign depths.
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, list):
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
+    leaves = syms[np.argsort(freqs[syms], kind="stable")]
+    # An infinite sentinel ends each queue: a leaf is taken while it is no
+    # heavier than the next merged node, and a merged node not yet made
+    # reads as infinite.
+    leaf_w = freqs[leaves].tolist() + [_INF]
+    node_w = [_INF] * (n - 1)
+    # parent[i]: merged node (0-based creation index) holding node i, where
+    # i < n are the sorted leaves and n + k is the k-th merged node.
+    parent = [0] * (2 * n - 2)
+    i = j = 0
+    for k in range(n - 1):
+        if leaf_w[i] <= node_w[j]:
+            w = leaf_w[i]
+            parent[i] = k
+            i += 1
         else:
-            lengths[node] = depth
+            w = node_w[j]
+            parent[n + j] = k
+            j += 1
+        if leaf_w[i] <= node_w[j]:
+            w += leaf_w[i]
+            parent[i] = k
+            i += 1
+        else:
+            w += node_w[j]
+            parent[n + j] = k
+            j += 1
+        node_w[k] = w
+    # Depth of each merged node, root (the last one) first.
+    depth = [0] * (n - 1)
+    for k in range(n - 3, -1, -1):
+        depth[k] = depth[parent[n + k]] + 1
+    lengths[leaves] = np.asarray(depth, dtype=np.int64)[parent[:n]] + 1
     return lengths
 
 
@@ -152,20 +170,25 @@ def _limit_lengths(lengths: np.ndarray, freqs: np.ndarray, max_len: int) -> np.n
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codes: symbols sorted by (length, symbol index)."""
+    """Assign canonical codes: symbols sorted by (length, symbol index).
+
+    The first code of each length is ``(first[l-1] + count[l-1]) << 1``;
+    a symbol's code is its length's first code plus its rank among the
+    symbols of that length.
+    """
     codes = np.zeros(len(lengths), dtype=np.uint32)
     used = np.flatnonzero(lengths)
     if len(used) == 0:
         return codes
-    order = used[np.lexsort((used, lengths[used]))]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for s in order:
-        ln = int(lengths[s])
-        code <<= ln - prev_len
-        codes[s] = code
-        code += 1
-        prev_len = ln
+    order = used[np.argsort(lengths[used], kind="stable")]
+    sorted_len = lengths[order]
+    count = np.bincount(sorted_len, minlength=int(sorted_len[-1]) + 1)
+    first = np.zeros(len(count), dtype=np.int64)
+    for ln in range(1, len(count)):
+        first[ln] = (first[ln - 1] + count[ln - 1]) << 1
+    start = np.cumsum(count) - count  # sorted position of each length's first symbol
+    rank = np.arange(len(order), dtype=np.int64) - start[sorted_len]
+    codes[order] = first[sorted_len] + rank
     return codes
 
 

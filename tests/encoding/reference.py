@@ -1,13 +1,18 @@
 """Reference implementations of the compress-side entropy kernels.
 
-Straightforward forms of the LZ match index (a stable argsort) and of the
-``BitWriter`` bulk write (one array entry per output bit). They are the
-differential oracles for the packed-key sort in ``repro.encoding.lz`` and
-the word-plane pack in ``repro.encoding.bitstream``: those must return the
-same arrays and write the same bytes on every input.
+Straightforward forms of the LZ match index (a stable argsort), of the
+``BitWriter`` bulk write (one array entry per output bit) and of the
+Huffman codebook build (a binary heap for the code lengths, a per-symbol
+loop for the canonical codes). They are the differential oracles for the
+packed-key sort in ``repro.encoding.lz``, the word-plane pack in
+``repro.encoding.bitstream`` and the two-queue and first-code-per-length
+builds in ``repro.encoding.huffman``: those must return the same arrays
+and write the same bytes on every input.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -61,3 +66,56 @@ class ReferenceBitWriter(BitWriter):
         bits_v = (np.repeat(codes, lengths) >> shifts) & np.uint64(1)
         self._segments.append(bits_v.astype(np.uint8))
         self._nbits += total
+
+
+def huffman_lengths_reference(freqs: np.ndarray) -> np.ndarray:
+    """Unrestricted Huffman code lengths, built on a heap.
+
+    The heap holds ``(weight, tiebreak, node)``: leaves tie-break by symbol
+    index, merged nodes by creation count starting at ``len(freqs)``, so
+    every pop order is fixed. Depths come from a final tree traversal.
+    """
+    syms = np.flatnonzero(freqs)
+    lengths = np.zeros(len(freqs), dtype=np.int64)
+    if len(syms) == 0:
+        return lengths
+    if len(syms) == 1:
+        lengths[syms[0]] = 1
+        return lengths
+    heap: list[tuple[int, int, object]] = [
+        (int(freqs[s]), int(s), int(s)) for s in syms
+    ]
+    heapq.heapify(heap)
+    counter = len(freqs)
+    while len(heap) > 1:
+        w1, _, n1 = heapq.heappop(heap)
+        w2, _, n2 = heapq.heappop(heap)
+        heapq.heappush(heap, (w1 + w2, counter, [n1, n2]))
+        counter += 1
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, list):
+            stack.append((node[0], depth + 1))
+            stack.append((node[1], depth + 1))
+        else:
+            lengths[node] = depth
+    return lengths
+
+
+def canonical_codes_reference(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codes, one symbol at a time in (length, symbol) order."""
+    codes = np.zeros(len(lengths), dtype=np.uint32)
+    used = np.flatnonzero(lengths)
+    if len(used) == 0:
+        return codes
+    order = used[np.lexsort((used, lengths[used]))]
+    code = 0
+    prev_len = int(lengths[order[0]])
+    for s in order:
+        ln = int(lengths[s])
+        code <<= ln - prev_len
+        codes[s] = code
+        code += 1
+        prev_len = ln
+    return codes
