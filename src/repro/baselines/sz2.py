@@ -11,8 +11,7 @@ This reimplementation uses the regression predictor for every block (the
 closed-form least-squares fit — vectorized across all blocks at once — and
 predictions depend only on the stored coefficients, never on neighbouring
 reconstructed values, so the whole compressor is NumPy-parallel. Lorenzo
-block mode (sequential by construction) lives separately in
-:mod:`repro.prediction.lorenzo` as a reference implementation.
+block mode (sequential by construction) is not implemented.
 
 Coefficients are quantized (as in SZ2) so both sides predict identically;
 the pointwise bound is guaranteed by the shared quantizer.

@@ -6,7 +6,7 @@ from repro.encoding.huffman import HuffmanCode
 from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.multihuffman import decode_grouped, encode_grouped
 from repro.encoding.rangecoder import RangeModel, rc_decode, rc_encode
-from repro.encoding.rle import decode_runs, encode_runs, pack_bitmap, unpack_bitmap
+from repro.encoding.rle import pack_bitmap, unpack_bitmap
 
 __all__ = [
     "BitReader",
@@ -22,6 +22,4 @@ __all__ = [
     "rc_decode",
     "pack_bitmap",
     "unpack_bitmap",
-    "encode_runs",
-    "decode_runs",
 ]

@@ -1,8 +1,7 @@
-"""Bit-plane and small-alphabet run-length helpers.
+"""Run-length coding of boolean bitmaps.
 
-Used for mask bitmaps and classification maps: both are spatial fields with
-long homogeneous runs, where run-length + varint + LZ gives near-entropy
-sizes without a Huffman table.
+Used for mask bitmaps: spatial fields with long homogeneous runs, where
+run-length + varint + LZ gives near-entropy sizes without a Huffman table.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.encoding.varint import (
     encode_uvarint_array,
 )
 
-__all__ = ["pack_bitmap", "unpack_bitmap", "encode_runs", "decode_runs"]
+__all__ = ["pack_bitmap", "unpack_bitmap"]
 
 
 def pack_bitmap(bits: np.ndarray) -> bytes:
@@ -56,35 +55,3 @@ def unpack_bitmap(blob: bytes, shape: tuple[int, ...] | None = None) -> np.ndarr
     if shape is not None:
         out = out.reshape(shape)
     return out
-
-
-def encode_runs(values: np.ndarray) -> bytes:
-    """Serialize a small-alphabet non-negative int array as (value, run) pairs."""
-    flat = np.asarray(values, dtype=np.int64).ravel()
-    if (flat < 0).any():
-        raise ValueError("encode_runs requires non-negative values")
-    payload = bytearray()
-    encode_uvarint(flat.size, payload)
-    if flat.size:
-        change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        edges = np.concatenate(([0], change, [flat.size]))
-        runs = np.diff(edges)
-        vals = flat[edges[:-1]]
-        encode_uvarint(len(runs), payload)
-        payload += encode_uvarint_array(vals.astype(np.uint64))
-        payload += encode_uvarint_array(runs.astype(np.uint64))
-    return lz_compress(bytes(payload))
-
-
-def decode_runs(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_runs`."""
-    payload = lz_decompress(blob)
-    size, pos = decode_uvarint(payload, 0)
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    n_runs, pos = decode_uvarint(payload, pos)
-    vals, pos = decode_uvarint_array(payload, n_runs, pos)
-    runs, pos = decode_uvarint_array(payload, n_runs, pos)
-    if int(runs.sum()) != size:
-        raise ValueError("runs do not sum to declared size")
-    return np.repeat(vals.astype(np.int64), runs.astype(np.int64))

@@ -397,7 +397,7 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                     cell_dur = time.monotonic() - t_cell
                     exec_seconds += cell_dur
                     obs.observe_latency("sweep.cell", cell_dur)
-                    obs.mark_rate("sweep.cells")
+                    obs.inc_counter("sweep.cells")
                     report.executed += 1
                     breaker.record(True)
                     break
@@ -417,7 +417,7 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                             ledger.event("breaker_open", subject=subject,
                                          failures=breaker.consecutive)
                         break
-                    obs.mark_rate("sweep.retries")
+                    obs.inc_counter("sweep.retries")
                     time.sleep(policy.delay(attempt))
                     attempt += 1
             _update_live_progress(report, len(pending) - pos - 1, exec_seconds)

@@ -4,10 +4,9 @@ See ``docs/OBSERVABILITY.md`` for the span model, metric names, and sink
 formats. The package is dependency-free and safe to import from any layer;
 with no active run every hook is a near-free no-op.
 
-Live telemetry rides on the same run and the same registry: the
-streaming instruments of :mod:`repro.obs.live` (EWMA rates, sliding
-windows, P² quantiles) sit next to the exact counters, gauges and
-histograms of :mod:`repro.obs.metrics`, one kind per name.
+Live telemetry reads the same run and the same registry: the counters,
+gauges and histograms of :mod:`repro.obs.metrics`, one kind per name;
+every span also lands in a ``span.<name>.seconds`` latency histogram.
 :mod:`repro.obs.prom` renders it as Prometheus text, the asyncio
 ``/metrics`` exporter in :mod:`repro.obs.server` serves it, and the
 offline analysis CLI in :mod:`repro.obs.report` (``python -m repro obs
@@ -19,20 +18,14 @@ from repro.obs.instrument import (
     traced_compress,
     traced_decompress,
 )
-from repro.obs.live import (
-    EwmaMeter,
-    LatencySummary,
-    P2Quantile,
-    RingWindow,
-)
 from repro.obs.metrics import (
+    LATENCY_BUCKETS,
     SCHEMA_VERSION,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     exponential_buckets,
-    latency_buckets,
 )
 from repro.obs.prom import render_registry, render_run
 from repro.obs.sinks import (
@@ -54,10 +47,8 @@ from repro.obs.trace import (
     get_run,
     inc_counter,
     last_run,
-    mark_rate,
     observe,
     observe_latency,
-    observe_window,
     run,
     set_gauge,
     set_tag,
@@ -80,20 +71,14 @@ __all__ = [
     "inc_counter",
     "set_gauge",
     "observe",
-    "mark_rate",
     "observe_latency",
-    "observe_window",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "exponential_buckets",
-    "latency_buckets",
+    "LATENCY_BUCKETS",
     "SCHEMA_VERSION",
-    "EwmaMeter",
-    "RingWindow",
-    "P2Quantile",
-    "LatencySummary",
     "render_registry",
     "render_run",
     "JsonlSink",

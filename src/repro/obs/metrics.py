@@ -2,29 +2,19 @@
 
 The registry is deliberately tiny and dependency-free — Prometheus
 semantics (monotonic counters, last-write gauges, fixed-bucket cumulative
-histograms) without the wire format, plus the streaming instruments of
-:mod:`repro.obs.live` (EWMA meters, sliding windows, latency summaries).
-Pipelines record compression ratio, quantizer hit-rate, bits/value,
-predictor selections, WAN queue depths, link utilization and span
-latencies here. Each name holds exactly one kind; asking for a name as a
-second kind raises ``TypeError``.
+histograms) without the wire format. Pipelines record compression ratio,
+quantizer hit-rate, bits/value, predictor selections, WAN queue depths,
+link utilization and span latencies here. Each name holds exactly one of
+the three kinds; asking for a name as a second kind raises ``TypeError``.
 
-A rate or a window is a *view*, not a second series: ``Counter.with_rate()``
-attaches an EWMA meter that every later ``inc`` feeds, and
-``Gauge.with_window()`` attaches a sliding window that every later ``set``
-feeds. The view renders next to its counter or gauge on ``/metrics``.
-
-Two read-outs:
-
-* ``snapshot()`` / ``records()`` — the exact kinds (counters, gauges,
-  histograms) as plain dicts in the JSONL schema the benchmarks emit.
-  ``merge()`` folds a worker's snapshot into the parent registry
-  (counters and histogram buckets add; gauges keep the merged-in value,
-  i.e. last writer wins).
-* ``scrape()`` — every instrument, live kinds and views included, for
-  ``/metrics`` and ``/snapshot``. Live state (EWMA, P² markers, windows)
-  cannot be merged losslessly, so it stays in the process that observed
-  it and is never shipped from pool workers.
+One read-out: ``snapshot()`` / ``records()`` return every instrument as
+plain dicts in the JSONL schema the benchmarks emit; ``/metrics`` renders
+it and ``/snapshot`` serves it. All three kinds merge losslessly:
+``merge()`` folds a pool worker's snapshot into the parent registry
+(counters and histogram buckets add; gauges keep the merged-in value,
+i.e. last writer wins). Rates and quantiles are the reader's job:
+``rate()`` over ``_total`` and ``histogram_quantile()`` over ``_bucket``
+in the scraper, or exact quantiles offline from ``repro obs report``.
 """
 
 from __future__ import annotations
@@ -32,16 +22,14 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
-from repro.obs.live import EwmaMeter, LatencySummary, RingWindow
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "exponential_buckets",
-    "latency_buckets",
     "DEFAULT_BUCKETS",
+    "LATENCY_BUCKETS",
     "SCHEMA_VERSION",
 ]
 
@@ -61,16 +49,11 @@ def exponential_buckets(start: float, factor: float, count: int) -> list[float]:
 #: Generic default edges spanning ratio-like and size-like observations.
 DEFAULT_BUCKETS = exponential_buckets(0.001, 4.0, 16)  # 1e-3 .. ~1e6
 
-
-def latency_buckets() -> list[float]:
-    """Bucket edges tuned for second-scale durations: 100 µs .. ~105 s.
-
-    ``DEFAULT_BUCKETS`` (factor 4, 1e-3..1e6) collapses every realistic
-    span latency into three or four buckets, which makes ``/metrics``
-    histogram quantiles meaningless. Duration histograms use these
-    factor-2 edges instead: 21 buckets from 0.1 ms to ~105 s.
-    """
-    return exponential_buckets(1e-4, 2.0, 21)
+#: Edges for second-scale durations: 21 factor-2 buckets, 100 µs .. ~105 s.
+#: ``DEFAULT_BUCKETS`` (factor 4) collapses every realistic span latency
+#: into three or four buckets, which makes ``/metrics`` histogram
+#: quantiles meaningless.
+LATENCY_BUCKETS = exponential_buckets(1e-4, 2.0, 21)
 
 
 class Counter:
@@ -79,8 +62,6 @@ class Counter:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-        #: EWMA rate view, attached by :meth:`with_rate`.
-        self.meter: EwmaMeter | None = None
         self._lock = threading.Lock()
 
     def inc(self, value: int = 1) -> None:
@@ -90,16 +71,6 @@ class Counter:
         # two threads interleaving it lose increments, hence the lock.
         with self._lock:
             self.value += value
-            meter = self.meter
-        if meter is not None:
-            meter.mark(value)
-
-    def with_rate(self) -> "Counter":
-        """Attach the EWMA rate view (once); later ``inc`` calls feed it."""
-        with self._lock:
-            if self.meter is None:
-                self.meter = EwmaMeter()
-        return self
 
     def to_record(self) -> dict:
         return {"schema": SCHEMA_VERSION, "type": "counter",
@@ -112,23 +83,11 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float | None = None
-        #: Sliding-window view, attached by :meth:`with_window`.
-        self.window: RingWindow | None = None
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
-            window = self.window
-        if window is not None:
-            window.add(value)
-
-    def with_window(self) -> "Gauge":
-        """Attach the sliding-window view (once); later ``set`` calls feed it."""
-        with self._lock:
-            if self.window is None:
-                self.window = RingWindow()
-        return self
 
     def to_record(self) -> dict:
         return {"schema": SCHEMA_VERSION, "type": "gauge",
@@ -187,10 +146,6 @@ class Histogram:
         }
 
 
-#: The kinds ``snapshot()`` exports and ``merge()`` folds.
-_EXACT = (Counter, Gauge, Histogram)
-
-
 class MetricsRegistry:
     """Named instruments, created on first use; one kind per name."""
 
@@ -219,44 +174,16 @@ class MetricsRegistry:
     def histogram(self, name: str, buckets: list[float] | None = None) -> Histogram:
         return self._get(name, Histogram, name, buckets)
 
-    def meter(self, name: str) -> EwmaMeter:
-        return self._get(name, EwmaMeter)
-
-    def window(self, name: str) -> RingWindow:
-        return self._get(name, RingWindow)
-
-    def summary(self, name: str) -> LatencySummary:
-        return self._get(name, LatencySummary)
-
-    def _items(self) -> list[tuple[str, object]]:
-        with self._lock:
-            return sorted(self._metrics.items())
-
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, dict]:
-        """The exact kinds as ``{name: record}`` plain dicts (JSON-ready)."""
-        return {name: m.to_record() for name, m in self._items()
-                if isinstance(m, _EXACT)}
+        """Every instrument as ``{name: record}`` plain dicts, sorted by name."""
+        with self._lock:
+            items = sorted(self._metrics.items())
+        return {name: m.to_record() for name, m in items}
 
     def records(self) -> list[dict]:
         """Snapshot as a list of JSONL-ready lines."""
         return list(self.snapshot().values())
-
-    def scrape(self) -> dict[str, dict]:
-        """Every instrument as ``{name: record}``, live kinds and views included.
-
-        Exact kinds keep their JSONL record; a counter's rate view rides
-        along under ``"meter"`` and a gauge's window under ``"window"``.
-        """
-        out: dict[str, dict] = {}
-        for name, m in self._items():
-            rec = {"name": name, **m.to_record()}
-            if isinstance(m, Counter) and m.meter is not None:
-                rec["meter"] = m.meter.to_record()
-            elif isinstance(m, Gauge) and m.window is not None:
-                rec["window"] = m.window.to_record()
-            out[name] = rec
-        return out
 
     def merge(self, snapshot: dict[str, dict]) -> None:
         """Fold a ``snapshot()`` (e.g. from a pool worker) into this registry.

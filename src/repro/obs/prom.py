@@ -5,20 +5,11 @@ plain-text scrape format Prometheus and its ecosystem understand — no
 client library, no dependencies, just the documented line protocol.
 Each name holds one kind, so each renders its own families:
 
-* counters  -> ``<name>_total`` with ``# TYPE ... counter``, plus a
-  ``<name>_rate`` gauge (units/second, EWMA) when the counter carries a
-  rate view;
+* counters  -> ``<name>_total`` with ``# TYPE ... counter``;
 * gauges    -> ``<name>`` with ``# TYPE ... gauge`` (unset gauges are
-  omitted — Prometheus has no null), plus the window gauges below when
-  the gauge carries a window view;
+  omitted — Prometheus has no null);
 * histograms -> cumulative ``<name>_bucket{le="..."}`` series ending in
-  ``le="+Inf"``, plus ``<name>_sum`` and ``<name>_count``;
-* summaries -> ``<name>{quantile="0.5"}`` series plus ``_sum`` /
-  ``_count`` with ``# TYPE ... summary``;
-* meters    -> ``<name>_rate`` gauge plus a ``<name>_total`` counter of
-  everything marked;
-* windows   -> ``<name>_window_count`` / ``_window_mean`` /
-  ``_window_last`` gauges over the sliding window.
+  ``le="+Inf"``, plus ``<name>_sum`` and ``<name>_count``.
 
 Metric names are sanitized to the legal charset
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): every illegal character becomes ``_``
@@ -82,24 +73,6 @@ def _family(lines: list[str], name: str, kind: str, help_text: str) -> None:
     lines.append(f"# TYPE {name} {kind}")
 
 
-def _render_rate(lines: list[str], name: str, raw: str, rec: dict) -> None:
-    _family(lines, f"{name}_rate", "gauge",
-            f"repro live EWMA rate {raw} (units/s, tau={rec['tau']:g}s)")
-    lines.append(f"{name}_rate {format_value(rec['rate'])}")
-
-
-def _render_window(lines: list[str], name: str, raw: str, rec: dict) -> None:
-    _family(lines, f"{name}_window_count", "gauge",
-            f"repro live window sample count {raw} ({rec['window']:g}s)")
-    lines.append(f"{name}_window_count {rec['count']}")
-    for field in ("mean", "last"):
-        if rec[field] is None:
-            continue
-        _family(lines, f"{name}_window_{field}", "gauge",
-                f"repro live window {field} {raw}")
-        lines.append(f"{name}_window_{field} {format_value(rec[field])}")
-
-
 def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
     kind = rec["type"]
     raw = rec["name"]
@@ -107,14 +80,10 @@ def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
     if kind == "counter":
         _family(lines, f"{name}_total", "counter", f"repro counter {raw}")
         lines.append(f"{name}_total {format_value(rec['value'])}")
-        if "meter" in rec:
-            _render_rate(lines, name, raw, rec["meter"])
     elif kind == "gauge":
         if rec["value"] is not None:
             _family(lines, name, "gauge", f"repro gauge {raw}")
             lines.append(f"{name} {format_value(rec['value'])}")
-        if "window" in rec:
-            _render_window(lines, name, raw, rec["window"])
     elif kind == "histogram":
         _family(lines, name, "histogram", f"repro histogram {raw}")
         cumulative = 0
@@ -125,22 +94,6 @@ def _render_metric(lines: list[str], rec: dict, prefix: str) -> None:
         lines.append(f'{name}_bucket{{le="+Inf"}} {rec["count"]}')
         lines.append(f"{name}_sum {format_value(rec['sum'])}")
         lines.append(f"{name}_count {rec['count']}")
-    elif kind == "summary":
-        _family(lines, name, "summary", f"repro live latency summary {raw}")
-        for label, value in rec["quantiles"].items():
-            if value is None:
-                continue
-            q = float(label.lstrip("p")) / 100.0
-            lines.append(f'{name}{{quantile="{q:g}"}} {format_value(value)}')
-        lines.append(f"{name}_sum {format_value(rec['sum'])}")
-        lines.append(f"{name}_count {rec['count']}")
-    elif kind == "meter":
-        _render_rate(lines, name, raw, rec)
-        _family(lines, f"{name}_total", "counter",
-                f"repro live meter total {raw}")
-        lines.append(f"{name}_total {format_value(rec['total'])}")
-    elif kind == "window":
-        _render_window(lines, name, raw, rec)
 
 
 def render_registry(metrics: "MetricsRegistry | None" = None,
@@ -148,7 +101,7 @@ def render_registry(metrics: "MetricsRegistry | None" = None,
     """Render a registry into one exposition document (trailing newline)."""
     lines: list[str] = []
     if metrics is not None:
-        for rec in metrics.scrape().values():
+        for rec in metrics.snapshot().values():
             _render_metric(lines, rec, prefix)
     return "\n".join(lines) + "\n" if lines else "\n"
 

@@ -5,12 +5,12 @@ A tiny stdlib-only HTTP server (a route table on the shared
 active observability run while it works:
 
 * ``GET /metrics``  — Prometheus text exposition 0.0.4 rendered from the
-  run's metrics registry: exact counters, gauges and histograms plus the
-  live instruments (EWMA rates, span-latency p50/p95/p99, queue-depth
-  windows). Scrape it with Prometheus, or just ``curl`` it — the format
-  is human-readable.
+  run's metrics registry: counters, gauges and histograms, including
+  the per-stage ``span.<name>.seconds`` latency histograms (pool
+  workers' merged in). Scrape it with Prometheus, or just ``curl`` it —
+  the format is human-readable.
 * ``GET /health``   — liveness JSON: status, pid, run id, span count.
-* ``GET /snapshot`` — the registry's ``scrape()`` as JSON under one
+* ``GET /snapshot`` — the registry's ``snapshot()`` as JSON under one
   ``metrics`` key (the machine-readable sibling of ``/metrics``).
 
 The server runs its event loop on a daemon thread so synchronous
@@ -83,7 +83,7 @@ class MetricsServer(HttpServer):
                 "run": run.run_id,
                 "tags": run.tags,
                 "n_spans": len(run.spans()),
-                "metrics": run.metrics.scrape(),
+                "metrics": run.metrics.snapshot(),
             })
         return 404, _TEXT, (f"unknown path {path!r}; try /metrics, "
                             "/health, /snapshot\n").encode("utf-8")

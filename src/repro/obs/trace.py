@@ -42,7 +42,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.metrics import SCHEMA_VERSION, MetricsRegistry, latency_buckets
+from repro.obs.metrics import LATENCY_BUCKETS, SCHEMA_VERSION, MetricsRegistry
 
 __all__ = [
     "Span",
@@ -59,9 +59,7 @@ __all__ = [
     "inc_counter",
     "set_gauge",
     "observe",
-    "mark_rate",
     "observe_latency",
-    "observe_window",
 ]
 
 _id_counter = itertools.count(1)
@@ -302,10 +300,11 @@ def span(name: str, nbytes: int | None = None, **tags: Any) -> Iterator[Span | N
         # The run may have been swapped mid-span (start_run() inside an
         # open span); record into the run that opened the span.
         r._append(sp)
-        # Live span-latency quantiles (p50/p95/p99 on /metrics without
-        # storing spans). Keyed by span *name*, not path: names are the
-        # low-cardinality stage vocabulary, paths are per-call-site.
-        r.metrics.summary(f"span.{name}").observe(sp.dur)
+        # Per-stage latency on /metrics, merged back from pool workers
+        # like any histogram. Keyed by span *name*, not path: names are
+        # the low-cardinality stage vocabulary, paths are per-call-site.
+        r.metrics.histogram(f"span.{name}.seconds",
+                            LATENCY_BUCKETS).observe(sp.dur)
 
 
 def current_span() -> Span | None:
@@ -348,29 +347,12 @@ def observe(name: str, value: float, buckets: list[float] | None = None) -> None
         r.metrics.histogram(name, buckets).observe(value)
 
 
-def mark_rate(name: str, n: int = 1) -> None:
-    """Count ``n`` on counter ``name`` and feed its EWMA rate view."""
-    r = _active_run
-    if r is not None:
-        r.metrics.counter(name).with_rate().inc(n)
-
-
 def observe_latency(name: str, seconds: float) -> None:
-    """Record one duration into both live and exact instruments.
+    """Record one duration into the ``<name>.seconds`` histogram.
 
-    Feeds the ``<name>.seconds`` histogram (``latency_buckets()`` edges,
-    so offline quantiles are meaningful) *and* the
-    :class:`~repro.obs.live.LatencySummary` ``name`` (p50/p95/p99 on
-    ``/metrics`` while the run is still in flight).
+    The histogram uses ``LATENCY_BUCKETS`` edges, so ``/metrics``
+    ``histogram_quantile()`` and offline quantiles are meaningful.
     """
     r = _active_run
     if r is not None:
-        r.metrics.histogram(f"{name}.seconds", latency_buckets()).observe(seconds)
-        r.metrics.summary(name).observe(seconds)
-
-
-def observe_window(name: str, value: float) -> None:
-    """Set gauge ``name`` and add the sample to its sliding-window view."""
-    r = _active_run
-    if r is not None:
-        r.metrics.gauge(name).with_window().set(value)
+        r.metrics.histogram(f"{name}.seconds", LATENCY_BUCKETS).observe(seconds)

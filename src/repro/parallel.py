@@ -404,7 +404,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                 exc = wrapped
         elif attempt <= policy.retries:
             if count_retry:
-                obs.mark_rate("parallel.retries")
+                obs.inc_counter("parallel.retries")
             heapq.heappush(delayed,
                            (time.monotonic() + policy.delay(attempt), i, attempt + 1))
             return
@@ -446,10 +446,9 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     break
                 in_flight[fut] = (i, attempt, t_submit)
             if traced:
-                # live queue health: the gauge holds the latest depth for
-                # scrapes, its window view keeps the recent trajectory
-                obs.observe_window("parallel.queue_depth",
-                                   len(ready) + len(delayed) + len(in_flight))
+                # live queue health: the gauge holds the latest depth for scrapes
+                obs.set_gauge("parallel.queue_depth",
+                              len(ready) + len(delayed) + len(in_flight))
             if in_flight and not pool_broken:
                 done, _ = wait(set(in_flight), timeout=0.1,
                                return_when=FIRST_COMPLETED)
@@ -469,7 +468,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     # jobs are in flight.
                     except Exception as exc:  # noqa: BLE001
                         if isinstance(exc, TimeoutError):
-                            obs.mark_rate("parallel.timeouts")
+                            obs.inc_counter("parallel.timeouts")
                         requeue_or_fail(i, attempt, exc)
                     else:
                         if spans:
@@ -478,7 +477,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                         obs.observe("parallel.job_attempts", attempt)
                         obs.observe_latency("parallel.job",
                                             time.monotonic() - t_submit)
-                        obs.mark_rate("parallel.jobs")
+                        obs.inc_counter("parallel.jobs")
                         results[i] = JobResult(index=i, ok=True, value=out,
                                                attempts=attempt)
             elif not in_flight:

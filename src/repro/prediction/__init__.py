@@ -1,4 +1,4 @@
-"""Data predictors: mask-aware spline interpolation (SZ3/CliZ) and Lorenzo."""
+"""Data predictors: mask-aware spline interpolation (SZ3/CliZ)."""
 
 from repro.prediction.coefficients import (
     CUBIC_TABLE,
@@ -16,7 +16,6 @@ from repro.prediction.interpolation import (
     interpolation_steps,
     max_level,
 )
-from repro.prediction.lorenzo import lorenzo_compress, lorenzo_decompress, lorenzo_prediction_errors
 
 __all__ = [
     "CUBIC_TABLE",
@@ -31,7 +30,4 @@ __all__ = [
     "interp_decompress",
     "interpolation_steps",
     "max_level",
-    "lorenzo_compress",
-    "lorenzo_decompress",
-    "lorenzo_prediction_errors",
 ]

@@ -616,7 +616,7 @@ def _shardkill_phase(seed: int, root: Path, events: list,
             "backoff_model": cluster.supervisor.backoff_model()}
 
 
-def _metrics_scrape(check: _Check) -> dict:
+def _metrics_exposition(check: _Check) -> dict:
     """The live gauges must be visible on the existing /metrics exporter."""
     exporter = MetricsServer(port=0).start()
     try:
@@ -677,7 +677,7 @@ def run_drill(seed: int = 9, report_path: str | None = None,
         # the gauge families the scrape asserts are spread across the
         # in-process phases (shed/429 come from overload, breaker state
         # from breaker, ...), so only a full default run can satisfy it
-        phase_reports["metrics"] = _metrics_scrape(check)
+        phase_reports["metrics"] = _metrics_exposition(check)
     if own_run:
         trace.end_run()
     event_digest = hashlib.sha256(

@@ -93,10 +93,8 @@ def fair_share_stats(arrivals: np.ndarray, sizes: np.ndarray, link: WanLink,
     total_sent = float(sizes.sum()) + stats["dropped_bytes"]
     stats["goodput"] = float(sizes.sum()) / total_sent if total_sent > 0 else 1.0
     if obs.get_run() is not None:
-        # the counter's rate view: simulated bytes as a real-time EWMA
-        # rate (how fast the simulation itself is chewing through
-        # traffic); per-flow simulated completion latency quantiles below
-        obs.mark_rate("wan.bytes_sent", int(total_sent))
+        # simulated bytes sent, and per-flow simulated completion latency
+        obs.inc_counter("wan.bytes_sent", int(total_sent))
         for i in range(n):
             obs.observe_latency("wan.flow", float(done[i] - arrivals[i]))
         if stats["retransmits"]:

@@ -12,7 +12,7 @@ from repro.encoding.multihuffman import (
     grouped_cost_bits,
     single_cost_bits,
 )
-from repro.encoding.rle import decode_runs, encode_runs, pack_bitmap, unpack_bitmap
+from repro.encoding.rle import pack_bitmap, unpack_bitmap
 
 
 class TestBitmap:
@@ -42,25 +42,6 @@ class TestBitmap:
     def test_roundtrip_property(self, bools):
         bits = np.array(bools, dtype=bool)
         np.testing.assert_array_equal(unpack_bitmap(pack_bitmap(bits)), bits)
-
-
-class TestRuns:
-    def test_roundtrip(self):
-        vals = np.array([0, 0, 0, 2, 2, 1, 1, 1, 1, 5])
-        np.testing.assert_array_equal(decode_runs(encode_runs(vals)), vals)
-
-    def test_empty(self):
-        assert decode_runs(encode_runs(np.array([], dtype=np.int64))).size == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            encode_runs(np.array([-1]))
-
-    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=400))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, values):
-        vals = np.array(values, dtype=np.int64)
-        np.testing.assert_array_equal(decode_runs(encode_runs(vals)), vals)
 
 
 class TestContainer:

@@ -24,7 +24,7 @@ def server(clean_run):
     run = trace.start_run(tags={"test": "server"})
     run.metrics.counter("files.compressed").inc(2)
     run.metrics.gauge("parallel.queue_depth").set(4)
-    run.metrics.summary("span.compress").observe(0.01)
+    run.metrics.histogram("span.compress.seconds").observe(0.01)
     srv = MetricsServer(port=0).start()
     yield srv, run
     srv.stop()
@@ -44,7 +44,7 @@ class TestEndpoints:
             "text/plain; version=0.0.4; charset=utf-8"
         assert "repro_files_compressed_total 2" in body.splitlines()
         assert "repro_parallel_queue_depth 4" in body.splitlines()
-        assert 'repro_span_compress{quantile="0.5"}' in body
+        assert "repro_span_compress_seconds_count 1" in body.splitlines()
         assert body.endswith("\n")
 
     def test_health(self, server):
@@ -62,7 +62,7 @@ class TestEndpoints:
         doc = json.loads(body)
         assert doc["run"] == run.run_id
         assert doc["metrics"]["files.compressed"]["value"] == 2
-        assert doc["metrics"]["span.compress"]["count"] == 1
+        assert doc["metrics"]["span.compress.seconds"]["count"] == 1
         assert "live" not in doc
 
     def test_unknown_path_404(self, server):

@@ -120,7 +120,8 @@ class TestExports:
         assert by_name["compress"]["tags"]["codec"] == "cliz"
 
         metrics = load_jsonl(metrics_path)
-        assert len(metrics) == 2
+        assert [r["name"] for r in metrics] == [
+            "calls", "ratio", "span.compress.seconds", "span.quantize.seconds"]
         for rec in metrics:
             validate_metrics_line(rec)
 
@@ -279,3 +280,32 @@ class TestAbsorb:
         worker.counter("files").inc(3)
         parent_run.absorb([], worker.snapshot())
         assert parent_run.metrics.counter("files").value == 3
+
+    def test_worker_stage_latency_reaches_metrics(self):
+        """Span latencies observed in pool workers ship back as histograms:
+        a stage that runs only in workers renders on /metrics with one
+        ``_count`` per span of that name in the trace."""
+        import os
+
+        import numpy as np
+
+        from repro.obs.prom import render_run, sanitize_metric_name
+        from repro.parallel import compress_chunked
+
+        shape = (24, 16, 12)
+        grids = np.meshgrid(*[np.linspace(0, 3, n) for n in shape],
+                            indexing="ij")
+        field = sum(np.sin(g) for g in grids).astype(np.float32)
+        with obs.run() as run:
+            compress_chunked(field, "sz3", axis=0, n_chunks=4, abs_eb=1e-3,
+                             workers=2)
+        spans = run.spans()
+        parent_stages = {sp.name for sp in spans if sp.pid == os.getpid()}
+        worker_only = {sp.name for sp in spans} - parent_stages
+        assert worker_only, "expected a stage that runs only in workers"
+        doc = render_run(run)
+        for stage in sorted(worker_only):
+            family = sanitize_metric_name(f"span.{stage}.seconds", "repro_")
+            assert f"# TYPE {family} histogram" in doc.splitlines()
+            n_spans = sum(sp.name == stage for sp in spans)
+            assert f"{family}_count {n_spans}" in doc.splitlines()

@@ -78,7 +78,7 @@ class TestRoundTrip:
         status, body, _ = call(server.port, "POST", "/compress",
                                compress_doc())
         assert status == 200
-        scraped = trace.get_run().metrics.scrape()
+        scraped = trace.get_run().metrics.snapshot()
         rec = scraped["service.compress.ratio"]
         assert rec["type"] == "histogram" and rec["count"] == 1
         assert rec["buckets"] == DEFAULT_BUCKETS
