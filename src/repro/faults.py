@@ -380,7 +380,8 @@ class FaultInjector:
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
         for kind, params in self.clauses:
-            args = ":".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+            # repr keeps every digit of a float, so the spec re-parses exactly
+            args = ":".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
                             for k, v in sorted(params.items()))
             parts.append(f"{kind}:{args}" if args else kind)
         return ";".join(parts)

@@ -6,15 +6,17 @@ Subcommands::
     shard   one cluster shard (internal: spawned by the supervisor)
     drill   run the deterministic chaos drill and exit 0/1
 
-``serve`` options mirror :class:`repro.service.app.ServiceConfig`;
-``--inject-faults`` accepts the :mod:`repro.faults` spec grammar
-(including the service kinds ``stall`` / ``bloberr`` / ``abort`` /
-``shardkill``), and ``--serve-metrics PORT`` additionally starts the
-Prometheus exporter so queue/breaker/shed gauges are scrapeable while
-the service runs. ``serve --shards N`` (N > 1) starts the supervised
-cluster instead of a single process: N shard processes behind one
-router port, with crash recovery and keyspace-partitioned routing
-(see ``docs/SERVICE.md``).
+``serve`` options mirror :class:`repro.service.app.ServiceConfig`: one
+flag per tunable, each defaulting to the ``ServiceConfig`` class
+attribute. ``--inject-faults`` accepts the :mod:`repro.faults` spec
+grammar (including the service kinds ``stall`` / ``bloberr`` /
+``abort`` / ``shardkill``), and ``--serve-metrics PORT`` additionally
+starts the Prometheus exporter so queue/breaker/shed gauges are
+scrapeable while the service runs. ``serve --shards N`` (N > 1) starts
+the supervised cluster instead of a single process: N shard processes
+behind one router port, with crash recovery and keyspace-partitioned
+routing (see ``docs/SERVICE.md``). Each shard gets the same
+``ServiceConfig`` as one ``--config`` JSON argument.
 
 Shutdown is signal-driven, not poll-driven: ``serve`` and ``shard``
 install SIGTERM/SIGINT handlers that trip one event; the main thread
@@ -31,64 +33,43 @@ import signal
 import sys
 import threading
 
+from repro.faults import parse_fault_spec
+from repro.service.app import ServiceConfig, ServiceServer
+from repro.service.cluster import ClusterConfig, ClusterServer
+
 __all__ = ["main"]
 
+_SERVE_FLAGS = (  # flag, the ServiceConfig field it sets, help
+    ("--host", "host", "interface to bind"),
+    ("--store", "store_root", "blob store directory"),
+    ("--max-queue", "max_queue", "admitted-work bound; overflow sheds with 429"),
+    ("--rate", "rate", "per-client steady-state requests/second"),
+    ("--burst", "burst", "per-client token-bucket burst"),
+    ("--breaker-threshold", "breaker_threshold", "consecutive codec failures that trip its breaker"),
+    ("--breaker-cooldown", "breaker_cooldown", "seconds an open breaker waits before one probe"),
+    ("--deadline", "default_deadline", "default per-request deadline (X-Deadline overrides)"),
+    ("--drain-deadline", "drain_deadline", "max seconds to finish in-flight work on shutdown"),
+)
 
-def _install_stop_handlers(stop: threading.Event) -> None:
-    """Route SIGTERM and SIGINT into ``stop`` (main thread only)."""
-    def _on_signal(signum, frame):  # noqa: ARG001 -- signal API shape
-        stop.set()
 
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
-
-def _serve(args) -> int:
-    from repro.faults import parse_fault_spec
+def _run_until_stopped(start, tags: dict, metrics_port: int | None = None) -> int:
+    """Run ``start()``'s server until SIGTERM/SIGINT, then drain it."""
     from repro.obs import trace
 
     # install the drain handlers before anything is listening, so a
     # signal racing startup still takes the graceful path
     stop = threading.Event()
-    _install_stop_handlers(stop)
-    faults_spec = args.inject_faults
+    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+    signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
     if trace.get_run() is None:
-        trace.start_run(tags={"command": "service.serve"})
+        trace.start_run(tags=tags)
     exporter = None
-    if args.serve_metrics is not None:
+    if metrics_port is not None:
         from repro.obs.server import MetricsServer
 
-        exporter = MetricsServer(port=args.serve_metrics).start()
+        exporter = MetricsServer(port=metrics_port).start()
         print(f"metrics on {exporter.url}/metrics", file=sys.stderr)
-
-    if args.shards > 1:
-        from repro.service.cluster import ClusterConfig, ClusterServer
-
-        server = ClusterServer(ClusterConfig(
-            n_shards=args.shards, host=args.host, port=args.port,
-            store_root=args.store, max_queue=args.max_queue,
-            rate=args.rate, burst=args.burst,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            default_deadline=args.deadline,
-            drain_deadline=args.drain_deadline,
-            fault_spec=faults_spec)).start()
-        what = f"sharded compression service ({args.shards} shards)"
-    else:
-        from repro.service.app import ServiceConfig, ServiceServer
-
-        faults = parse_fault_spec(faults_spec) if faults_spec else None
-        server = ServiceServer(ServiceConfig(
-            host=args.host, port=args.port, store_root=args.store,
-            max_queue=args.max_queue, rate=args.rate, burst=args.burst,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            default_deadline=args.deadline,
-            drain_deadline=args.drain_deadline, faults=faults)).start()
-        what = "compression service"
-    print(f"{what} on {server.url} "
-          f"(POST /compress /decompress /estimate; GET /health /ready)",
-          file=sys.stderr)
+    server = start()
 
     try:
         stop.wait()
@@ -104,73 +85,61 @@ def _serve(args) -> int:
     return 0
 
 
+def _service_config(args) -> ServiceConfig:
+    """The one ServiceConfig the ``serve`` flags describe."""
+    return ServiceConfig(
+        port=args.port,
+        faults=parse_fault_spec(args.inject_faults) if args.inject_faults else None,
+        **{name: getattr(args, name) for _, name, _ in _SERVE_FLAGS})
+
+
+def _serve(args) -> int:
+    config = _service_config(args)
+
+    def start():
+        if args.shards > 1:
+            server = ClusterServer(ClusterConfig(
+                n_shards=args.shards, port=args.port, service=config))
+            what = f"sharded compression service ({args.shards} shards)"
+        else:
+            server, what = ServiceServer(config), "compression service"
+        server.start()
+        print(f"{what} on {server.url} "
+              f"(POST /compress /decompress /estimate; GET /health /ready)",
+              file=sys.stderr)
+        return server
+
+    return _run_until_stopped(start, {"command": "service.serve"}, args.serve_metrics)
+
+
 def _shard(args) -> int:
     """One supervised shard (internal; see ``repro.service.cluster``)."""
-    from repro.faults import parse_fault_spec
-    from repro.obs import trace
     from repro.runtime import atomic_write
-    from repro.service.app import ServiceConfig, ServiceServer
 
-    stop = threading.Event()
-    _install_stop_handlers(stop)
-    faults = parse_fault_spec(args.inject_faults) if args.inject_faults \
-        else None
-    if trace.get_run() is None:
-        trace.start_run(tags={"command": "service.shard",
-                              "shard": str(args.index)})
-    server = ServiceServer(ServiceConfig(
-        host=args.host, port=0, store_root=args.store,
-        max_queue=args.max_queue, rate=args.rate, burst=args.burst,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        default_deadline=args.deadline,
-        drain_deadline=args.drain_deadline,
-        partition=(args.index, args.shards), faults=faults)).start()
-    if args.port_file:
-        atomic_write(args.port_file, f"{server.port}\n")
-    print(f"shard {args.index}/{args.shards} on {server.url}",
-          file=sys.stderr)
+    def start():
+        server = ServiceServer(ServiceConfig.from_json(
+            args.config, partition=(args.index, args.shards))).start()
+        if args.port_file:
+            atomic_write(args.port_file, f"{server.port}\n")
+        print(f"shard {args.index}/{args.shards} on {server.url}", file=sys.stderr)
+        return server
 
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    if trace.get_run() is not None:
-        trace.end_run()
-    return 0
+    return _run_until_stopped(start, {"command": "service.shard", "shard": str(args.index)})
 
 
-def _service_options(p) -> None:
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--store", default="blobstore",
-                   help="blob store directory (default ./blobstore)")
-    p.add_argument("--max-queue", type=int, default=8,
-                   help="admitted-work bound; overflow sheds with 429")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client steady-state requests/second")
-    p.add_argument("--burst", type=int, default=20,
-                   help="per-client token-bucket burst")
-    p.add_argument("--breaker-threshold", type=int, default=3,
-                   help="consecutive codec failures that trip its breaker")
-    p.add_argument("--breaker-cooldown", type=float, default=30.0,
-                   help="seconds an open breaker waits before one probe")
-    p.add_argument("--deadline", type=float, default=30.0,
-                   help="default per-request deadline (X-Deadline overrides)")
-    p.add_argument("--drain-deadline", type=float, default=10.0,
-                   help="max seconds to finish in-flight work on shutdown")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="deterministic fault spec (see repro.faults)")
-
-
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-service",
         description="compression-as-a-service over the repro codecs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="start the HTTP service")
-    _service_options(p)
+    for flag, name, text in _SERVE_FLAGS:
+        default = getattr(ServiceConfig, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default,
+                       help=f"{text} (default %(default)s)")
+    p.add_argument("--inject-faults", metavar="SPEC",
+                   help="deterministic fault spec (see repro.faults)")
     p.add_argument("--port", type=int, default=8765,
                    help="port to bind (default 8765; 0 = ephemeral)")
     p.add_argument("--shards", type=int, default=1,
@@ -181,13 +150,14 @@ def main(argv: list[str] | None = None) -> int:
 
     s = sub.add_parser(
         "shard", help="one cluster shard (internal: run via serve --shards)")
-    _service_options(s)
     s.add_argument("--index", type=int, required=True,
                    help="this shard's keyspace partition index")
     s.add_argument("--shards", type=int, required=True,
                    help="total shard count in the cluster")
     s.add_argument("--port-file", default=None, metavar="FILE",
                    help="write the bound port here (atomic)")
+    s.add_argument("--config", required=True, metavar="JSON",
+                   help="the shard's ServiceConfig.to_json()")
 
     d = sub.add_parser("drill", help="run the deterministic chaos drill")
     d.add_argument("--seed", type=int, default=9)
@@ -197,7 +167,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="comma-separated phase subset (default: all); "
                         "e.g. --phases shardkill")
     d.add_argument("--quiet", action="store_true")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
         if args.shards < 1:

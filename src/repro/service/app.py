@@ -27,12 +27,12 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from repro import _CODEC_NAMES
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, parse_fault_spec
 from repro.obs import inc_counter, observe_latency, set_gauge
 from repro.runtime.http import (
     HttpServer,
@@ -64,7 +64,7 @@ _KNOWN_CODECS = tuple(_CODEC_NAMES)
 
 @dataclass
 class ServiceConfig:
-    """Tunables for one :class:`ServiceServer` (all have safe defaults)."""
+    """Tunables for one :class:`ServiceServer`, each declared only here."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -79,6 +79,22 @@ class ServiceConfig:
     partition: tuple[int, int] | None = None  # (shard index, shard count)
     faults: FaultInjector | None = None
     clock: object = None  # injectable monotonic clock (drills)
+
+    def to_json(self) -> str:
+        """Every tunable but port, partition and clock; faults as a spec."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("port", "partition", "clock")}
+        doc["store_root"] = str(self.store_root)
+        doc["faults"] = None if self.faults is None else self.faults.describe()
+        return json.dumps(doc, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str, *,
+                  partition: tuple[int, int] | None = None) -> "ServiceConfig":
+        """Inverse of :meth:`to_json`; the shard binds an ephemeral port."""
+        doc = json.loads(text)
+        spec = doc.pop("faults", None)
+        return cls(**doc, partition=partition, faults=parse_fault_spec(spec) if spec else None)
 
 
 class ServiceServer(HttpServer):
@@ -320,6 +336,7 @@ class ServiceServer(HttpServer):
             "faults": None if self.config.faults is None
             else self.config.faults.describe(),
         }
+        set_gauge("service.blob.count", float(doc["blobs"]))
         if path == "/health":
             return 200, doc
         # readiness: shedding-new-work conditions make us not-ready

@@ -35,7 +35,7 @@ import threading
 from pathlib import Path
 
 from repro.faults import FaultInjector
-from repro.obs import inc_counter, set_gauge
+from repro.obs import inc_counter
 from repro.runtime import atomic_write
 from repro.service.schemas import BlobCorruptError, BlobIOError, NotFoundError
 
@@ -167,7 +167,6 @@ class BlobStore:
                 inc_counter("service.blob.write_errors")
                 raise BlobIOError(f"blob store write failed: {exc}") from exc
         inc_counter("service.blob.puts")
-        set_gauge("service.blob.count", float(self.count()))
         return key
 
     def get(self, key: str) -> bytes:

@@ -3,9 +3,10 @@
 :class:`ClusterServer` is the process-level composition root. It
 
 1. spawns ``n_shards`` shard processes (``python -m repro.service shard
-   --index i --shards n ...``), each a full single-process
-   :class:`~repro.service.app.ServiceServer` on an ephemeral port with
-   ``partition=(i, n)`` scoping its slice of the shared blob-store root;
+   --index i --shards n --port-file F --config JSON``), each a full
+   single-process :class:`~repro.service.app.ServiceServer` running
+   ``config.service`` on an ephemeral port with ``partition=(i, n)``
+   scoping its slice of the shared blob-store root;
 2. runs a :class:`~repro.service.supervise.ShardSupervisor` probe loop
    over them (crash detection, bounded-backoff restart, crash-loop
    breaker);
@@ -19,6 +20,9 @@ incarnation are unlinked before each spawn). The dot-directory is
 invisible to the blob store's listings, so runtime state never pollutes
 the keyspace.
 
+The probe-failure threshold, crash-loop limits and forward timeout are
+the ``ShardSupervisor`` / ``ClusterRouter`` defaults.
+
 Per-shard fault specs (``shard_fault_specs``) let a chaos drill give one
 shard a pathological personality — e.g. a 100%-stall clause on the
 victim so the router's hedge fires — while its siblings stay honest.
@@ -29,10 +33,11 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.runtime import atomic_write
+from repro.faults import parse_fault_spec
+from repro.service.app import ServiceConfig
 from repro.service.router import ClusterRouter
 from repro.service.supervise import ShardSupervisor
 
@@ -44,28 +49,16 @@ class ClusterConfig:
     """Tunables for one :class:`ClusterServer`."""
 
     n_shards: int = 2
-    host: str = "127.0.0.1"
     port: int = 0  # router port; shards always bind ephemeral ports
-    store_root: str | Path = "blobstore"
-    max_queue: int = 8
-    rate: float = 50.0
-    burst: int = 20
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
-    default_deadline: float = 30.0
-    drain_deadline: float = 10.0
+    #: the config every shard runs; its host also binds the router and its
+    #: drain_deadline also bounds the supervisor's drain.
+    service: ServiceConfig = field(default_factory=ServiceConfig)
     hedge_budget: float = 0.25
-    forward_timeout: float = 60.0
     probe_interval: float = 0.25
-    probe_fail_threshold: int = 3
     start_timeout: float = 30.0
     backoff_base: float = 0.25
     backoff_cap: float = 4.0
-    max_restarts: int = 5
-    restart_window: float = 60.0
-    #: fault spec string applied to every shard (``--inject-faults``).
-    fault_spec: str | None = None
-    #: per-shard overrides: index -> spec string (wins over fault_spec).
+    #: per-shard overrides: index -> spec string (wins over service.faults).
     shard_fault_specs: dict[int, str] = field(default_factory=dict)
 
 
@@ -76,24 +69,21 @@ class ClusterServer:
         self.config = config or ClusterConfig()
         if self.config.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.store_root = Path(self.config.store_root)
+        service = self.config.service
+        self.store_root = Path(service.store_root)
         self.run_dir = self.store_root / ".cluster"
         self.supervisor = ShardSupervisor(
             self.config.n_shards,
             spawn=self._spawn_shard,
             port_of=self._port_of,
             probe_interval=self.config.probe_interval,
-            probe_fail_threshold=self.config.probe_fail_threshold,
             start_timeout=self.config.start_timeout,
             backoff_base=self.config.backoff_base,
             backoff_cap=self.config.backoff_cap,
-            max_restarts=self.config.max_restarts,
-            restart_window=self.config.restart_window,
-            drain_deadline=self.config.drain_deadline)
+            drain_deadline=service.drain_deadline)
         self.router = ClusterRouter(
-            self.supervisor, host=self.config.host, port=self.config.port,
-            hedge_budget=self.config.hedge_budget,
-            forward_timeout=self.config.forward_timeout)
+            self.supervisor, host=service.host, port=self.config.port,
+            hedge_budget=self.config.hedge_budget)
 
     # ------------------------------------------------------------------ #
     def _port_file(self, index: int) -> Path:
@@ -106,11 +96,13 @@ class ClusterServer:
             return None
         return int(text) if text.isdigit() else None
 
-    def _shard_fault_spec(self, index: int) -> str | None:
-        return self.config.shard_fault_specs.get(index, self.config.fault_spec)
+    def _shard_config(self, index: int) -> ServiceConfig:
+        spec = self.config.shard_fault_specs.get(index)
+        if spec is None:
+            return self.config.service
+        return replace(self.config.service, faults=parse_fault_spec(spec))
 
     def _spawn_shard(self, index: int) -> subprocess.Popen:
-        cfg = self.config
         port_file = self._port_file(index)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         # a stale port file from the previous incarnation would make the
@@ -118,19 +110,9 @@ class ClusterServer:
         # (atomically) once bound.
         port_file.unlink(missing_ok=True)
         cmd = [sys.executable, "-m", "repro.service", "shard",
-               "--index", str(index), "--shards", str(cfg.n_shards),
-               "--host", cfg.host,
-               "--store", str(self.store_root),
+               "--index", str(index), "--shards", str(self.config.n_shards),
                "--port-file", str(port_file),
-               "--max-queue", str(cfg.max_queue),
-               "--rate", str(cfg.rate), "--burst", str(cfg.burst),
-               "--breaker-threshold", str(cfg.breaker_threshold),
-               "--breaker-cooldown", str(cfg.breaker_cooldown),
-               "--deadline", str(cfg.default_deadline),
-               "--drain-deadline", str(cfg.drain_deadline)]
-        spec = self._shard_fault_spec(index)
-        if spec:
-            cmd.extend(["--inject-faults", spec])
+               "--config", self._shard_config(index).to_json()]
         return subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
 
@@ -178,9 +160,3 @@ class ClusterServer:
     @property
     def port(self) -> int | None:
         return self.router.port
-
-    def write_run_marker(self) -> None:
-        """Drop a human-readable marker of the cluster topology."""
-        lines = [f"n_shards={self.config.n_shards}",
-                 f"store={self.store_root}"]
-        atomic_write(self.run_dir / "topology", "\n".join(lines) + "\n")

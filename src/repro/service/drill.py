@@ -450,12 +450,11 @@ def _shardkill_phase(seed: int, root: Path, events: list,
                    "n_shards": _CLUSTER_SHARDS})
 
     cluster = ClusterServer(ClusterConfig(
-        n_shards=_CLUSTER_SHARDS, store_root=root / "cluster",
-        max_queue=8, rate=1000.0, burst=100000,
-        probe_interval=0.1, probe_fail_threshold=3,
-        backoff_base=0.5, backoff_cap=1.0,
-        start_timeout=20.0, max_restarts=5, restart_window=60.0,
-        hedge_budget=_HEDGE_BUDGET, drain_deadline=5.0,
+        n_shards=_CLUSTER_SHARDS,
+        service=ServiceConfig(store_root=root / "cluster", max_queue=8,
+                              rate=1000.0, burst=100000, drain_deadline=5.0),
+        probe_interval=0.1, backoff_base=0.5, backoff_cap=1.0,
+        start_timeout=20.0, hedge_budget=_HEDGE_BUDGET,
         # the victim stalls every POST: slow enough to hedge around, and
         # a guaranteed in-flight window for the mid-request SIGKILL
         shard_fault_specs={

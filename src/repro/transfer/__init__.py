@@ -1,6 +1,5 @@
 """WAN transfer simulation (the paper's Globus experiment substrate)."""
 
-from repro.transfer.events import EventQueue, SharedResource, simulate_shared_link
 from repro.transfer.globus import (
     PAPER_SPEEDS,
     ThroughputModel,
@@ -19,7 +18,4 @@ __all__ = [
     "PAPER_SPEEDS",
     "TransferResult",
     "simulate_globus",
-    "EventQueue",
-    "SharedResource",
-    "simulate_shared_link",
 ]

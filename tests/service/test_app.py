@@ -2,6 +2,7 @@
 
 import http.client
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ class TestRoundTrip:
         status, body, _ = call(server.port, "GET", "/health")
         assert status == 200 and body["status"] == "ok"
         assert body["queue"]["limit"] == 4
+        # the blob-count gauge is sampled here, not on the write path
+        gauge = trace.get_run().metrics.snapshot()["service.blob.count"]
+        assert gauge["value"] == body["blobs"] == 0
         status, body, _ = call(server.port, "GET", "/ready")
         assert status == 200
 
@@ -229,6 +233,28 @@ class TestDegradation:
             assert status == 200
         finally:
             srv.stop()
+
+
+class TestConfig:
+    def test_json_roundtrip_keeps_every_tunable(self, tmp_path):
+        cfg = ServiceConfig(
+            host="0.0.0.0", port=9999, store_root=tmp_path, max_queue=3,
+            rate=12.5, burst=7, breaker_threshold=4, breaker_cooldown=1.5,
+            default_deadline=2.25, drain_deadline=0.75,
+            faults=parse_fault_spec("seed=3;stall:p=0.123456789:delay=0.1"))
+        back = ServiceConfig.from_json(cfg.to_json(), partition=(1, 2))
+        assert back.faults.clauses == cfg.faults.clauses
+        assert back.faults.seed == 3
+        assert back == ServiceConfig(
+            **{**vars(cfg), "store_root": str(tmp_path), "port": 0,
+               "partition": (1, 2), "faults": back.faults})
+
+    def test_serve_flags_default_to_service_config(self):
+        """One declaration per tunable: no flag carries its own default."""
+        from repro.service.__main__ import _parser, _service_config
+
+        cfg = _service_config(_parser().parse_args(["serve"]))
+        assert replace(cfg, port=ServiceConfig.port) == ServiceConfig()
 
 
 class TestLifecycle(ServerContract):

@@ -24,6 +24,19 @@ def test_put_get_roundtrip_and_idempotence(tmp_path):
     assert store.count() == 1
 
 
+def test_put_never_walks_the_store(tmp_path, monkeypatch):
+    """A commit's cost must not grow with the store: no listing on put."""
+    def no_walk(self):
+        raise AssertionError("put listed the store")
+
+    trace.start_run(tags={"test": "blobstore"})
+    monkeypatch.setattr(BlobStore, "keys", no_walk)
+    store = BlobStore(tmp_path)
+    keys = [store.put(bytes([i]) * 64) for i in range(20)]
+    assert keys == [blob_key(bytes([i]) * 64) for i in range(20)]
+    assert trace.get_run().metrics.snapshot()["service.blob.puts"]["value"] == 20
+
+
 def test_unknown_key_is_not_found(tmp_path):
     with pytest.raises(NotFoundError):
         BlobStore(tmp_path).get("ab" * 20)

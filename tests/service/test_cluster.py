@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.faults import parse_fault_spec
 from repro.obs import trace
+from repro.service.app import ServiceConfig
 from repro.service.blobstore import BlobStore, KeyRing, blob_key, shard_for_key
 from repro.service.cluster import ClusterConfig, ClusterServer
 from repro.service.router import ClusterRouter
@@ -113,8 +115,9 @@ def _doc(step):
 def cluster(tmp_path_factory):
     root = tmp_path_factory.mktemp("cluster-store")
     server = ClusterServer(ClusterConfig(
-        n_shards=2, store_root=root, max_queue=8,
-        rate=1000.0, burst=100000,
+        n_shards=2,
+        service=ServiceConfig(store_root=root, max_queue=8,
+                              rate=1000.0, burst=100000),
         probe_interval=0.1, backoff_base=0.3, backoff_cap=1.0,
         start_timeout=20.0, hedge_budget=0.2)).start()
     yield server
@@ -187,12 +190,39 @@ class TestClusterIntegration:
 
     def test_stop_is_idempotent(self, tmp_path):
         server = ClusterServer(ClusterConfig(
-            n_shards=2, store_root=tmp_path / "s", probe_interval=0.1,
-            start_timeout=20.0))
+            n_shards=2, service=ServiceConfig(store_root=tmp_path / "s"),
+            probe_interval=0.1, start_timeout=20.0))
         server.start()
         server.stop()
         server.stop()  # second stop is a no-op
         assert all(h.proc is None for h in server.supervisor.handles)
+
+
+def test_shard_command_line_carries_its_config(tmp_path, monkeypatch):
+    """Each shard gets the cluster's ServiceConfig as one --config JSON;
+    a per-shard fault spec replaces ``service.faults`` for that shard."""
+    spawned = []
+    monkeypatch.setattr("subprocess.Popen",
+                        lambda cmd, **kw: spawned.append(cmd))
+    service = ServiceConfig(store_root=tmp_path, rate=7.5,
+                            faults=parse_fault_spec("seed=4;stall:p=0.25"))
+    server = ClusterServer(ClusterConfig(
+        n_shards=3, service=service,
+        shard_fault_specs={1: "seed=4;abort:p=0.123456789"}))
+    for index in range(3):
+        server._spawn_shard(index)
+    assert len(spawned) == 3
+    for index, cmd in enumerate(spawned):
+        flags = dict(zip(cmd[4::2], cmd[5::2]))
+        assert cmd[3] == "shard" and sorted(flags) == [
+            "--config", "--index", "--port-file", "--shards"]
+        assert (flags["--index"], flags["--shards"]) == (str(index), "3")
+        shard = ServiceConfig.from_json(flags["--config"],
+                                        partition=(index, 3))
+        assert shard.rate == 7.5 and shard.store_root == str(tmp_path)
+        expected = server.config.shard_fault_specs.get(index)
+        want = parse_fault_spec(expected) if expected else service.faults
+        assert shard.faults.clauses == want.clauses
 
 
 class TestRouterLifecycle(ServerContract):

@@ -41,10 +41,12 @@ class TestSpecParsing:
             parse_fault_spec("nope")
 
     def test_describe_roundtrips(self):
-        inj = parse_fault_spec("seed=7;crash:p=0.5;outage:at=3:dur=1")
-        again = parse_fault_spec(inj.describe())
-        assert again.seed == inj.seed
-        assert again.clauses == inj.clauses
+        for spec in ("seed=7;crash:p=0.5;outage:at=3:dur=1",
+                     "seed=3;stall:p=0.123456789"):  # more digits than %g keeps
+            inj = parse_fault_spec(spec)
+            again = parse_fault_spec(inj.describe())
+            assert again.seed == inj.seed
+            assert again.clauses == inj.clauses
 
 
 class TestDeterminism:

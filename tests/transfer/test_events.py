@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.transfer import WanLink, fair_share_completions
-from repro.transfer.events import EventQueue, SharedResource, simulate_shared_link
+from tests.transfer.reference import EventQueue, SharedResource, simulate_shared_link
 
 
 class TestEventQueue:
