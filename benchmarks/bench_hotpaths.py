@@ -1,8 +1,9 @@
-"""Hot-path micro-benchmarks: Huffman, BitWriter, LZ, interpolation, tuning.
+"""Hot-path micro-benchmarks: entropy coding, interpolation, tuning, blob puts.
 
 Measures throughput of the vectorized kernels against their scalar
-reference paths and writes the results to ``BENCH_hotpaths.json``. Run
-from the repository root::
+reference paths, the fixed per-codebook costs on a quantization-code
+stream and ``BlobStore.put`` at two store sizes, and writes the results
+to ``BENCH_hotpaths.json``. Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py [--smoke] [--out FILE]
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +35,8 @@ from repro.encoding.container import Container  # noqa: E402
 from repro.encoding.huffman import HuffmanCode  # noqa: E402
 from repro.encoding.lz import lz_compress, lz_decompress  # noqa: E402
 from repro.prediction import InterpSpec, interp_compress, interp_decompress  # noqa: E402
+from repro.runtime.durable import atomic_write  # noqa: E402
+from repro.service.blobstore import BlobStore, blob_key  # noqa: E402
 
 
 def _best(fn, reps: int) -> float:
@@ -90,6 +94,86 @@ def bench_huffman(n: int, reps: int) -> list[dict]:
             "decode_scalar_ms": round(t_dec_scalar * 1e3, 3),
             "decode_scalar_mb_s": round(nbytes / t_dec_scalar / 1e6, 1),
             "decode_speedup": round(t_dec_scalar / t_dec_vec, 2),
+        })
+    return rows
+
+
+def _per_call(fn, calls: int, reps: int) -> float:
+    """Best-of-``reps`` mean time of ``calls`` back-to-back calls."""
+    def batch():
+        for _ in range(calls):
+            fn()
+    return _best(batch, reps) / calls
+
+
+def bench_codebook(reps: int, smoke: bool) -> list[dict]:
+    """Fixed per-codebook costs on one tuner-sized quantization-code stream.
+
+    Codes cluster around the radius (32768), so the alphabet spans ~32.8k
+    ids of which a few hundred occur: the shape every tuner trial's
+    codebooks have. The table row decodes one symbol with the vectorized
+    kernel, which is what builds its lookup table.
+    """
+    rng = np.random.default_rng(6)
+    symbols = np.rint(rng.laplace(32768, 40, 8192)).astype(np.int64)
+    code = HuffmanCode.from_symbols(symbols)
+    table = code.serialize()
+    writer = BitWriter()
+    code.encode(symbols, writer)
+    payload = writer.getvalue()
+    decoded, _ = HuffmanCode.deserialize(table)[0].decode_vectorized(payload, symbols.size)
+    assert np.array_equal(decoded, symbols)
+    calls = 10 if smoke else 100
+    t_build = _per_call(lambda: HuffmanCode.from_symbols(symbols), calls, reps)
+    t_ser = _per_call(code.serialize, calls, reps)
+    t_table = _per_call(
+        lambda: HuffmanCode.deserialize(table)[0].decode_vectorized(payload, 1), calls, reps)
+    return [{
+        "kernel": "codebook",
+        "stream": "quant-codes",
+        "n_symbols": int(symbols.size),
+        "alphabet": code.alphabet_size,
+        "used": int(np.count_nonzero(code.lengths)),
+        "build_ms": round(t_build * 1e3, 4),
+        "serialize_ms": round(t_ser * 1e3, 4),
+        "deserialize_plus_table_ms": round(t_table * 1e3, 4),
+    }]
+
+
+def bench_blobstore(reps: int, smoke: bool) -> list[dict]:
+    """``BlobStore.put`` of a new 256 KB blob into stores of 200 and 5000 blobs.
+
+    The stores are filled through the store's own layout without fsync
+    (set-up only); each timed put is a full durable commit of a blob not
+    yet stored. A flat cost across the two sizes means put does not walk
+    the store.
+    """
+    rng = np.random.default_rng(8)
+    puts = 5 if smoke else 20
+    rows = []
+    for n_stored in (200, 5000):
+        with tempfile.TemporaryDirectory() as root:
+            store = BlobStore(root)
+            for i in range(n_stored):
+                data = i.to_bytes(8, "little")
+                dest = store.path_for(blob_key(data))
+                dest.parent.mkdir(exist_ok=True)
+                atomic_write(dest, data, fsync=False)
+            payloads = [rng.bytes(256 * 1024) for _ in range(puts * max(1, reps))]
+            times = []
+            for data in payloads:
+                t0 = time.perf_counter()
+                store.put(data)
+                times.append(time.perf_counter() - t0)
+            assert store.count() == n_stored + len(payloads)
+        rows.append({
+            "kernel": "blobstore.put",
+            "stream": f"stored-{n_stored}",
+            "stored": n_stored,
+            "blob_kb": 256,
+            "puts": len(times),
+            "put_ms_p50": round(float(np.median(times)) * 1e3, 3),
+            "put_ms_min": round(min(times) * 1e3, 3),
         })
     return rows
 
@@ -247,8 +331,9 @@ def write_metrics_jsonl(results: dict, path) -> int:
     from repro.obs import MetricsRegistry, JsonlSink
 
     registry = MetricsRegistry()
-    for kernel_rows in (results["huffman"], results["bitwriter"], results["lz"],
-                        results["interp"], results["autotune"]):
+    for kernel_rows in (results["huffman"], results["codebook"], results["bitwriter"],
+                        results["lz"], results["interp"], results["autotune"],
+                        results["blobstore"]):
         for row in kernel_rows:
             base = f"bench.{row['kernel']}.{row['stream']}"
             for key, value in row.items():
@@ -276,10 +361,12 @@ def main(argv: list[str] | None = None) -> int:
     results = {
         "config": {"n_symbols": n, "reps": reps, "smoke": bool(args.smoke)},
         "huffman": bench_huffman(n, reps),
+        "codebook": bench_codebook(reps, args.smoke),
         "bitwriter": bench_bitwriter(n, reps),
         "lz": bench_lz(n, reps, args.smoke),
         "interp": bench_interp(reps, args.smoke),
         "autotune": bench_autotune(reps, args.smoke),
+        "blobstore": bench_blobstore(reps, args.smoke),
     }
 
     for row in results["huffman"]:
@@ -287,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
               f"decode(vec) {row['decode_vec_mb_s']:8.1f} MB/s  "
               f"decode(scalar) {row['decode_scalar_mb_s']:8.1f} MB/s  "
               f"speedup {row['decode_speedup']:5.2f}x")
+    for row in results["codebook"]:
+        print(f"codebook/{row['stream']} ({row['used']} of {row['alphabet']} ids): "
+              f"build {row['build_ms']:.3f} ms  serialize {row['serialize_ms']:.3f} ms  "
+              f"deserialize+table {row['deserialize_plus_table_ms']:.3f} ms")
     for row in results["bitwriter"]:
         print(f"{row['kernel']}/{row['stream']}: {row['mbits_s']} Mbit/s")
     for row in results["lz"]:
@@ -299,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     for row in results["autotune"]:
         print(f"autotune/{row['stream']} {row['trials']} trials on "
               f"{row['predictions']} predictions: {row['tune_ms']:7.1f} ms")
+    for row in results["blobstore"]:
+        print(f"blobstore.put/{row['stream']:12s} p50 {row['put_ms_p50']:7.2f} ms  "
+              f"min {row['put_ms_min']:7.2f} ms")
 
     out_path = Path(args.out) if args.out else (
         Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json")

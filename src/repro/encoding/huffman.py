@@ -31,6 +31,13 @@ Implementation highlights:
 * The serialized form stores only (symbol, length) pairs — sorted symbols as
   zigzag-delta varints plus 4-bit length nibbles — and both sides rebuild the
   canonical codebook deterministically.
+* Codebook work after counting costs O(used symbols), not O(alphabet).
+  Quantization codes cluster around the radius, so a 32.8k-65.5k-entry
+  alphabet typically uses a few hundred ids. One bool scan of the counts
+  finds them; lengths, the canonical order and the codes are then built
+  once, over those ids; ``serialize`` reuses them; the decode table is one
+  ``np.repeat`` over the canonical order, because canonical codes tile the
+  16-bit window space in that order.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.bitstream import BitWriter
+from repro.encoding.container import CorruptStreamError
 from repro.encoding.varint import (
     decode_uvarint,
     decode_uvarint_array,
@@ -169,27 +177,28 @@ def _limit_lengths(lengths: np.ndarray, freqs: np.ndarray, max_len: int) -> np.n
     return lengths
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codes: symbols sorted by (length, symbol index).
+def _canonical_codes(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical order and codes: used entries sorted by (length, index).
 
-    The first code of each length is ``(first[l-1] + count[l-1]) << 1``;
-    a symbol's code is its length's first code plus its rank among the
-    symbols of that length.
+    ``lengths`` holds one code length per entry, 0 for an unused one.
+    Returns ``(order, codes)``: the indices of the used entries in
+    canonical order and, aligned with them, their ``uint32`` codes. The
+    first code of each length is ``(first[l-1] + count[l-1]) << 1``; an
+    entry's code is its length's first code plus its rank among the
+    entries of that length.
     """
-    codes = np.zeros(len(lengths), dtype=np.uint32)
-    used = np.flatnonzero(lengths)
-    if len(used) == 0:
-        return codes
-    order = used[np.argsort(lengths[used], kind="stable")]
-    sorted_len = lengths[order]
-    count = np.bincount(sorted_len, minlength=int(sorted_len[-1]) + 1)
+    order = np.argsort(lengths, kind="stable")
+    order = order[len(lengths) - np.count_nonzero(lengths):]
+    if len(order) == 0:
+        return order, np.zeros(0, dtype=np.uint32)
+    sorted_len = lengths[order].astype(np.int64)
+    count = np.bincount(sorted_len)
     first = np.zeros(len(count), dtype=np.int64)
     for ln in range(1, len(count)):
         first[ln] = (first[ln - 1] + count[ln - 1]) << 1
-    start = np.cumsum(count) - count  # sorted position of each length's first symbol
+    start = np.cumsum(count) - count  # sorted position of each length's first entry
     rank = np.arange(len(order), dtype=np.int64) - start[sorted_len]
-    codes[order] = first[sorted_len] + rank
-    return codes
+    return order, (first[sorted_len] + rank).astype(np.uint32)
 
 
 class HuffmanCode:
@@ -199,35 +208,58 @@ class HuffmanCode:
     arrays into a :class:`BitWriter` and :meth:`decode` them back from bytes.
     """
 
-    def __init__(self, lengths: np.ndarray) -> None:
+    def __init__(self, lengths: np.ndarray, used: np.ndarray | None = None) -> None:
+        """Codebook for per-symbol code ``lengths`` (0 = no codeword).
+
+        ``used`` lists the ascending ids of the symbols with a codeword
+        when the caller already has them; otherwise one scan finds them.
+        Every later step works on those ids only.
+        """
         self.lengths = np.asarray(lengths, dtype=np.uint8)
-        if self.lengths.size and int(self.lengths.max()) > MAX_CODE_LENGTH:
+        self._used = np.flatnonzero(self.lengths) if used is None else used
+        used_len = self.lengths[self._used]
+        if used_len.size and int(used_len.max()) > MAX_CODE_LENGTH:
             raise ValueError("code length exceeds MAX_CODE_LENGTH")
-        self.codes = _canonical_codes(self.lengths.astype(np.int64))
-        self._decode_sym: list[int] | None = None
-        self._decode_len: list[int] | None = None
+        kraft = int((1 << (MAX_CODE_LENGTH - used_len.astype(np.int64))).sum())
+        if kraft > 1 << MAX_CODE_LENGTH:
+            raise ValueError("code lengths violate the Kraft inequality")
+        order, codes = _canonical_codes(used_len)
+        # Symbols and their lengths in canonical (length, symbol) order.
+        self._order = self._used[order]
+        self._order_len = used_len[order]
+        self.codes = np.zeros(self.lengths.size, dtype=np.uint32)
+        self.codes[self._order] = codes
         self._decode_sym_np: np.ndarray | None = None
         self._decode_len_np: np.ndarray | None = None
+        self._decode_sym: list[int] | None = None
+        self._decode_len: list[int] | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
     def from_frequencies(cls, freqs: np.ndarray, *, max_len: int = MAX_CODE_LENGTH) -> "HuffmanCode":
-        """Build an (almost) optimal length-limited code from symbol counts."""
+        """Build an (almost) optimal length-limited code from symbol counts.
+
+        Both length builds order symbols by (weight, id), so running them
+        on the used ids alone gives the lengths a full-alphabet build
+        would.
+        """
         freqs = np.asarray(freqs, dtype=np.int64)
-        if (freqs < 0).any():
+        if freqs.size and int(freqs.min()) < 0:
             raise ValueError("frequencies must be non-negative")
-        raw = _huffman_lengths(freqs)
-        limited = _limit_lengths(raw, freqs, max_len)
-        return cls(limited)
+        used = np.flatnonzero(freqs != 0)  # a bool scan: ~10x faster than on int64
+        counts = freqs[used]
+        lengths = np.zeros(freqs.size, dtype=np.uint8)
+        lengths[used] = _limit_lengths(_huffman_lengths(counts), counts, max_len)
+        return cls(lengths, used)
 
     @classmethod
     def from_symbols(cls, symbols: np.ndarray, alphabet_size: int | None = None) -> "HuffmanCode":
         """Build a code from an observed symbol array."""
-        symbols = np.asarray(symbols).ravel()
-        if alphabet_size is None:
-            alphabet_size = int(symbols.max()) + 1 if symbols.size else 1
-        freqs = np.bincount(symbols.astype(np.int64), minlength=alphabet_size)
-        return cls.from_frequencies(freqs)
+        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        if symbols.size and int(symbols.min()) < 0:
+            raise ValueError("symbols must be non-negative")
+        minlength = 1 if alphabet_size is None else alphabet_size
+        return cls.from_frequencies(np.bincount(symbols, minlength=minlength))
 
     @property
     def alphabet_size(self) -> int:
@@ -250,21 +282,25 @@ class HuffmanCode:
             raise ValueError(f"symbol {bad} has no codeword (zero frequency at build time)")
         writer.write_varwidth(self.codes[symbols].astype(np.uint64), lens)
 
-    def _build_decode_table(self) -> None:
-        size = 1 << MAX_CODE_LENGTH
-        sym_t = np.zeros(size, dtype=np.int64)
-        len_t = np.zeros(size, dtype=np.uint8)
-        for s in np.flatnonzero(self.lengths):
-            ln = int(self.lengths[s])
-            start = int(self.codes[s]) << (MAX_CODE_LENGTH - ln)
-            count = 1 << (MAX_CODE_LENGTH - ln)
-            sym_t[start : start + count] = s
-            len_t[start : start + count] = ln
-        self._decode_sym_np = sym_t
-        self._decode_len_np = len_t
-        # Plain lists: element access is ~3x faster than ndarray scalar access.
-        self._decode_sym = sym_t.tolist()
-        self._decode_len = len_t.tolist()
+    def _decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat tables of the symbol and code length for each 16-bit window.
+
+        Canonical codes tile the window space in canonical order, each
+        covering ``2**(16 - length)`` windows, so one ``np.repeat`` per
+        table fills it. Windows past the last code (a Kraft-deficient
+        code) keep length 0, which decoders read as an invalid prefix.
+        """
+        if self._decode_sym_np is None:
+            size = 1 << MAX_CODE_LENGTH
+            widths = 1 << (MAX_CODE_LENGTH - self._order_len.astype(np.int64))
+            n = int(widths.sum())
+            sym_t = np.zeros(size, dtype=np.int64)
+            len_t = np.zeros(size, dtype=np.uint8)
+            sym_t[:n] = np.repeat(self._order, widths)
+            len_t[:n] = np.repeat(self._order_len, widths)
+            self._decode_sym_np = sym_t
+            self._decode_len_np = len_t
+        return self._decode_sym_np, self._decode_len_np
 
     def decode(self, data: bytes, n_symbols: int, bit_offset: int = 0) -> tuple[np.ndarray, int]:
         """Decode ``n_symbols`` codewords from ``data`` starting at ``bit_offset``.
@@ -284,7 +320,11 @@ class HuffmanCode:
         as the fast path for short streams.
         """
         if self._decode_sym is None:
-            self._build_decode_table()
+            # Plain lists: element access is ~3x faster than ndarray scalar
+            # access. Only this loop reads them, so they are built here.
+            sym_np, len_np = self._decode_tables()
+            self._decode_sym = sym_np.tolist()
+            self._decode_len = len_np.tolist()
         sym_t = self._decode_sym
         len_t = self._decode_len
         assert sym_t is not None and len_t is not None
@@ -325,19 +365,14 @@ class HuffmanCode:
         """
         if n_symbols == 0:
             return np.zeros(0, dtype=np.int64), bit_offset
-        if self._decode_sym_np is None:
-            self._build_decode_table()
-        sym_np = self._decode_sym_np
-        len_np = self._decode_len_np
-        assert sym_np is not None and len_np is not None
+        sym_np, len_np = self._decode_tables()
 
         data = bytes(data)
         nbits = len(data) * 8
-        used = self.lengths[self.lengths > 0]
-        if used.size == 0 or bit_offset >= nbits:
+        if self._order.size == 0 or bit_offset >= nbits:
             raise EOFError(_EOF_MSG)
-        min_len = int(used.min())
-        max_len_used = int(used.max())
+        min_len = int(self._order_len[0])
+        max_len_used = int(self._order_len[-1])
 
         # n symbols span at most 16n bits; never touch (or allocate) more.
         nb = min(nbits, bit_offset + MAX_CODE_LENGTH * n_symbols)
@@ -454,7 +489,7 @@ class HuffmanCode:
     # ------------------------------------------------------------------ #
     def serialize(self) -> bytes:
         """Compact codebook serialization: (count, delta-coded symbols, nibbled lengths)."""
-        used = np.flatnonzero(self.lengths)
+        used = self._used
         out = bytearray()
         encode_uvarint(len(used), out)
         encode_uvarint(self.alphabet_size, out)
@@ -462,7 +497,7 @@ class HuffmanCode:
             return bytes(out)
         deltas = np.diff(used, prepend=0)
         out += encode_uvarint_array(zigzag_encode(deltas))
-        lens = self.lengths[used].astype(np.uint8) - 1  # 1..16 -> 0..15
+        lens = self.lengths[used] - 1  # 1..16 -> 0..15
         if len(lens) % 2:
             lens = np.concatenate([lens, np.zeros(1, dtype=np.uint8)])
         nibbles = (lens[0::2] << 4) | lens[1::2]
@@ -471,14 +506,20 @@ class HuffmanCode:
 
     @classmethod
     def deserialize(cls, data: bytes, pos: int = 0) -> tuple["HuffmanCode", int]:
-        """Inverse of :meth:`serialize`; returns ``(code, new_pos)``."""
+        """Inverse of :meth:`serialize`; returns ``(code, new_pos)``.
+
+        Rejects a table whose symbol ids are not strictly ascending within
+        ``[0, alphabet)`` (:class:`CorruptStreamError`) or whose lengths
+        overfill the code space (Kraft sum above 1, :class:`ValueError`).
+        """
         n_used, pos = decode_uvarint(data, pos)
         alphabet, pos = decode_uvarint(data, pos)
-        lengths = np.zeros(alphabet, dtype=np.uint8)
-        if n_used == 0:
-            return cls(lengths), pos
         deltas, pos = decode_uvarint_array(data, n_used, pos)
         symbols = np.cumsum(zigzag_decode(deltas))
+        if n_used and (symbols[0] < 0 or symbols[-1] >= alphabet
+                       or (np.diff(symbols) <= 0).any()):
+            raise CorruptStreamError(
+                "Huffman table symbols are not strictly ascending within the alphabet")
         n_nib_bytes = (n_used + 1) // 2
         nibbles = np.frombuffer(data[pos : pos + n_nib_bytes], dtype=np.uint8)
         if len(nibbles) != n_nib_bytes:
@@ -487,5 +528,6 @@ class HuffmanCode:
         lens = np.empty(n_nib_bytes * 2, dtype=np.uint8)
         lens[0::2] = nibbles >> 4
         lens[1::2] = nibbles & 0x0F
+        lengths = np.zeros(alphabet, dtype=np.uint8)
         lengths[symbols] = lens[:n_used] + 1
-        return cls(lengths), pos
+        return cls(lengths, symbols), pos

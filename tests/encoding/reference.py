@@ -3,11 +3,12 @@
 Straightforward forms of the LZ match index (a stable argsort), of the
 ``BitWriter`` bulk write (one array entry per output bit) and of the
 Huffman codebook build (a binary heap for the code lengths, a per-symbol
-loop for the canonical codes). They are the differential oracles for the
-packed-key sort in ``repro.encoding.lz``, the word-plane pack in
-``repro.encoding.bitstream`` and the two-queue and first-code-per-length
-builds in ``repro.encoding.huffman``: those must return the same arrays
-and write the same bytes on every input.
+loop for the canonical codes and for the decode table). They are the
+differential oracles for the packed-key sort in ``repro.encoding.lz``,
+the word-plane pack in ``repro.encoding.bitstream`` and the two-queue,
+first-code-per-length and canonical-order ``np.repeat`` builds in
+``repro.encoding.huffman``: those must return the same arrays and write
+the same bytes on every input.
 """
 
 from __future__ import annotations
@@ -119,3 +120,24 @@ def canonical_codes_reference(lengths: np.ndarray) -> np.ndarray:
         code += 1
         prev_len = ln
     return codes
+
+
+def decode_table_reference(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat 16-bit-window decode tables, one symbol's code range at a time.
+
+    Returns ``(symbol, length)`` per window: each symbol's code, shifted to
+    16 bits, starts a run of ``2**(16 - length)`` windows; windows no code
+    covers keep length 0.
+    """
+    lengths = np.asarray(lengths)
+    codes = canonical_codes_reference(lengths)
+    size = 1 << 16
+    sym_t = np.zeros(size, dtype=np.int64)
+    len_t = np.zeros(size, dtype=np.uint8)
+    for s in np.flatnonzero(lengths):
+        ln = int(lengths[s])
+        start = int(codes[s]) << (16 - ln)
+        count = 1 << (16 - ln)
+        sym_t[start : start + count] = s
+        len_t[start : start + count] = ln
+    return sym_t, len_t

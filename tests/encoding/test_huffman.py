@@ -57,6 +57,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HuffmanCode.from_frequencies(np.array([-1, 2]))
 
+    def test_negative_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            HuffmanCode.from_symbols(np.array([40000, -1, 40002]))
+
     def test_canonical_codes_are_prefix_free(self):
         rng = np.random.default_rng(2)
         freqs = rng.integers(1, 50, 64)

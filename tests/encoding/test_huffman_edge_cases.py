@@ -6,7 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.bitstream import BitWriter
+from repro.encoding.container import DECODE_ERRORS
 from repro.encoding.huffman import MAX_CODE_LENGTH, HuffmanCode
+from repro.encoding.varint import encode_uvarint, encode_uvarint_array, zigzag_encode
+
+
+def _table(alphabet: int, symbols: list[int], lengths: list[int]) -> bytes:
+    """A serialized table with arbitrary (possibly invalid) symbol ids."""
+    out = bytearray()
+    encode_uvarint(len(symbols), out)
+    encode_uvarint(alphabet, out)
+    out += encode_uvarint_array(zigzag_encode(np.diff(symbols, prepend=0)))
+    nib = [ln - 1 for ln in lengths] + [0] * (len(lengths) % 2)
+    out += bytes((hi << 4) | lo for hi, lo in zip(nib[0::2], nib[1::2]))
+    return bytes(out)
 
 
 class TestLengthLimiting:
@@ -67,3 +80,21 @@ class TestDecodeRobustness:
         code = HuffmanCode(np.zeros(3, dtype=np.uint8))
         with pytest.raises(EOFError):
             code.decode(b"\x00", 1)
+
+
+class TestCorruptTables:
+    @pytest.mark.parametrize("table", [
+        _table(8, [-1, 0], [1, 1]),          # negative id
+        _table(8, [1, 1, 2], [1, 2, 2]),     # duplicate id
+        _table(8, [0, 1, 2], [1, 1, 1]),     # Kraft sum 1.5
+        _table(4, [0, 5], [1, 1]),           # id beyond the alphabet
+    ], ids=["negative-id", "duplicate-id", "kraft-overfull", "id-out-of-range"])
+    def test_rejected_as_value_error(self, table):
+        with pytest.raises(ValueError) as info:
+            HuffmanCode.deserialize(table)
+        assert isinstance(info.value, DECODE_ERRORS)
+
+    def test_valid_crafted_table_accepted(self):
+        code, pos = HuffmanCode.deserialize(_table(8, [1, 3, 7], [1, 2, 2]))
+        assert pos == len(_table(8, [1, 3, 7], [1, 2, 2]))
+        assert list(code.lengths) == [0, 1, 0, 2, 0, 0, 0, 2]
