@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.bitstream import BitWriter
-from repro.encoding.codebook import active_cache
 from repro.encoding.container import CorruptStreamError
-from repro.encoding.huffman import HuffmanCode
 from repro.encoding.lz import lz_compress, lz_decompress
+from repro.encoding.multihuffman import read_section, write_section
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.obs import span as profile_stage
 
@@ -30,24 +28,11 @@ __all__ = [
 
 
 def encode_code_stream(codes: np.ndarray) -> bytes:
-    """Huffman-encode an int code stream and LZ the result."""
+    """Huffman-encode an int code stream as one section and LZ the result."""
     codes = np.asarray(codes, dtype=np.int64).ravel()
     payload = bytearray()
-    encode_uvarint(codes.size, payload)
-    if codes.size:
-        with profile_stage("huffman.encode", nbytes=codes.size * 8):
-            cache = active_cache()
-            if cache is not None:
-                code = cache.code_for("stream", codes)
-            else:
-                code = HuffmanCode.from_symbols(codes)
-            table = code.serialize()
-            encode_uvarint(len(table), payload)
-            payload += table
-            writer = BitWriter()
-            code.encode(codes, writer)
-            encode_uvarint(writer.bit_length, payload)
-            payload += writer.getvalue()
+    with profile_stage("huffman.encode", nbytes=codes.size * 8):
+        write_section(codes, payload)
     with profile_stage("lz.compress", nbytes=len(payload)):
         return lz_compress(bytes(payload))
 
@@ -56,21 +41,11 @@ def decode_code_stream(blob: bytes) -> np.ndarray:
     """Inverse of :func:`encode_code_stream`."""
     with profile_stage("lz.decompress", nbytes=len(blob)):
         payload = lz_decompress(blob)
-    n, pos = decode_uvarint(payload, 0)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    table_len, pos = decode_uvarint(payload, pos)
-    code, _ = HuffmanCode.deserialize(payload[pos : pos + table_len])
-    pos += table_len
-    bit_len, pos = decode_uvarint(payload, pos)
-    if len(payload) - pos != (bit_len + 7) // 8:
+    with profile_stage("huffman.decode", nbytes=len(payload)):
+        codes, pos = read_section(payload)
+    if pos != len(payload):
         raise CorruptStreamError(
-            f"code stream holds {len(payload) - pos} bytes for {bit_len} bits")
-    with profile_stage("huffman.decode", nbytes=len(payload) - pos):
-        codes, end = code.decode(payload[pos:], n)
-    if end != bit_len:
-        raise CorruptStreamError(
-            f"code stream decoded to {end} bits, header says {bit_len}")
+            f"code stream has {len(payload) - pos} trailing bytes")
     return codes
 
 

@@ -40,7 +40,7 @@ from repro.core.codec import (
 from repro.core.dims import apply_layout, undo_layout
 from repro.core.periodicity import detect_period, merge_periodic, split_periodic
 from repro.core.pipeline import PipelineConfig
-from repro.encoding.container import Container
+from repro.encoding.container import Container, CorruptStreamError
 from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.multihuffman import decode_grouped, encode_grouped
 from repro.encoding.rle import pack_bitmap, unpack_bitmap
@@ -363,7 +363,10 @@ class CliZ:
                 with profile_stage("lz.decompress", nbytes=len(section)):
                     grouped_blob = lz_decompress(section)
                 groups = cls.group_map[hpos]
-                shifted, _ = decode_grouped(grouped_blob, groups)
+                shifted, end = decode_grouped(grouped_blob, groups)
+                if end != len(grouped_blob):
+                    raise CorruptStreamError(
+                        f"{name}.codes has {len(grouped_blob) - end} trailing bytes")
                 codes = undo_shift(shifted, hpos, cls)
         else:
             with profile_stage("decode.codes"):

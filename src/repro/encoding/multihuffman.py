@@ -14,12 +14,68 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.bitstream import BitWriter
-from repro.encoding.codebook import active_cache
+from repro.encoding.container import CorruptStreamError
 from repro.encoding.huffman import HuffmanCode
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.obs import inc_counter, observe, span as profile_stage
 
-__all__ = ["encode_grouped", "decode_grouped", "grouped_cost_bits", "single_cost_bits"]
+__all__ = [
+    "encode_grouped",
+    "decode_grouped",
+    "write_section",
+    "read_section",
+    "grouped_cost_bits",
+    "single_cost_bits",
+]
+
+
+def write_section(symbols: np.ndarray, out: bytearray) -> None:
+    """Append one self-describing Huffman section for ``symbols`` to ``out``.
+
+    Layout: symbol count, then (for a non-empty section) the length of
+    the serialized table, the table, the payload's bit length, and the
+    payload. The tree is built from ``symbols`` alone.
+    """
+    encode_uvarint(symbols.size, out)
+    if symbols.size == 0:
+        return
+    code = HuffmanCode.from_symbols(symbols)
+    table = code.serialize()
+    encode_uvarint(len(table), out)
+    out += table
+    writer = BitWriter()
+    code.encode(symbols, writer)
+    encode_uvarint(writer.bit_length, out)
+    out += writer.getvalue()
+
+
+def read_section(buf: bytes, pos: int = 0,
+                 expected: int | None = None) -> tuple[np.ndarray, int]:
+    """Inverse of :func:`write_section`; returns ``(symbols, new_pos)``.
+
+    Raises :class:`CorruptStreamError` if the count differs from
+    ``expected`` (when given), the payload runs past ``buf``, or the
+    decode ends anywhere but at the stored bit length.
+    """
+    n, pos = decode_uvarint(buf, pos)
+    if expected is not None and n != expected:
+        raise CorruptStreamError(
+            f"Huffman section holds {n} symbols, expected {expected}")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), pos
+    table_len, pos = decode_uvarint(buf, pos)
+    code, _ = HuffmanCode.deserialize(buf[pos : pos + table_len])
+    pos += table_len
+    bit_len, pos = decode_uvarint(buf, pos)
+    n_bytes = (bit_len + 7) // 8
+    if len(buf) - pos < n_bytes:
+        raise CorruptStreamError(
+            f"Huffman section holds {len(buf) - pos} bytes for {bit_len} bits")
+    symbols, end = code.decode(buf[pos : pos + n_bytes], n)
+    if end != bit_len:
+        raise CorruptStreamError(
+            f"Huffman section decoded to {end} bits, header says {bit_len}")
+    return symbols, pos + n_bytes
 
 
 def encode_grouped(symbols: np.ndarray, groups: np.ndarray, n_groups: int) -> bytes:
@@ -54,54 +110,29 @@ def encode_grouped(symbols: np.ndarray, groups: np.ndarray, n_groups: int) -> by
 
 def _encode_groups(symbols: np.ndarray, groups: np.ndarray, n_groups: int,
                    out: bytearray) -> bytearray:
-    cache = active_cache()
     for g in range(n_groups):
-        part = symbols[groups == g]
-        encode_uvarint(part.size, out)
-        if part.size == 0:
-            continue
-        if cache is not None:
-            code = cache.code_for(f"group{g}", part)
-        else:
-            code = HuffmanCode.from_symbols(part)
-        table = code.serialize()
-        encode_uvarint(len(table), out)
-        out += table
-        writer = BitWriter()
-        code.encode(part, writer)
-        payload = writer.getvalue()
-        encode_uvarint(writer.bit_length, out)
-        out += payload
+        write_section(symbols[groups == g], out)
     return out
 
 
 def decode_grouped(blob: bytes, groups: np.ndarray, pos: int = 0) -> tuple[np.ndarray, int]:
     """Inverse of :func:`encode_grouped`; requires the same group map.
 
-    Returns ``(symbols, new_pos)``.
+    Returns ``(symbols, new_pos)``. A stream whose counts disagree with
+    the group map, or any corrupt section, raises
+    :class:`CorruptStreamError`.
     """
     groups = np.asarray(groups, dtype=np.int64).ravel()
     n_groups, pos = decode_uvarint(blob, pos)
     total, pos = decode_uvarint(blob, pos)
     if total != groups.size:
-        raise ValueError(f"group map length {groups.size} does not match stream ({total})")
+        raise CorruptStreamError(
+            f"group map length {groups.size} does not match stream ({total})")
     out = np.zeros(total, dtype=np.int64)
     with profile_stage("multihuffman.decode", nbytes=len(blob) - pos):
         for g in range(n_groups):
-            n_g, pos = decode_uvarint(blob, pos)
-            if n_g == 0:
-                continue
             sel = groups == g
-            if int(sel.sum()) != n_g:
-                raise ValueError("group map inconsistent with stream counts")
-            table_len, pos = decode_uvarint(blob, pos)
-            code, _ = HuffmanCode.deserialize(blob[pos : pos + table_len])
-            pos += table_len
-            bit_len, pos = decode_uvarint(blob, pos)
-            n_bytes = (bit_len + 7) // 8
-            part, _ = code.decode(blob[pos : pos + n_bytes], n_g)
-            pos += n_bytes
-            out[sel] = part
+            out[sel], pos = read_section(blob, pos, expected=int(sel.sum()))
     return out, pos
 
 

@@ -6,8 +6,9 @@ workers. This module provides both patterns on top of any registered
 codec:
 
 * :func:`compress_chunked` — split an array along an axis, compress every
-  chunk independently (optionally on a process pool), bundle the chunk
-  blobs in one container. The pointwise error bound holds per chunk and
+  chunk independently in one dispatch (optionally on a process pool),
+  bundle the chunk blobs — each exactly the codec's own blob for that
+  chunk — in one container. The pointwise error bound holds per chunk and
   therefore globally; chunk boundaries cost a little ratio (predictions
   cannot cross them), which is the classic HPC trade-off.
 * :func:`compress_many` — compress a batch of independent arrays
@@ -24,10 +25,10 @@ budget (``retries`` + bounded exponential ``retry_backoff``), a per-job
 dispatch-wide ``deadline``, and a ``faults`` injector (:mod:`repro.faults`).
 Serial and pooled dispatch run the same job loop over an inline or a
 process-pool executor; only an injected crash differs (an exception
-inline, a real worker death on a pool). A worker process dying takes
-down the whole ``ProcessPoolExecutor`` (``BrokenProcessPool``) — the
-dispatcher respawns the pool and requeues only the unfinished jobs
-instead of aborting the batch. With ``strict=False`` callers get
+inline, a real worker death on a pool, whichever job it targets). A
+worker process dying takes down the whole ``ProcessPoolExecutor``
+(``BrokenProcessPool``) — the dispatcher respawns the pool and requeues
+only the unfinished jobs instead of aborting the batch. With ``strict=False`` callers get
 structured per-job :class:`JobResult` records instead of an exception.
 :func:`decompress_chunked` additionally supports ``salvage=True``:
 chunks that are missing, fail their section CRC (container v2), or fail
@@ -146,12 +147,14 @@ class JobResult:
 # Worker-side execution: fault directives, per-job timeout, telemetry.
 
 def _compress_one(args) -> bytes:
-    codec, arr, kwargs, mask = args
+    """Compress one array; data and mask may be :class:`_ShmSlice` payloads."""
+    codec, payload, kwargs, mask_payload = args
     from repro import compressor_for
 
     comp = compressor_for(codec)
-    if mask is not None:
-        return comp.compress(arr, mask=mask, **kwargs)
+    arr = _chunk_array(payload)
+    if mask_payload is not None:
+        return comp.compress(arr, mask=_chunk_array(mask_payload), **kwargs)
     return comp.compress(arr, **kwargs)
 
 
@@ -346,7 +349,6 @@ class _InlineExecutor:
 
 def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
               faults: FaultInjector | None, scope: str, dispatch,
-              directives: list[JobFaults | None] | None = None,
               deadline_at: float | None = None) -> list[JobResult]:
     """Dispatch ``payloads`` with retries, requeue, and pool respawn.
 
@@ -366,14 +368,8 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
     running workers are cut short by their clamped per-attempt timeout —
     nothing keeps computing for a caller that has stopped waiting. A
     failure seen at or after the deadline is final, never requeued.
-
-    ``directives`` overrides the internally planned fault directives —
-    multi-wave dispatchers (``compress_chunked``) plan once for the whole
-    logical job set and pass each wave its slice, so ``only=N`` fault
-    clauses keep addressing the logical job index.
     """
-    if directives is None:
-        directives = _plan_directives(faults, scope, len(payloads))
+    directives = _plan_directives(faults, scope, len(payloads))
     run = obs.get_run()
     # inline attempts record spans straight into the parent run
     traced = bool(workers) and run is not None
@@ -642,29 +638,6 @@ class _ShmArena:
         self._segments.clear()
 
 
-def _compress_chunk(args):
-    """Worker entry for one chunk: materialize, activate codebooks, compress.
-
-    Returns ``(blob, cache_state)`` — ``cache_state`` is the recorded
-    codebook snapshot for the first chunk (``cache_state`` argument
-    ``None``) and ``None`` for reuse-mode chunks.
-    """
-    codec, payload, kwargs, mask_payload, cache_state = args
-    from repro import compressor_for
-    from repro.encoding.codebook import CodebookCache, activate
-
-    arr = _chunk_array(payload)
-    mask = _chunk_array(mask_payload) if mask_payload is not None else None
-    comp = compressor_for(codec)
-    cache = CodebookCache(cache_state)
-    with activate(cache):
-        if mask is not None:
-            blob = comp.compress(arr, mask=mask, **kwargs)
-        else:
-            blob = comp.compress(arr, **kwargs)
-    return blob, (cache.state() if cache.recording else None)
-
-
 def compress_chunked(data: np.ndarray, codec: str = "cliz", *, axis: int = 0,
                      n_chunks: int = 4, workers: int | None = None,
                      mask: np.ndarray | None = None,
@@ -687,17 +660,15 @@ def compress_chunked(data: np.ndarray, codec: str = "cliz", *, axis: int = 0,
     per chunk job, bitflip/truncate clauses corrupt the stored chunk
     blobs — for exercising salvage).
 
-    Dispatch happens in two waves with identical output either way:
-    chunk 0 is compressed in the dispatching process first, recording its
-    Huffman codebooks; the remaining chunks (pool or serial) reuse those
-    books when still decodable instead of rebuilding per chunk
-    (``huffman.codebook_*`` counters record the decisions). Pool workers
-    receive zero-copy :class:`_ShmSlice` descriptors into one
-    shared-memory copy of ``data`` rather than per-chunk pickled arrays;
-    the segments are unlinked on every exit path. A ``crash`` fault
-    directive for chunk 0 therefore degrades to an in-process
-    :class:`~repro.faults.FaultInjectedError` (as in serial dispatch);
-    directives for later chunks still kill real pool workers.
+    Every chunk is one job of a single dispatch, and section ``chunk{i}``
+    is exactly ``compressor_for(codec).compress(chunk_i, **codec_kwargs)``
+    — the same bytes serial or pooled. Pooled dispatch (``workers`` set,
+    more than one chunk) hands workers zero-copy :class:`_ShmSlice`
+    descriptors into one shared-memory copy of ``data`` rather than
+    per-chunk pickled arrays; the segments are unlinked on every exit
+    path. A ``crash`` fault directive kills a real pool worker for any
+    chunk; serial dispatch degrades it to an in-process
+    :class:`~repro.faults.FaultInjectedError`.
 
     Relative bounds are resolved *per chunk* by the codec; to keep one
     global bound across chunks, pass ``abs_eb``.
@@ -708,55 +679,38 @@ def compress_chunked(data: np.ndarray, codec: str = "cliz", *, axis: int = 0,
         raise ValueError(f"axis {axis} out of range for {arr.ndim}D data")
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
+    from repro import compressor_for
+
+    # Resolve the codec here: an unknown name fails before any job runs,
+    # and pool workers forked afterwards inherit the imported codec
+    # modules instead of each importing them on its first job.
+    compressor_for(codec)
     faults = _resolve_faults(faults)
     policy = _resolve_policy(retries, retry_backoff, timeout)
     deadline_at = _resolve_deadline(deadline)
     slices = _chunk_slices(arr.shape[axis], n_chunks)
-    take = lambda a, sl: a[(slice(None),) * axis + (sl,)]  # noqa: E731  (view)
     kwargs = dict(codec_kwargs)
-    directives = _plan_directives(faults, "chunk", len(slices))
     use_pool = bool(workers) and len(slices) > 1
     arena = _ShmArena()
     try:
         with obs.span("compress_chunked", nbytes=arr.nbytes, codec=codec,
                       n_chunks=len(slices), workers=workers or 0) as dispatch:
-            # Wave 1: chunk 0 in-process, recording its codebooks.
-            first_job = (codec, take(arr, slices[0]), kwargs,
-                         take(mask, slices[0]) if mask is not None else None,
-                         None)
-            first = _run_jobs(_compress_chunk, [first_job], workers=None,
-                              policy=policy, faults=faults, scope="chunk",
-                              dispatch=dispatch, directives=directives[:1],
-                              deadline_at=deadline_at)
-            blob0, cache_state = _finalize(first, True, "compress_chunked")[0]
-            blobs = [blob0]
-            # Wave 2: remaining chunks reuse the frozen codebooks; pool
-            # workers read their slice from shared memory.
-            if len(slices) > 1:
-                if use_pool:
-                    arr_ref = arena.share(arr)
-                    mask_ref = arena.share(mask) if mask is not None else None
-                    payload = lambda ref, sl: _ShmSlice(  # noqa: E731
-                        ref[0], ref[1], ref[2], axis, sl.start, sl.stop)
-                else:
-                    payload = lambda _ref, sl: take(arr, sl)  # noqa: E731
-                    arr_ref = mask_ref = None
-                rest_jobs = []
-                for sl in slices[1:]:
-                    m = None
-                    if mask is not None:
-                        m = (payload(mask_ref, sl) if use_pool
-                             else take(mask, sl))
-                    rest_jobs.append((codec, payload(arr_ref, sl), kwargs, m,
-                                      cache_state))
-                rest = _run_jobs(_compress_chunk, rest_jobs, workers=workers,
-                                 policy=policy, faults=faults, scope="chunk",
-                                 dispatch=dispatch, directives=directives[1:],
-                                 deadline_at=deadline_at)
-                for r in rest:  # report logical chunk numbers on failure
-                    r.index += 1
-                blobs += [value[0] for value in
-                          _finalize(rest, True, "compress_chunked")]
+            if use_pool:
+                arr_ref = arena.share(arr)
+                mask_ref = arena.share(mask) if mask is not None else None
+                take = lambda ref, sl: _ShmSlice(  # noqa: E731
+                    *ref, axis, sl.start, sl.stop)
+            else:
+                arr_ref, mask_ref = arr, mask
+                take = lambda a, sl: a[(slice(None),) * axis + (sl,)]  # noqa: E731  (view)
+            jobs = [(codec, take(arr_ref, sl), kwargs,
+                     take(mask_ref, sl) if mask_ref is not None else None)
+                    for sl in slices]
+            results = _run_jobs(_compress_one, jobs,
+                                workers=workers if use_pool else None,
+                                policy=policy, faults=faults, scope="chunk",
+                                dispatch=dispatch, deadline_at=deadline_at)
+        blobs = _finalize(results, True, "compress_chunked")
     finally:
         arena.close()
     blobs = _inject_storage_faults(blobs, faults, "chunk")

@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CliZ, Layout, PipelineConfig
+from repro.core.codec import decode_code_stream, encode_code_stream
+from repro.datasets import load
 from repro.encoding.bitstream import BitWriter
-from repro.encoding.container import DECODE_ERRORS
+from repro.encoding.container import DECODE_ERRORS, Container, CorruptStreamError
 from repro.encoding.huffman import MAX_CODE_LENGTH, HuffmanCode
-from repro.encoding.varint import encode_uvarint, encode_uvarint_array, zigzag_encode
+from repro.encoding.lz import lz_compress, lz_decompress
+from repro.encoding.multihuffman import decode_grouped, encode_grouped
+from repro.encoding.varint import (
+    decode_uvarint,
+    encode_uvarint,
+    encode_uvarint_array,
+    zigzag_encode,
+)
 
 
 def _table(alphabet: int, symbols: list[int], lengths: list[int]) -> bytes:
@@ -98,3 +108,95 @@ class TestCorruptTables:
         code, pos = HuffmanCode.deserialize(_table(8, [1, 3, 7], [1, 2, 2]))
         assert pos == len(_table(8, [1, 3, 7], [1, 2, 2]))
         assert list(code.lengths) == [0, 1, 0, 2, 0, 0, 0, 2]
+
+
+def _resection(blob: bytes, group: int, *, extra_bits: int = 0) -> bytes:
+    """Rewrite the stored bit length of section ``group`` of a grouped stream."""
+    n_groups, pos = decode_uvarint(blob, 0)
+    _total, pos = decode_uvarint(blob, pos)
+    for g in range(n_groups):
+        count, pos = decode_uvarint(blob, pos)
+        if count == 0:
+            continue
+        table_len, pos = decode_uvarint(blob, pos)
+        pos += table_len
+        start = pos
+        bit_len, pos = decode_uvarint(blob, pos)
+        if g == group:
+            out = bytearray(blob[:start])
+            encode_uvarint(bit_len + extra_bits, out)
+            return bytes(out) + blob[pos:]
+        pos += (bit_len + 7) // 8
+    raise AssertionError(f"no non-empty section {group}")
+
+
+class TestCorruptGroupedSections:
+    """A grouped Huffman stream is checked as strictly as a single-tree one."""
+
+    @staticmethod
+    def _stream():
+        rng = np.random.default_rng(3)
+        groups = rng.integers(0, 3, 600)
+        symbols = np.where(rng.random(600) < 0.7, 5, rng.integers(0, 30, 600))
+        return symbols, groups, encode_grouped(symbols, groups, 3)
+
+    def test_untouched_stream_decodes_exactly(self):
+        symbols, groups, blob = self._stream()
+        out, pos = decode_grouped(blob, groups)
+        np.testing.assert_array_equal(out, symbols)
+        assert pos == len(blob)
+
+    @pytest.mark.parametrize("group", [0, 2])
+    def test_bit_len_past_the_payload_rejected(self, group):
+        _, groups, blob = self._stream()
+        with pytest.raises(CorruptStreamError):
+            decode_grouped(_resection(blob, group, extra_bits=40), groups)
+
+    def test_bit_len_off_by_one_rejected(self):
+        _, groups, blob = self._stream()
+        with pytest.raises(CorruptStreamError):
+            decode_grouped(_resection(blob, 1, extra_bits=1), groups)
+
+    def test_single_tree_stream_rejects_the_same_edit(self):
+        codes = np.random.default_rng(4).integers(0, 30, 400)
+        payload = lz_decompress(encode_code_stream(codes))
+        _n, pos = decode_uvarint(payload, 0)
+        table_len, pos = decode_uvarint(payload, pos)
+        pos += table_len
+        bit_len, end = decode_uvarint(payload, pos)
+        edited = bytearray(payload[:pos])
+        encode_uvarint(bit_len + 40, edited)
+        edited += payload[end:]
+        with pytest.raises(CorruptStreamError):
+            decode_code_stream(lz_compress(bytes(edited)))
+
+    def test_total_mismatch_is_corrupt_stream(self):
+        _, groups, blob = self._stream()
+        with pytest.raises(CorruptStreamError):
+            decode_grouped(blob, groups[:-1])
+
+    def test_group_count_mismatch_is_corrupt_stream(self):
+        _, groups, blob = self._stream()
+        wrong = groups.copy()
+        wrong[np.flatnonzero(wrong == 0)[0]] = 1
+        with pytest.raises(CorruptStreamError):
+            decode_grouped(blob, wrong)
+
+    def test_trailing_bytes_after_cliz_grouped_codes_rejected(self):
+        f = load("SSH", shape=(16, 14, 48))
+        cfg = PipelineConfig(Layout((2, 0, 1), (1, 2)), periodic=True,
+                             time_axis=2, binclass=True, horiz_axes=(0, 1))
+        blob = CliZ(cfg).compress(f.data, rel_eb=1e-3, mask=f.mask)
+        src = Container.from_bytes(blob)
+        names = [n for n in src.section_names
+                 if n.endswith(".codes") and src.has_section(n[:-6] + ".cls")]
+        assert names  # the config really takes the grouped path
+        edited = Container(src.codec, src.header)
+        for name in src.section_names:
+            payload = src.section(name)
+            if name == names[0]:
+                payload = lz_compress(lz_decompress(payload) + b"\x00\x01\x02")
+            edited.add_section(name, payload)
+        CliZ(cfg).decompress(blob)  # the unedited blob still decodes
+        with pytest.raises(CorruptStreamError):
+            CliZ(cfg).decompress(edited.to_bytes())

@@ -1,9 +1,10 @@
-"""Chunk-dispatch internals: shm lifecycle, codebook reuse, timeouts, geometry.
+"""Chunk-dispatch internals: shm lifecycle, chunk contract, timeouts, geometry.
 
-Covers the PR 6 dispatch rework: zero-copy shared-memory chunk payloads
-(with unlink guaranteed on every exit path), Huffman codebook reuse
-across chunk jobs, the off-main-thread timeout fallback, and the chunk
-slicing / header geometry edge cases.
+Covers zero-copy shared-memory chunk payloads (with unlink guaranteed on
+every exit path), the per-chunk byte contract of ``compress_chunked``
+(every section is the codec's own blob for that chunk, serial or
+pooled), the off-main-thread timeout fallback, and the chunk slicing /
+header geometry edge cases.
 """
 
 import os
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import repro.parallel as par
-from repro import obs
-from repro.encoding.codebook import CodebookCache, activate, active_cache
+from repro import compressor_for, obs
+from repro.datasets import load
+from repro.encoding.container import Container
 from repro.parallel import (
     ParallelJobError,
     _chunk_array,
@@ -113,78 +115,60 @@ class TestShmLifecycle:
 
 
 # ---------------------------------------------------------------------- #
-# Huffman codebook reuse across chunks.
+# Chunk contract: section chunk{i} is the codec's own blob for chunk i.
 
-class TestCodebookReuse:
-    def test_recording_then_reuse(self):
-        syms = np.arange(20, dtype=np.int64) % 7
-        rec = CodebookCache()
-        code0 = rec.code_for("stream", syms)
-        frozen = CodebookCache(rec.state())
-        code1 = frozen.code_for("stream", syms)
-        np.testing.assert_array_equal(code0.lengths, code1.lengths)
-        assert rec.recording and not frozen.recording
+def _direct_chunks(data, codec, n_chunks, axis=0, mask=None, **kwargs):
+    comp = compressor_for(codec)
+    out = []
+    for sl in _chunk_slices(data.shape[axis], n_chunks):
+        sel = (slice(None),) * axis + (sl,)
+        if mask is not None:
+            out.append(comp.compress(data[sel], mask=mask[sel], **kwargs))
+        else:
+            out.append(comp.compress(data[sel], **kwargs))
+    return out
 
-    def test_uncoverable_symbols_fall_back_to_rebuild(self):
-        rec = CodebookCache()
-        rec.code_for("stream", np.array([1, 2, 3], dtype=np.int64))
-        frozen = CodebookCache(rec.state())
-        # way outside the recorded (padded) alphabet: must rebuild, not fail
-        wild = np.array([1, 2, 100_000], dtype=np.int64)
-        code = frozen.code_for("stream", wild)
-        assert code.alphabet_size > 100_000
-        from repro.encoding.bitstream import BitWriter
-        writer = BitWriter()
-        code.encode(wild, writer)  # decodable: every symbol has a codeword
 
-    def test_sequence_keys_distinguish_call_sites(self):
-        rec = CodebookCache()
-        rec.code_for("group0", np.array([1, 1, 2], dtype=np.int64))
-        rec.code_for("group1", np.array([5, 5, 6], dtype=np.int64))
-        state = rec.state()
-        assert set(state) == {"group0:0", "group1:1"}
+def _sections(blob):
+    container = Container.from_bytes(blob)
+    return [container.section(f"chunk{i}")
+            for i in range(container.header["n_chunks"])]
 
-    def test_corrupt_state_rejected(self):
-        with pytest.raises(ValueError):
-            CodebookCache({"stream:0": (3, b"\x01")})  # lengths size != alphabet
 
-    def test_activation_is_scoped(self):
-        assert active_cache() is None
-        cache = CodebookCache()
-        with activate(cache):
-            assert active_cache() is cache
-        assert active_cache() is None
+class TestChunkContract:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_cliz_masked_ssh_sections_are_direct_blobs(self, workers):
+        f = load("SSH", shape=(16, 14, 48))
+        blob = compress_chunked(f.data, "cliz", axis=2, n_chunks=3,
+                                mask=f.mask, workers=workers, abs_eb=1e-3)
+        assert _sections(blob) == _direct_chunks(
+            f.data, "cliz", 3, axis=2, mask=f.mask, abs_eb=1e-3)
 
-    def test_chunked_counters_record_decisions(self):
-        data = field((40, 16, 12), seed=14)
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sz3_sections_are_direct_blobs(self, workers):
+        data = field(seed=23)
+        blob = compress_chunked(data, "sz3", n_chunks=4, workers=workers,
+                                abs_eb=1e-3)
+        assert _sections(blob) == _direct_chunks(data, "sz3", 4, abs_eb=1e-3)
+
+    def test_crash_on_chunk_zero_kills_a_real_worker(self):
+        data = field(seed=24)
+        serial = compress_chunked(data, "sz3", n_chunks=4, abs_eb=1e-3)
         with obs.run() as run:
-            blob = compress_chunked(data, "cliz", n_chunks=4, abs_eb=1e-3)
+            pooled = compress_chunked(data, "sz3", n_chunks=4, workers=2,
+                                      abs_eb=1e-3, retries=2,
+                                      faults="seed=7;crash:only=0")
+        assert run.metrics.counter("parallel.worker_crashes").value >= 1
+        assert pooled == serial
+
+    def test_unknown_codec_fails_before_dispatch(self):
+        with obs.run() as run:
+            with pytest.raises(ValueError, match="unknown codec"):
+                compress_chunked(field(seed=25), "nosuch", n_chunks=4,
+                                 workers=2, retries=3, retry_backoff=0.0)
         snap = run.metrics.snapshot()
-        built = snap.get("huffman.codebook_built", {}).get("value", 0)
-        reused = snap.get("huffman.codebook_reused", {}).get("value", 0)
-        rebuilt = snap.get("huffman.codebook_rebuilt", {}).get("value", 0)
-        assert built >= 1  # chunk 0 records
-        assert reused + rebuilt >= 3  # every later chunk decided
-        assert np.abs(decompress_chunked(blob) - data).max() <= 1e-3
-
-    def test_reuse_fires_on_homogeneous_chunks(self):
-        """Near-identical chunk distributions must actually hit the cache
-        (the point of the feature), not permanently fall back."""
-        base = field((8, 16, 12), seed=15)
-        data = np.concatenate([base] * 4, axis=0)
-        with obs.run() as run:
-            compress_chunked(data, "cliz", n_chunks=4, abs_eb=1e-3)
-        reused = run.metrics.snapshot().get(
-            "huffman.codebook_reused", {}).get("value", 0)
-        assert reused >= 3
-
-    def test_streams_stay_self_describing(self):
-        """A chunked blob decodes with no cache in scope: the (reused)
-        tables are still serialized per chunk."""
-        data = field(seed=16)
-        blob = compress_chunked(data, "cliz", n_chunks=4, abs_eb=1e-3)
-        assert active_cache() is None
-        assert np.abs(decompress_chunked(blob) - data).max() <= 1e-3
+        assert "parallel.retries" not in snap
+        assert "parallel.job_failures" not in snap
 
 
 # ---------------------------------------------------------------------- #
@@ -290,8 +274,8 @@ class TestChunkGeometry:
                 {"n_chunks": 9, "axis": 0, "shape": [3, 4]})
 
     def test_fault_only_indexing_spans_waves(self):
-        """``only=N`` fault clauses address logical chunk indices even
-        though dispatch happens in two waves (chunk 0 then the rest)."""
+        """``only=N`` fault clauses address logical chunk indices: the
+        directive for chunk 1 fires on chunk 1's job, not on another."""
         with obs.run() as run:
             blob = compress_chunked(field(seed=21), "sz3", n_chunks=4,
                                     abs_eb=1e-3, retries=2,

@@ -278,7 +278,7 @@ class TestDispatchDeadline:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_deadline_during_attempt_is_final(self, workers):
-        # chunk 0 runs in-process first; only chunk 1 outlasts the deadline.
+        # chunk 0 finishes quickly; only chunk 1 outlasts the deadline.
         # Its timeout fires at the deadline, so the failure is final on
         # either executor: no retry is counted and the message is the same.
         slow = parse_fault_spec("seed=1;slow:only=1:delay=2.0")
