@@ -28,7 +28,9 @@ The regression gate normalizes for machine speed: every (codec, dataset,
 direction) row is compared as a current/baseline ratio, the median ratio
 is taken as the machine-speed factor, and only rows slower than
 ``(1 - tolerance) * median`` fail. A uniformly slower CI runner therefore
-passes; a single codec path that regressed does not.
+passes; a single codec path that regressed does not. The verdict is
+``repro.obs.report.diff_files`` run on the file just written, the same
+function ``python -m repro obs diff`` calls.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import compressor_for, decompress  # noqa: E402
 from repro.datasets.registry import load  # noqa: E402
 from repro import obs  # noqa: E402
-from repro.obs.report import stage_table  # noqa: E402
+from repro.obs.report import diff_files, stage_table  # noqa: E402
 
 REL_EB = 1e-3
 DEFAULT_CODECS = ("cliz", "sz3", "zfp", "bitgroom")
@@ -122,46 +124,6 @@ def run_bench(codecs: list[str], smoke: bool, reps: int) -> list[dict]:
     return rows
 
 
-# ---------------------------------------------------------------------- #
-# Regression gate.
-
-def _row_key(row: dict) -> tuple[str, str]:
-    return (row["codec"], row["dataset"])
-
-
-def check_regression(current: list[dict], baseline: list[dict],
-                     tolerance: float) -> list[str]:
-    """Compare throughput rows; return a list of failure messages.
-
-    Ratios (current/baseline) are normalized by their median so a
-    uniformly faster/slower machine does not trip the gate; any single
-    row slower than ``(1 - tolerance) * median`` is a regression. The
-    verdict itself lives in
-    :func:`repro.obs.report.normalized_regressions` — the same code
-    ``repro obs diff`` runs, so the offline CLI reproduces this gate.
-    """
-    from repro.obs.report import normalized_regressions
-
-    base_by_key = {_row_key(r): r for r in baseline}
-    ratios: list[tuple[str, float]] = []
-    for row in current:
-        base = base_by_key.get(_row_key(row))
-        if base is None:
-            continue
-        for metric in ("compress_mb_s", "decompress_mb_s"):
-            if base.get(metric) and row.get(metric):
-                label = f"{row['codec']}/{row['dataset']}/{metric}"
-                ratios.append((label, row[metric] / base[metric]))
-    return normalized_regressions(ratios, tolerance)
-
-
-def _baseline_rows(doc: dict, smoke: bool) -> list[dict]:
-    """Pick the comparable section of a committed baseline document."""
-    if smoke and isinstance(doc.get("smoke_baseline"), dict):
-        return doc["smoke_baseline"].get("results", [])
-    return doc.get("results", [])
-
-
 def write_metrics_jsonl(rows: list[dict], path) -> int:
     """Flatten rows into the shared metrics-JSONL gauge schema."""
     from repro.obs import JsonlSink, MetricsRegistry
@@ -201,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--metrics-out", default=None, metavar="FILE",
                     help="also write the rows as metrics JSONL")
     args = ap.parse_args(argv)
+    if args.baseline and args.set_smoke_baseline:
+        ap.error("--baseline gates a run; it cannot gate the run that "
+                 "--set-smoke-baseline records")
 
     smoke = bool(args.smoke or args.set_smoke_baseline)
     reps = args.reps if args.reps is not None else 3
@@ -230,9 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {n} metric lines -> {args.metrics_out}")
 
     if args.baseline:
-        baseline_doc = json.loads(Path(args.baseline).read_text())
-        failures = check_regression(rows, _baseline_rows(baseline_doc, smoke),
-                                    args.tolerance)
+        failures, _ = diff_files(args.baseline, out_path, args.tolerance)
         if failures:
             for msg in failures:
                 print(f"REGRESSION: {msg}", file=sys.stderr)

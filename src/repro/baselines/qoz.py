@@ -66,17 +66,14 @@ class QoZ:
 
     codec_name = "qoz"
 
-    def __init__(self, candidates: tuple[tuple[float, float], ...] = _AB_CANDIDATES) -> None:
-        self.candidates = tuple(candidates)
-
     # ------------------------------------------------------------------ #
     def _tune_ab(self, work: np.ndarray, eb: float) -> tuple[float, float]:
         """Pick (alpha, beta) maximizing PSNR - 6.02 * bitrate on a sample."""
         sample = _sample_block(work)
         levels = max_level(sample.shape)
         span = float(sample.max() - sample.min()) or 1.0
-        best_score, best_ab = -np.inf, self.candidates[0]
-        for alpha, beta in self.candidates:
+        best_score, best_ab = -np.inf, _AB_CANDIDATES[0]
+        for alpha, beta in _AB_CANDIDATES:
             spec = InterpSpec(order=tuple(range(sample.ndim)), fitting="auto",
                               level_eb_factors=_level_factors(levels, alpha, beta))
             res = interp_compress(sample, eb, spec)

@@ -23,13 +23,15 @@ _A2 = -0.052980118572961
 _A3 = 0.882911075530934
 _A4 = 0.443506852043971
 _K = 1.230174104914001
+_MAX_DWT_LEVELS = 4
 
 
-def max_dwt_levels(shape: tuple[int, ...], cap: int = 4) -> int:
-    """Deepest decomposition with every axis keeping >= 4 approx samples."""
+def max_dwt_levels(shape: tuple[int, ...]) -> int:
+    """Deepest decomposition, at most ``_MAX_DWT_LEVELS``, with every axis
+    keeping >= 4 approx samples."""
     levels = 0
     dims = list(shape)
-    while levels < cap and all(n >= 8 for n in dims):
+    while levels < _MAX_DWT_LEVELS and all(n >= 8 for n in dims):
         dims = [(n + 1) // 2 for n in dims]
         levels += 1
     return levels

@@ -38,6 +38,9 @@ from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["TTHRESH", "hosvd", "tucker_reconstruct"]
 
+#: RMSE budget as a fraction of the requested bound (``rmse ~ eb / 3``).
+_RMSE_FRACTION = 1.0 / 3.0
+
 
 def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
@@ -76,9 +79,6 @@ class TTHRESH:
     codec_name = "tthresh"
     pointwise_bound = False
 
-    def __init__(self, rmse_fraction: float = 1.0 / 3.0) -> None:
-        self.rmse_fraction = rmse_fraction
-
     # ------------------------------------------------------------------ #
     @traced_compress
     def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
@@ -88,7 +88,7 @@ class TTHRESH:
         work = ensure_float(arr)
         mask = check_mask(mask, work.shape)
         eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
-        rmse_target = eb * self.rmse_fraction
+        rmse_target = eb * _RMSE_FRACTION
 
         core, factors = hosvd(work)
         flat = core.ravel()

@@ -41,6 +41,9 @@ from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["AutoTuner", "AutoTuneResult", "TrialResult", "sample_blocks", "mask_aware_anchors"]
 
+#: Axes this short or shorter are sampled in full (see ``AutoTuner.tune``).
+_FULL_AXIS_THRESHOLD = 32
+
 
 def mask_aware_anchors(shape: tuple[int, ...], mask: np.ndarray | None) -> dict[int, tuple[int, int]]:
     """Anchor centers per dimension: 1/3 and 2/3 of the *valid mass*.
@@ -232,7 +235,6 @@ class AutoTuner:
                  try_binclass: bool = True,
                  try_periodic: bool = True,
                  max_layouts: int | None = None,
-                 full_axis_threshold: int = 32,
                  seed: int = 0) -> None:
         if not (0.0 < sampling_rate <= 1.0):
             raise ValueError("sampling_rate must be in (0, 1]")
@@ -243,7 +245,6 @@ class AutoTuner:
         self.try_binclass = try_binclass
         self.try_periodic = try_periodic
         self.max_layouts = max_layouts
-        self.full_axis_threshold = full_axis_threshold
         self.seed = seed
 
     # ------------------------------------------------------------------ #
@@ -294,7 +295,7 @@ class AutoTuner:
             # taken in full (see module docstring).
             full_axes = tuple(
                 d for d, n in enumerate(arr.shape)
-                if n <= self.full_axis_threshold
+                if n <= _FULL_AXIS_THRESHOLD
                 or (period is not None and d == self.time_axis)
             )
             blocks = sample_blocks(arr.shape, self.sampling_rate, full_axes=full_axes,

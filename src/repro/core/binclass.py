@@ -25,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encoding.lz import lz_compress, lz_decompress
-from repro.encoding.multihuffman import grouped_cost_bits, single_cost_bits
 from repro.quantization.linear import UNPREDICTABLE
 
-__all__ = ["BinClassification", "classify_bins", "undo_shift", "classification_gain_bits",
-           "LAMBDA_DEFAULT"]
+__all__ = ["BinClassification", "classify_bins", "undo_shift", "LAMBDA_DEFAULT"]
 
 #: Theorem 2's optimal dispersion threshold.
 LAMBDA_DEFAULT = 0.4
@@ -193,17 +191,3 @@ def undo_shift(shifted: np.ndarray, hpos: np.ndarray, cls: BinClassification) ->
     entry_shift = cls.shift_map[hpos] if shifted.size else np.zeros(0, dtype=np.int64)
     return np.where(shifted == UNPREDICTABLE, shifted, shifted + entry_shift)
 
-
-def classification_gain_bits(codes: np.ndarray, shifted: np.ndarray,
-                             entry_groups: np.ndarray, n_groups: int,
-                             n_hpos: int, j: int, k: int) -> float:
-    """Entropy-model estimate of bits saved by classification (can be < 0).
-
-    Charges the classification map at ``log2((2j+1)(k+1))`` bits/location,
-    mirroring the paper's cost accounting.
-    """
-    map_bits = float(np.log2((2 * j + 1) * (k + 1))) if (j or k) else 0.0
-    plain = single_cost_bits(codes)
-    grouped = grouped_cost_bits(shifted, entry_groups, n_groups,
-                                map_bits_per_entry=map_bits, n_map_entries=n_hpos)
-    return plain - grouped

@@ -52,10 +52,6 @@ class Layout:
     def ndim_in(self) -> int:
         return len(self.perm)
 
-    @property
-    def ndim_out(self) -> int:
-        return len(self.fusion)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Layout) and (self.perm, self.fusion) == (other.perm, other.fusion)
 

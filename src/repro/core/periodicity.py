@@ -28,6 +28,11 @@ __all__ = [
     "merge_periodic",
 ]
 
+#: A clear spectral peak is at least this many times the median amplitude.
+_MIN_PEAK_RATIO = 4.0
+#: A true period leaves at most this (noise-adjusted) residual variance ratio.
+_MAX_RESIDUAL_RATIO = 0.3
+
 
 def _sample_rows(data: np.ndarray, time_axis: int, n_rows: int,
                  seed: int, mask: np.ndarray | None) -> np.ndarray:
@@ -85,15 +90,13 @@ def _residual_ratio(rows: np.ndarray, period: int) -> float:
 
 
 def detect_period(data: np.ndarray, time_axis: int, n_rows: int = 10,
-                  seed: int = 0, mask: np.ndarray | None = None,
-                  min_peak_ratio: float = 4.0,
-                  max_residual_ratio: float = 0.3) -> int | None:
+                  seed: int = 0, mask: np.ndarray | None = None) -> int | None:
     """Estimate the dominant period along ``time_axis`` (or None).
 
     Three stages, following the paper's method plus robustness checks:
 
     1. The mean FFT amplitude spectrum across sampled rows must show a clear
-       peak (``min_peak_ratio`` x the median amplitude) — otherwise the data
+       peak (``_MIN_PEAK_RATIO`` x the median amplitude) — otherwise the data
        is treated as aperiodic. Every strongly peaked frequency proposes the
        period ``round(n/f)``; small multiples are added as candidates so the
        fundamental is found even when a harmonic bin carries more energy
@@ -103,7 +106,7 @@ def detect_period(data: np.ndarray, time_axis: int, n_rows: int = 10,
        normalized by the ``1 - 1/n_chunks`` value white noise would give
        (so few-chunk overfitting does not fake periodicity).
     3. Among candidates that truly collapse the variance (adjusted ratio
-       below ``max_residual_ratio``), the smallest period within 3x of the
+       below ``_MAX_RESIDUAL_RATIO``), the smallest period within 3x of the
        best score wins — this rejects divisor periods (harmonics), which is
        the paper's "adopt the peak with the smallest frequency" rule.
     """
@@ -120,7 +123,7 @@ def detect_period(data: np.ndarray, time_axis: int, n_rows: int = 10,
     median = np.median(mean_spec[1:])
     floor = median if median > 0 else float(mean_spec.max()) * 1e-6
     peak_amp = float(mean_spec.max())
-    if peak_amp < min_peak_ratio * floor:
+    if peak_amp < _MIN_PEAK_RATIO * floor:
         return None
     strong = np.flatnonzero(mean_spec >= 0.25 * peak_amp)
     strong = strong[strong >= 1]
@@ -140,7 +143,7 @@ def detect_period(data: np.ndarray, time_axis: int, n_rows: int = 10,
             continue
         baseline = 1.0 - 1.0 / n_chunks  # expected ratio for white noise
         adjusted[p] = _residual_ratio(rows, p) / baseline
-    eligible = {p: a for p, a in adjusted.items() if a <= max_residual_ratio}
+    eligible = {p: a for p, a in adjusted.items() if a <= _MAX_RESIDUAL_RATIO}
     if not eligible:
         return None
     best = min(eligible.values())

@@ -15,19 +15,22 @@ from scipy import ndimage
 
 __all__ = ["label_mask_regions", "region_summary"]
 
+#: Enclosed components at least this fraction of all valid points are ocean.
+_MIN_OCEAN_FRACTION = 0.25
 
-def label_mask_regions(valid: np.ndarray, *, min_ocean_fraction: float = 0.25) -> np.ndarray:
+
+def label_mask_regions(valid: np.ndarray) -> np.ndarray:
     """Label a 2D validity mask CESM-style.
 
     Parameters
     ----------
     valid:
         2D boolean array, True = water (valid for an ocean model).
-    min_ocean_fraction:
-        Components at least this fraction of all valid points — or touching
-        the domain boundary (the map edge wraps the world ocean) — are
-        "ocean parts" (positive labels); smaller enclosed components are
-        inland water (negative labels).
+
+    Components at least ``_MIN_OCEAN_FRACTION`` of all valid points — or
+    touching the domain boundary (the map edge wraps the world ocean) —
+    are "ocean parts" (positive labels); smaller enclosed components are
+    inland water (negative labels).
 
     Returns an int16 map: 0 invalid, 1..k ocean parts, -1..-m inland water.
     """
@@ -48,7 +51,7 @@ def label_mask_regions(valid: np.ndarray, *, min_ocean_fraction: float = 0.25) -
         touches_edge[present - 1] = True
     next_pos, next_neg = 1, -1
     for comp in range(1, n + 1):
-        is_ocean = touches_edge[comp - 1] or sizes[comp - 1] >= min_ocean_fraction * total_valid
+        is_ocean = touches_edge[comp - 1] or sizes[comp - 1] >= _MIN_OCEAN_FRACTION * total_valid
         if is_ocean:
             out[labels == comp] = next_pos
             next_pos += 1

@@ -15,7 +15,7 @@ scalar paths allocation-free):
   over the codewords, none over the individual output bits.
 * ``BitReader`` unpacks the buffer to a byte-per-bit representation once and
   serves scalar reads from a plain ``bytes`` object (O(1) C-level indexing,
-  no per-read NumPy dispatch) and bulk fixed-width reads from the NumPy bit
+  no per-read NumPy dispatch) and bulk raw-bit reads from the NumPy bit
   array.
 """
 
@@ -69,12 +69,6 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         self.write(1 if bit else 0, 1)
-
-    def write_array(self, values: np.ndarray, nbits: int) -> None:
-        """Append each element of ``values`` as a fixed-width field."""
-        values = np.asarray(values, dtype=np.uint64)
-        lengths = np.full(values.shape, nbits, dtype=np.uint8)
-        self.write_varwidth(values, lengths)
 
     def write_varwidth(self, codes: np.ndarray, lengths: np.ndarray) -> None:
         """Append ``codes[i]`` using ``lengths[i]`` bits each (bulk path).
@@ -240,20 +234,6 @@ class BitReader:
         bit = self._b01[self._pos]
         self._pos += 1
         return bit
-
-    def read_array(self, n: int, nbits: int) -> np.ndarray:
-        """Read ``n`` fixed-width fields of ``nbits`` bits each (vectorized)."""
-        if n < 0 or nbits < 0 or nbits > _MAX_WRITE_BITS:
-            raise ValueError("invalid n/nbits")
-        if n == 0 or nbits == 0:
-            self._check(n * nbits)
-            return np.zeros(n, dtype=np.uint64)
-        total = n * nbits
-        self._check(total)
-        chunk = self._bits[self._pos : self._pos + total].reshape(n, nbits).astype(np.uint64)
-        weights = (np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64))
-        self._pos += total
-        return chunk @ weights
 
     def read_bool_array(self, n: int) -> np.ndarray:
         """Read ``n`` raw bits as a uint8 0/1 array (vectorized)."""

@@ -236,7 +236,7 @@ class HuffmanCode:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_frequencies(cls, freqs: np.ndarray, *, max_len: int = MAX_CODE_LENGTH) -> "HuffmanCode":
+    def from_frequencies(cls, freqs: np.ndarray) -> "HuffmanCode":
         """Build an (almost) optimal length-limited code from symbol counts.
 
         Both length builds order symbols by (weight, id), so running them
@@ -249,7 +249,7 @@ class HuffmanCode:
         used = np.flatnonzero(freqs != 0)  # a bool scan: ~10x faster than on int64
         counts = freqs[used]
         lengths = np.zeros(freqs.size, dtype=np.uint8)
-        lengths[used] = _limit_lengths(_huffman_lengths(counts), counts, max_len)
+        lengths[used] = _limit_lengths(_huffman_lengths(counts), counts, MAX_CODE_LENGTH)
         return cls(lengths, used)
 
     @classmethod

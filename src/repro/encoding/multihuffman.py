@@ -24,8 +24,6 @@ __all__ = [
     "decode_grouped",
     "write_section",
     "read_section",
-    "grouped_cost_bits",
-    "single_cost_bits",
 ]
 
 
@@ -135,38 +133,3 @@ def decode_grouped(blob: bytes, groups: np.ndarray, pos: int = 0) -> tuple[np.nd
             out[sel], pos = read_section(blob, pos, expected=int(sel.sum()))
     return out, pos
 
-
-def _entropy_bits(counts: np.ndarray) -> float:
-    counts = counts[counts > 0].astype(np.float64)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(-(counts * np.log2(p)).sum())
-
-
-def single_cost_bits(symbols: np.ndarray) -> float:
-    """Entropy-model estimate of single-tree encoded size (payload only)."""
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    if symbols.size == 0:
-        return 0.0
-    return _entropy_bits(np.bincount(symbols))
-
-
-def grouped_cost_bits(symbols: np.ndarray, groups: np.ndarray, n_groups: int,
-                      map_bits_per_entry: float = 0.0, n_map_entries: int = 0) -> float:
-    """Entropy-model estimate of multi-tree encoded size.
-
-    Includes an optional charge for the classification map
-    (``n_map_entries * map_bits_per_entry``), which is how the auto-tuner
-    decides whether bin classification pays for itself (§VI-E notes each
-    position costs about ``log2((2j+1)(k+1))`` bits).
-    """
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    groups = np.asarray(groups, dtype=np.int64).ravel()
-    bits = 0.0
-    for g in range(n_groups):
-        part = symbols[groups == g]
-        if part.size:
-            bits += _entropy_bits(np.bincount(part))
-    return bits + map_bits_per_entry * n_map_entries

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import QoZ, SPERR, SZ3, ZFP, AutoTuner, obs
+from repro.core import resolve_error_bound
 from repro.datasets import ClimateField
 from repro.metrics import RatePoint, bit_rate, compression_ratio, psnr, ssim
 
@@ -78,9 +79,7 @@ def format_table(rows: list[dict]) -> str:
 
 def rel_eb_to_abs(fieldobj: ClimateField, rel_eb: float) -> float:
     """Relative bound -> absolute over the dataset's valid value range."""
-    data, mask = fieldobj.data, fieldobj.mask
-    vals = data[mask] if mask is not None else data
-    return rel_eb * float(vals.max() - vals.min())
+    return resolve_error_bound(fieldobj.data, None, rel_eb, fieldobj.mask)
 
 
 _CONFIG_CACHE: dict[tuple, object] = {}

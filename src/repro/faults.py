@@ -236,10 +236,6 @@ class FaultInjector:
             self.clauses.append(
                 (kind, _merge_clause(kind, params, *token)))
 
-    @classmethod
-    def from_spec(cls, spec: str) -> "FaultInjector":
-        return parse_fault_spec(spec)
-
     def _clause(self, kind: str) -> dict | None:
         for k, params in self.clauses:
             if k == kind:

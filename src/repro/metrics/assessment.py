@@ -22,6 +22,9 @@ from repro.metrics.ssim import ssim as ssim_metric
 __all__ = ["QualityReport", "assess", "pearson_correlation", "wasserstein_distance",
            "error_autocorrelation"]
 
+#: Archive acceptance threshold on the Pearson correlation.
+_MIN_PEARSON = 0.99999
+
 
 def _valid_pair(original, reconstructed, mask):
     a = np.asarray(original, dtype=np.float64)
@@ -47,8 +50,8 @@ def wasserstein_distance(original, reconstructed, mask=None) -> float:
     return float(stats.wasserstein_distance(a, b))
 
 
-def error_autocorrelation(original, reconstructed, mask=None, lag: int = 1) -> float:
-    """Lag-``lag`` autocorrelation of the (flattened) error field.
+def error_autocorrelation(original, reconstructed, mask=None) -> float:
+    """Lag-1 autocorrelation of the (flattened) error field.
 
     Compression artifacts show up as *structured* error: values near ±1
     mean visible banding/blocking, values near 0 mean noise-like error
@@ -56,10 +59,10 @@ def error_autocorrelation(original, reconstructed, mask=None, lag: int = 1) -> f
     """
     a, b = _valid_pair(original, reconstructed, mask)
     err = a - b
-    if err.size <= lag + 1:
+    if err.size <= 2:
         return 0.0
-    x = err[:-lag] - err[:-lag].mean()
-    y = err[lag:] - err[lag:].mean()
+    x = err[:-1] - err[:-1].mean()
+    y = err[1:] - err[1:].mean()
     denom = np.sqrt((x ** 2).sum() * (y ** 2).sum())
     if denom == 0:
         return 0.0
@@ -80,14 +83,13 @@ class QualityReport:
     error_autocorr: float
     ssim: float | None  # None for 1D data
 
-    def passes(self, *, abs_eb: float | None = None,
-               min_pearson: float = 0.99999) -> bool:
+    def passes(self, *, abs_eb: float | None = None) -> bool:
         """Archive acceptance test: bound respected + correlation preserved.
 
         The Pearson threshold follows the community's 0.99999 rule of thumb
         (Baker et al., HPDC'14).
         """
-        ok = self.pearson >= min_pearson
+        ok = self.pearson >= _MIN_PEARSON
         if abs_eb is not None:
             ok = ok and self.max_abs_error <= abs_eb * (1 + 1e-12)
         return ok

@@ -12,12 +12,11 @@ __all__ = ["bit_rate", "compression_ratio", "RatePoint", "RateDistortionCurve"]
 SOURCE_BITS = 32
 
 
-def compression_ratio(n_values: int, compressed_bytes: int,
-                      source_bits: int = SOURCE_BITS) -> float:
+def compression_ratio(n_values: int, compressed_bytes: int) -> float:
     """R = S / S' with S in source-precision bytes."""
     if compressed_bytes <= 0:
         raise ValueError("compressed size must be positive")
-    return n_values * source_bits / 8.0 / compressed_bytes
+    return n_values * SOURCE_BITS / 8.0 / compressed_bytes
 
 
 def bit_rate(n_values: int, compressed_bytes: int) -> float:
@@ -37,11 +36,6 @@ class RatePoint:
     psnr: float
     ssim: float
 
-    def as_row(self) -> str:
-        return (f"eb={self.eb:10.3e}  bitrate={self.bit_rate:7.3f}  "
-                f"CR={self.compression_ratio:9.2f}  PSNR={self.psnr:7.2f} dB  "
-                f"SSIM={self.ssim:8.5f}")
-
 
 @dataclass
 class RateDistortionCurve:
@@ -56,15 +50,6 @@ class RateDistortionCurve:
 
     def sorted_by_rate(self) -> list[RatePoint]:
         return sorted(self.points, key=lambda p: p.bit_rate)
-
-    def psnr_at_bitrate(self, target: float) -> float:
-        """Linear interpolation of PSNR at a bit rate (for comparisons)."""
-        pts = self.sorted_by_rate()
-        if not pts:
-            raise ValueError("empty curve")
-        rates = np.array([p.bit_rate for p in pts])
-        psnrs = np.array([p.psnr for p in pts])
-        return float(np.interp(target, rates, psnrs))
 
     def ratio_at_psnr(self, target_psnr: float) -> float:
         """Interpolated compression ratio achieving a target PSNR.

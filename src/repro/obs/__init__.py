@@ -30,7 +30,6 @@ from repro.obs.metrics import (
 from repro.obs.prom import render_registry, render_run
 from repro.obs.sinks import (
     JsonlSink,
-    MemorySink,
     load_jsonl,
     validate_metrics_line,
     validate_trace_line,
@@ -42,7 +41,6 @@ from repro.obs.trace import (
     Run,
     Span,
     add_bytes,
-    current_span,
     end_run,
     get_run,
     inc_counter,
@@ -65,7 +63,6 @@ __all__ = [
     "last_run",
     "run",
     "span",
-    "current_span",
     "add_bytes",
     "set_tag",
     "inc_counter",
@@ -82,7 +79,6 @@ __all__ = [
     "render_registry",
     "render_run",
     "JsonlSink",
-    "MemorySink",
     "load_jsonl",
     "validate_trace_line",
     "validate_metrics_line",

@@ -14,10 +14,9 @@ questions offline:
 * ``critical-path FILE``  — the heaviest root-to-leaf span chain of a
   run: where the wall-clock actually went.
 * ``diff BASELINE CURRENT`` — machine-speed-normalized regression diff
-  between two benchmark/telemetry files. The verdict logic
-  (:func:`normalized_regressions`) is the *same code* the
-  ``bench_codec`` CI gate calls, so ``repro obs diff BENCH_codec.json
-  new.json`` reproduces the gate's pass/fail exactly.
+  between two benchmark/telemetry files. The ``bench_codec`` CI gate
+  calls the same :func:`diff_files`, so ``repro obs diff
+  BENCH_codec.json new.json`` reproduces the gate's pass/fail exactly.
 
 File kinds are sniffed from content, not extension, so a sweep directory
 (``ledger.jsonl`` inside), a bench JSON, and JSONL telemetry can be
@@ -232,7 +231,7 @@ def critical_path(spans: list[dict]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------- #
-# Machine-normalized regression diff (shared with the bench_codec gate).
+# Machine-normalized regression diff (also the bench_codec gate).
 
 def normalized_regressions(ratios: list[tuple[str, float]],
                            tolerance: float) -> list[str]:
@@ -242,8 +241,7 @@ def normalized_regressions(ratios: list[tuple[str, float]],
     median ratio is taken as the machine-speed factor — a uniformly
     faster or slower machine moves every ratio together and passes; a
     single path slower than ``(1 - tolerance) * median`` is a genuine
-    regression and fails. This is the ``bench_codec.py`` CI gate verdict,
-    factored out so ``repro obs diff`` reproduces it bit-for-bit.
+    regression and fails.
     """
     if not ratios:
         return ["regression gate: no comparable rows between current run "
@@ -258,19 +256,18 @@ def normalized_regressions(ratios: list[tuple[str, float]],
     ]
 
 
-def throughput_series(path) -> dict[str, float]:
+def throughput_series(path, smoke: bool | None) -> dict[str, float]:
     """``{label: MB/s}`` throughput series from a bench or metrics file.
 
     Bench JSON rows contribute ``codec/dataset/compress_mb_s`` (and
-    decompress); metrics JSONL contributes every gauge whose name ends in
-    ``_mb_s`` or ``.mb_s``. For bench documents with both a full-run
-    section and a ``smoke_baseline``, the section matching the *other*
-    file is chosen by the diff command.
+    decompress) from the section :func:`_bench_rows` picks for
+    ``smoke``; metrics JSONL contributes every gauge whose name ends in
+    ``_mb_s`` or ``.mb_s``.
     """
     kind, payload = load_any(path)
     series: dict[str, float] = {}
     if kind == "bench":
-        for row in _bench_rows(payload, smoke=None):
+        for row in _bench_rows(payload, smoke):
             for metric in ("compress_mb_s", "decompress_mb_s"):
                 if row.get(metric):
                     series[f"{row['codec']}/{row['dataset']}/{metric}"] = \
@@ -302,32 +299,16 @@ def _bench_rows(doc: dict, smoke: bool | None) -> list[dict]:
 
 
 def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], int]:
-    """``(messages, n_compared)`` for the diff verdict between two files."""
-    cur_kind = classify_file(current)
-    if cur_kind == "bench":
-        _, cur_doc = load_any(current)
-        cur_rows = _bench_rows(cur_doc, smoke=None)
-        cur_series = {}
-        for row in cur_rows:
-            for metric in ("compress_mb_s", "decompress_mb_s"):
-                if row.get(metric):
-                    cur_series[f"{row['codec']}/{row['dataset']}/{metric}"] = \
-                        float(row[metric])
-        smoke = bool(cur_doc.get("config", {}).get("smoke"))
-    else:
-        cur_series = throughput_series(current)
-        smoke = None
-    base_kind = classify_file(baseline)
-    if base_kind == "bench":
-        _, base_doc = load_any(baseline)
-        base_series = {}
-        for row in _bench_rows(base_doc, smoke=smoke):
-            for metric in ("compress_mb_s", "decompress_mb_s"):
-                if row.get(metric):
-                    base_series[f"{row['codec']}/{row['dataset']}/{metric}"] = \
-                        float(row[metric])
-    else:
-        base_series = throughput_series(baseline)
+    """``(messages, n_compared)`` for the diff verdict between two files.
+
+    A bench ``current`` is read at the section its own ``config.smoke``
+    names, and a bench ``baseline`` at the same one: a smoke run is
+    compared with the committed ``smoke_baseline``.
+    """
+    kind, doc = load_any(current)
+    smoke = bool(doc.get("config", {}).get("smoke")) if kind == "bench" else None
+    cur_series = throughput_series(current, smoke)
+    base_series = throughput_series(baseline, smoke)
     ratios = [(label, cur_series[label] / base_series[label])
               for label in sorted(cur_series)
               if label in base_series and base_series[label] > 0]

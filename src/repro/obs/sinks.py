@@ -1,4 +1,4 @@
-"""Telemetry sinks: JSONL files, an in-memory sink for tests, Chrome trace.
+"""Telemetry sinks: JSONL files and Chrome trace.
 
 Two JSONL line schemas, shared by live pipeline telemetry and the
 benchmark trajectories:
@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "JsonlSink",
-    "MemorySink",
     "write_trace_jsonl",
     "write_metrics_jsonl",
     "write_chrome_trace",
@@ -100,18 +99,6 @@ class JsonlSink:
                 finally:
                     os.close(fd)
         return n
-
-
-class MemorySink:
-    """Collect records in a list (tests, notebooks)."""
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-
-    def write(self, records: Iterable[dict]) -> int:
-        records = list(records)
-        self.records.extend(records)
-        return len(records)
 
 
 # ---------------------------------------------------------------------- #

@@ -21,8 +21,8 @@ Typical use::
         with obs.span("compress", codec="cliz", nbytes=arr.nbytes):
             ...
         obs.inc_counter("files.compressed")
-    r.export_jsonl("trace.jsonl")
-    r.export_chrome_trace("trace.json")   # open in chrome://tracing / Perfetto
+    obs.write_trace_jsonl(r, "trace.jsonl")
+    obs.write_chrome_trace(r, "trace.json")   # open in chrome://tracing / Perfetto
 
 Workers on a process pool collect into their own local run and ship
 ``span_records()`` + ``metrics.snapshot()`` back with their result; the
@@ -53,7 +53,6 @@ __all__ = [
     "last_run",
     "run",
     "span",
-    "current_span",
     "add_bytes",
     "set_tag",
     "inc_counter",
@@ -202,22 +201,6 @@ class Run:
         if metrics_snapshot:
             self.metrics.merge(metrics_snapshot)
 
-    # ------------------------------------------------------------------ #
-    def export_jsonl(self, path) -> None:
-        from repro.obs.sinks import write_trace_jsonl
-
-        write_trace_jsonl(self, path)
-
-    def export_chrome_trace(self, path) -> None:
-        from repro.obs.sinks import write_chrome_trace
-
-        write_chrome_trace(self, path)
-
-    def export_metrics_jsonl(self, path) -> None:
-        from repro.obs.sinks import write_metrics_jsonl
-
-        write_metrics_jsonl(self, path)
-
 
 # ---------------------------------------------------------------------- #
 # Process-global active run + contextvar span stack.
@@ -305,10 +288,6 @@ def span(name: str, nbytes: int | None = None, **tags: Any) -> Iterator[Span | N
         # the low-cardinality stage vocabulary, paths are per-call-site.
         r.metrics.histogram(f"span.{name}.seconds",
                             LATENCY_BUCKETS).observe(sp.dur)
-
-
-def current_span() -> Span | None:
-    return _current_span.get()
 
 
 def add_bytes(nbytes: int) -> None:

@@ -81,6 +81,8 @@ __all__ = [
 ]
 
 _CODEC = "chunked"
+#: Pool breaks survived per dispatch before unfinished jobs fail.
+_MAX_POOL_RESPAWNS = 3
 
 
 class ParallelJobError(RuntimeError):
@@ -115,7 +117,6 @@ class RetryPolicy:
     backoff: float = 0.05
     max_backoff: float = 2.0
     timeout: float | None = None
-    max_pool_respawns: int = 3
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -358,7 +359,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
 
     A hard worker death breaks the whole pool: every in-flight future
     raises ``BrokenProcessPool``. We respawn the pool once per break
-    (bounded by ``policy.max_pool_respawns``) and requeue only unfinished
+    (bounded by ``_MAX_POOL_RESPAWNS``) and requeue only unfinished
     jobs — the innocent in-flight jobs consume a retry each, which keeps
     a persistently crashing job from respawning the pool forever.
 
@@ -489,7 +490,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                                     "requeued after pool crash", count_retry=False)
                 in_flight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
-                if respawns > policy.max_pool_respawns:
+                if respawns > _MAX_POOL_RESPAWNS:
                     for i, attempt in list(ready) + [(di, da) for _, di, da in delayed]:
                         results[i] = _failure(
                             i, attempt, None,

@@ -127,6 +127,3 @@ class LinearQuantizer:
                 raise ValueError("not enough unpredictable values in stream")
             rec[unpred_mask] = vals[:n_unpred]
         return rec
-
-    def count_unpredictable(self, codes: np.ndarray) -> int:
-        return int((np.asarray(codes) == UNPREDICTABLE).sum())

@@ -252,7 +252,7 @@ class BlobStore:
             result[key] = blob_key(data) == key
         return result
 
-    def corrupt(self, key: str, *, bit: int = 0) -> None:
+    def corrupt(self, key: str) -> None:
         """Flip one bit of a stored blob in place (chaos drills ONLY).
 
         Deliberately bypasses atomic_write: the drill is simulating bit
@@ -263,7 +263,7 @@ class BlobStore:
         if not data:
             raise ValueError(f"blob {key!r} is empty; nothing to corrupt")
         pos = (len(data) // 2) % len(data)
-        data[pos] ^= 1 << (bit % 8)
+        data[pos] ^= 1
         with open(path, "r+b") as fh:
             fh.seek(pos)
             fh.write(bytes(data[pos:pos + 1]))

@@ -162,6 +162,3 @@ class BreakerBoard:
         with self._lock:
             breakers = dict(self._breakers)
         return {codec: b.snapshot() for codec, b in sorted(breakers.items())}
-
-    def any_open(self) -> bool:
-        return any(s["state"] != "closed" for s in self.snapshot().values())

@@ -43,6 +43,9 @@ from repro.service.supervise import ShardSupervisor
 
 __all__ = ["ClusterConfig", "ClusterServer"]
 
+#: How long ``ClusterServer.start`` waits for every shard's first probe.
+_WAIT_HEALTHY = 30.0
+
 
 @dataclass
 class ClusterConfig:
@@ -117,17 +120,15 @@ class ClusterServer:
                                 stderr=subprocess.DEVNULL)
 
     # ------------------------------------------------------------------ #
-    def start(self, *, wait_healthy: float = 30.0) -> "ClusterServer":
+    def start(self) -> "ClusterServer":
         """Spawn shards, start supervision, bind the router.
 
-        Blocks up to ``wait_healthy`` seconds for every shard to answer
-        its first probe, so callers get a serving cluster back (pass 0
-        to skip the wait).
+        Blocks up to ``_WAIT_HEALTHY`` seconds for every shard to answer
+        its first probe, so callers get a serving cluster back.
         """
         self.supervisor.start()
         try:
-            if wait_healthy > 0:
-                self._await_healthy(wait_healthy)
+            self._await_healthy(_WAIT_HEALTHY)
             self.router.start()
         except Exception:
             self.supervisor.stop()

@@ -64,6 +64,8 @@ _RELAY_HEADERS = ("content-type", "retry-after", "x-repro-shard")
 #: Endpoints safe to hedge/fail over: repeating one changes nothing.
 _IDEMPOTENT = frozenset({"/decompress", "/estimate"})
 _WORK_PATHS = ("/compress", "/decompress", "/estimate")
+#: Upper bound on one router -> shard forward.
+_FORWARD_TIMEOUT = 60.0
 
 
 async def do_forward(port: int, method: str, path: str,
@@ -118,14 +120,12 @@ class ClusterRouter(HttpServer):
 
     def __init__(self, supervisor: ShardSupervisor, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 hedge_budget: float = 0.25,
-                 forward_timeout: float = 60.0) -> None:
+                 hedge_budget: float = 0.25) -> None:
         super().__init__(host, port, self._dispatch,
                          drain_seconds=supervisor.drain_deadline)
         self.supervisor = supervisor
         self.ring = KeyRing(supervisor.n_shards)
         self.hedge_budget = float(hedge_budget)
-        self.forward_timeout = float(forward_timeout)
         self._rr = 0  # loop-thread only
         self._draining = False
         self._t0 = time.monotonic()
@@ -252,7 +252,7 @@ class ClusterRouter(HttpServer):
             raise ShardUnavailableError(f"shard {shard} is not serving")
         inc_counter(f"service.cluster.forward.{shard}")
         return await do_forward(port, method, path, headers, body,
-                                timeout=self.forward_timeout)
+                                timeout=_FORWARD_TIMEOUT)
 
     async def _forward_hedged(self, primary, backup, method, path,
                               headers, body):

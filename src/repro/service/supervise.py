@@ -40,6 +40,7 @@ import time
 from typing import Callable
 
 from repro.obs import inc_counter, set_gauge
+from repro.parallel import RetryPolicy
 from repro.service.schemas import ShardUnavailableError
 
 __all__ = ["STATE_CODES", "ShardHandle", "ShardSupervisor", "do_probe_shard"]
@@ -135,7 +136,6 @@ class ShardSupervisor:
                  port_of: Callable[[int], int | None],
                  probe: Callable[[int], dict] | None = None,
                  probe_interval: float = 0.25,
-                 probe_timeout: float = 1.5,
                  probe_fail_threshold: int = 3,
                  start_timeout: float = 30.0,
                  backoff_base: float = 0.25,
@@ -150,14 +150,14 @@ class ShardSupervisor:
         self.n_shards = int(n_shards)
         self.spawn = spawn
         self.port_of = port_of
-        self.probe = probe or (
-            lambda port: do_probe_shard(port, timeout=probe_timeout))
+        self.probe = probe or do_probe_shard
         self.probe_interval = float(probe_interval)
-        self.probe_timeout = float(probe_timeout)
         self.probe_fail_threshold = int(probe_fail_threshold)
         self.start_timeout = float(start_timeout)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
+        # The k-th death inside restart_window waits restart_policy.delay(k),
+        # the schedule the sweep also retries on.
+        self.restart_policy = RetryPolicy(backoff=float(backoff_base),
+                                          max_backoff=float(backoff_cap))
         self.max_restarts = int(max_restarts)
         self.restart_window = float(restart_window)
         self.drain_deadline = float(drain_deadline)
@@ -327,9 +327,8 @@ class ShardSupervisor:
                 inc_counter("service.cluster.crash_loop_dead")
                 handle.next_restart_at = None
                 return
-            k = len(handle.restart_stamps) - 1  # 0 for the first death
-            delay = min(self.backoff_base * (2.0 ** k), self.backoff_cap)
-            handle.next_restart_at = now + delay
+            handle.next_restart_at = now + self.restart_policy.delay(
+                len(handle.restart_stamps))
             self._set_state(handle, "backoff")
 
     def _spawn(self, handle: ShardHandle) -> None:
@@ -405,8 +404,8 @@ class ShardSupervisor:
     def backoff_model(self) -> dict:
         """The restart model, machine-readable (drill + docs contract)."""
         return {
-            "backoff_base_seconds": self.backoff_base,
-            "backoff_cap_seconds": self.backoff_cap,
+            "backoff_base_seconds": self.restart_policy.backoff,
+            "backoff_cap_seconds": self.restart_policy.max_backoff,
             "max_restarts": self.max_restarts,
             "restart_window_seconds": self.restart_window,
             "probe_interval_seconds": self.probe_interval,
@@ -419,7 +418,7 @@ class ShardSupervisor:
         real recovery lands inside this window): detection + the largest
         single backoff + process start + one probe round."""
         detection = self.probe_interval * (self.probe_fail_threshold + 1)
-        return (detection + self.backoff_cap + self.start_timeout
+        return (detection + self.restart_policy.max_backoff + self.start_timeout
                 + 2 * self.probe_interval)
 
     def revive(self, index: int) -> None:

@@ -65,18 +65,6 @@ class TransferResult:
     goodput: float = 1.0  # useful bytes / total bytes transmitted
     outage_time: float = 0.0  # seconds the link spent dark
 
-    def as_row(self) -> str:
-        row = (f"{self.codec:6s} cores={self.n_cores:5d} "
-               f"compress={self.compress_time:8.2f}s "
-               f"transfer={self.transfer_time:8.2f}s "
-               f"total={self.total_time:8.2f}s "
-               f"bytes={self.total_compressed_bytes}")
-        if self.retransmits or self.outage_time:
-            row += (f" retransmits={self.retransmits}"
-                    f" goodput={self.goodput:.3f}"
-                    f" outage={self.outage_time:.2f}s")
-        return row
-
 
 def _emit_timeline(dispatch, codec: str, arrivals: np.ndarray,
                    completions: np.ndarray, sizes: np.ndarray,
@@ -105,7 +93,6 @@ def _emit_timeline(dispatch, codec: str, arrivals: np.ndarray,
 def simulate_globus(codec: str, *, n_cores: int, uncompressed_bytes: int,
                     compressed_bytes: list[int] | np.ndarray,
                     link: WanLink,
-                    speeds: dict[str, ThroughputModel] | None = None,
                     faults: LinkFaults | FaultInjector | None = None) -> TransferResult:
     """Simulate ``len(compressed_bytes)`` files over ``n_cores`` cores.
 
@@ -118,8 +105,7 @@ def simulate_globus(codec: str, *, n_cores: int, uncompressed_bytes: int,
     """
     if isinstance(faults, FaultInjector):
         faults = faults.link_faults()
-    speeds = speeds or PAPER_SPEEDS
-    if codec not in speeds:
+    if codec not in PAPER_SPEEDS:
         raise ValueError(f"no throughput model for codec {codec!r}")
     if n_cores <= 0:
         raise ValueError("n_cores must be positive")
@@ -127,7 +113,7 @@ def simulate_globus(codec: str, *, n_cores: int, uncompressed_bytes: int,
     n_files = sizes.size
     if n_files == 0:
         raise ValueError("no files to transfer")
-    per_file_compress = speeds[codec].seconds_for(uncompressed_bytes)
+    per_file_compress = PAPER_SPEEDS[codec].seconds_for(uncompressed_bytes)
 
     # Round-robin files onto cores; each core compresses sequentially.
     arrivals = np.empty(n_files)

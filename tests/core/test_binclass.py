@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.binclass import (
     LAMBDA_DEFAULT,
     BinClassification,
-    classification_gain_bits,
     classify_bins,
     undo_shift,
 )
@@ -135,22 +134,6 @@ class TestEndToEnd:
         shifted2, _ = decode_grouped(blob, groups2)
         recovered = undo_shift(shifted2, hpos, cls2)
         np.testing.assert_array_equal(recovered, codes)
-
-    def test_gain_positive_on_shifted_populations(self):
-        """Mixed shifted peaks: classification should save bits."""
-        per_loc = [[1, 1, 1, 1, 0]] * 30 + [[-1, -1, -1, -1, 0]] * 30
-        codes, hpos = make_stream(per_loc, n_reps=200, seed=4)
-        cls, shifted, groups = classify_bins(codes, hpos, 60, RADIUS)
-        gain = classification_gain_bits(codes, shifted, groups, cls.n_groups, 60, 1, 1)
-        assert gain > 0
-
-    def test_gain_negative_on_uniform_population(self):
-        """Already-centred bins: the map charge makes classification lose."""
-        per_loc = [[0, 0, 0, 1, -1]] * 50
-        codes, hpos = make_stream(per_loc, n_reps=20, seed=5)
-        cls, shifted, groups = classify_bins(codes, hpos, 50, RADIUS)
-        gain = classification_gain_bits(codes, shifted, groups, cls.n_groups, 50, 1, 1)
-        assert gain <= 0
 
 
 class TestValidation:

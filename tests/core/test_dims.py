@@ -20,7 +20,6 @@ class TestLayout:
         lay = Layout.identity(3)
         assert lay.perm == (0, 1, 2)
         assert lay.fusion == (1, 1, 1)
-        assert lay.ndim_out == 3
 
     def test_bad_perm_rejected(self):
         with pytest.raises(ValueError):

@@ -78,11 +78,6 @@ class TestBitWriterBasics:
 
 
 class TestBulkPaths:
-    def test_write_array_fixed_width(self):
-        w = BitWriter()
-        w.write_array(np.array([1, 2, 3]), 4)
-        assert w.getvalue() == bytes([0x12, 0x30])
-
     def test_varwidth_matches_scalar_writes(self):
         codes = np.array([0b1, 0b10, 0b111, 0b0], dtype=np.uint64)
         lens = np.array([1, 2, 3, 4], dtype=np.uint8)
@@ -103,13 +98,6 @@ class TestBulkPaths:
         w = BitWriter()
         w.write_bool_array(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
         assert w.getvalue() == bytes([0b10101010])
-
-    def test_read_array_roundtrip(self):
-        vals = np.arange(100, dtype=np.uint64) % 32
-        w = BitWriter()
-        w.write_array(vals, 5)
-        r = BitReader(w.getvalue())
-        np.testing.assert_array_equal(r.read_array(100, 5), vals)
 
     def test_read_bool_array_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -168,23 +156,6 @@ def test_scalar_roundtrip_property(pairs):
     for v, n in pairs:
         assert r.read(n) == v
     assert r.bits_remaining == 0
-
-
-@given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=16),
-       st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=40, deadline=None)
-def test_mixed_scalar_and_bulk_property(n, width, seed):
-    """Interleaving scalar writes and bulk array writes preserves order."""
-    rng = np.random.default_rng(seed)
-    arr = rng.integers(0, 1 << width, n).astype(np.uint64)
-    w = BitWriter()
-    w.write(0b101, 3)
-    w.write_array(arr, width)
-    w.write(0b11, 2)
-    r = BitReader(w.getvalue())
-    assert r.read(3) == 0b101
-    np.testing.assert_array_equal(r.read_array(n, width), arr)
-    assert r.read(2) == 0b11
 
 
 def _replay(writer_cls, ops) -> tuple[bytes, int]:

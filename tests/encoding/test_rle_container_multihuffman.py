@@ -9,8 +9,6 @@ from repro.encoding.container import Container
 from repro.encoding.multihuffman import (
     decode_grouped,
     encode_grouped,
-    grouped_cost_bits,
-    single_cost_bits,
 )
 from repro.encoding.rle import pack_bitmap, unpack_bitmap
 
@@ -142,28 +140,6 @@ class TestMultiHuffman:
         blob = encode_grouped(symbols, groups, 2)
         with pytest.raises(ValueError):
             decode_grouped(blob, np.array([0, 1, 1, 1]))
-
-    def test_grouping_helps_on_mixed_distributions(self):
-        """Two populations with different peaks: split trees beat one tree.
-
-        This is exactly the paper's quantization-bin dispersion scenario.
-        """
-        rng = np.random.default_rng(1)
-        n = 20000
-        g = (rng.random(n) < 0.5).astype(np.int64)
-        a = np.clip(np.round(rng.normal(0, 0.7, n)), -3, 3).astype(np.int64) + 8
-        b = np.clip(np.round(rng.normal(6, 0.7, n)), 3, 9).astype(np.int64) + 8
-        symbols = np.where(g == 0, a, b)
-        single = single_cost_bits(symbols)
-        grouped = grouped_cost_bits(symbols, g, 2)
-        assert grouped < single
-
-    def test_cost_includes_map_charge(self):
-        symbols = np.zeros(100, dtype=np.int64)
-        groups = np.zeros(100, dtype=np.int64)
-        base = grouped_cost_bits(symbols, groups, 1)
-        charged = grouped_cost_bits(symbols, groups, 1, map_bits_per_entry=2.0, n_map_entries=50)
-        assert charged == base + 100.0
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)

@@ -38,6 +38,19 @@ class TestInfrastructure:
         vals = f.data[f.mask]
         assert eb == pytest.approx(1e-2 * float(vals.max() - vals.min()))
 
+    def test_rel_eb_to_abs_constant_field(self):
+        """A zero value range falls back to the relative bound itself,
+        as in ``resolve_error_bound``, so the codecs accept it."""
+        from repro import SZ3
+        from repro.datasets import ClimateField
+        from repro.experiments.common import measure_point
+        f = ClimateField("const", np.full((8, 10, 12), 3.0, dtype=np.float32),
+                         None, ("time", "lat", "lon"), None, (1, 2), None, 0.0)
+        eb = rel_eb_to_abs(f, 1e-3)
+        assert eb == 1e-3
+        point, _ = measure_point(SZ3(), f, eb)
+        assert point.psnr == float("inf")
+
     def test_tuned_config_is_memoized(self):
         from repro.datasets import load
         f = load("Hurricane-T", shape=(6, 20, 20))

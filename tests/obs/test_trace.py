@@ -108,8 +108,8 @@ class TestExports:
         run = self._sample_run()
         trace_path = tmp_path / "t.jsonl"
         metrics_path = tmp_path / "m.jsonl"
-        run.export_jsonl(trace_path)
-        run.export_metrics_jsonl(metrics_path)
+        obs.write_trace_jsonl(run, trace_path)
+        obs.write_metrics_jsonl(run, metrics_path)
 
         trace = load_jsonl(trace_path)
         assert len(trace) == 2
@@ -135,7 +135,7 @@ class TestExports:
     def test_chrome_trace_format(self, tmp_path):
         run = self._sample_run()
         path = tmp_path / "trace.json"
-        run.export_chrome_trace(path)
+        obs.write_chrome_trace(run, path)
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         assert events[0]["ph"] == "M"  # run metadata

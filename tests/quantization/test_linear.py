@@ -83,11 +83,6 @@ class TestDequantize:
         with pytest.raises(ValueError):
             q.dequantize(codes, np.zeros(2), np.array([100.0]))
 
-    def test_count_unpredictable(self):
-        q = LinearQuantizer(1e-9, radius=4)
-        codes, _ = q.quantize(np.array([100.0, 0.0]), np.zeros(2))
-        assert q.count_unpredictable(codes) == 1
-
 
 @given(st.floats(min_value=1e-8, max_value=1e3),
        st.integers(min_value=0, max_value=2**31))

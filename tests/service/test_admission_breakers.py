@@ -138,7 +138,6 @@ class TestBreaker:
         snap = board.snapshot()
         assert snap["cliz"]["state"] == "open"
         assert snap["sz3"]["state"] in ("closed", "half_open")
-        assert board.any_open()
 
     def test_state_gauge_published(self):
         run = trace.start_run()

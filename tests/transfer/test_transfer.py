@@ -108,12 +108,6 @@ class TestGlobusScenario:
             simulate_globus("cliz", n_cores=1, uncompressed_bytes=1,
                             compressed_bytes=[], link=self.LINK)
 
-    def test_result_row_format(self):
-        r = simulate_globus("cliz", n_cores=4, uncompressed_bytes=10**8,
-                            compressed_bytes=[10**6] * 4, link=self.LINK)
-        assert "cliz" in r.as_row()
-        assert r.total_compressed_bytes == 4 * 10**6
-
     def test_paper_speed_table_complete(self):
         for codec in ("cliz", "sz3", "zfp", "qoz", "sperr"):
             assert isinstance(PAPER_SPEEDS[codec], ThroughputModel)

@@ -128,11 +128,9 @@ class TestGlobusWithFaults:
         res = simulate_globus("cliz", link=link, faults=inj, **self.KW)
         assert res.retransmits == 8  # every file dropped exactly once
         assert res.goodput == pytest.approx(0.5)
-        assert "retransmits=8" in res.as_row()
 
     def test_injector_without_wan_clauses_is_noop(self):
         link = WanLink(bandwidth=1e6)
         inj = parse_fault_spec("seed=2;crash")
         res = simulate_globus("cliz", link=link, faults=inj, **self.KW)
         assert res.retransmits == 0 and res.goodput == 1.0
-        assert "retransmits" not in res.as_row()
