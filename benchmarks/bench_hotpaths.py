@@ -295,29 +295,38 @@ def bench_autotune(reps: int, smoke: bool) -> list[dict]:
     """The auto-tuner on a 1% sample of SSH (periodic, masked): 192 trials.
 
     Trials share one prediction per (periodic, layout, fitting) group, so
-    the row also reports how many predictions the tune made.
+    the rows also report how many predictions the tune made. One row tunes
+    in-process (``workers=1``), the other on the default pool (two
+    workers on a host with two or more usable CPUs); both must pick the
+    same pipeline.
     """
     field = ssh(shape=(48, 40, 120) if smoke else (48, 40, 252), seed=1)
-    tuner = AutoTuner(sampling_rate=0.01, **field.tuner_kwargs())
+    rows, best = [], set()
+    for stream, workers in (("ssh-sample", 1), ("ssh-sample-pool", None)):
+        tuner = AutoTuner(sampling_rate=0.01, workers=workers, **field.tuner_kwargs())
 
-    def tune():
-        return tuner.tune(field.data, rel_eb=1e-3, mask=field.mask)
+        def tune():
+            return tuner.tune(field.data, rel_eb=1e-3, mask=field.mask)
 
-    with obs.run() as run:
-        res = tune()
-    predictions = run.metrics.counter("autotune.predictions").value
-    assert res.period == 12 and len(res.trials) == 192 and predictions == 96
-    t = _best(tune, min(reps, 3))
-    return [{
-        "kernel": "autotune",
-        "stream": "ssh-sample",
-        "shape": list(field.data.shape),
-        "sample_shape": list(res.sample_shape),
-        "trials": len(res.trials),
-        "predictions": int(predictions),
-        "tune_ms": round(t * 1e3, 3),
-        "ms_per_trial": round(t * 1e3 / len(res.trials), 3),
-    }]
+        with obs.run() as run:
+            res = tune()
+        predictions = run.metrics.counter("autotune.predictions").value
+        assert res.period == 12 and len(res.trials) == 192 and predictions == 96
+        best.add(res.best)
+        t = _best(tune, min(reps, 3))
+        rows.append({
+            "kernel": "autotune",
+            "stream": stream,
+            "shape": list(field.data.shape),
+            "sample_shape": list(res.sample_shape),
+            "trials": len(res.trials),
+            "predictions": int(predictions),
+            "workers": res.workers,
+            "tune_ms": round(t * 1e3, 3),
+            "ms_per_trial": round(t * 1e3 / len(res.trials), 3),
+        })
+    assert len(best) == 1, "the worker count changed the tuned pipeline"
+    return rows
 
 
 def write_metrics_jsonl(results: dict, path) -> int:
@@ -389,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
               f"decompress {row['decompress_ms']:7.1f} ms")
     for row in results["autotune"]:
         print(f"autotune/{row['stream']} {row['trials']} trials on "
-              f"{row['predictions']} predictions: {row['tune_ms']:7.1f} ms")
+              f"{row['predictions']} predictions, {row['workers']} worker(s): "
+              f"{row['tune_ms']:7.1f} ms")
     for row in results["blobstore"]:
         print(f"blobstore.put/{row['stream']:12s} p50 {row['put_ms_p50']:7.2f} ms  "
               f"min {row['put_ms_min']:7.2f} ms")

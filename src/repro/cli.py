@@ -213,7 +213,8 @@ def cmd_tune(args) -> int:
     result = tuner.tune(data, mask=mask, **_eb_kwargs(args))
     print(f"period   : {result.period}")
     print(f"sample   : {result.sample_shape} ({result.sampling_rate:.3%} of the data)")
-    print(f"tuning   : {result.total_time:.1f}s over {len(result.trials)} pipelines")
+    print(f"tuning   : {result.total_time:.1f}s over {len(result.trials)} pipelines "
+          f"on {result.workers} worker{'s' if result.workers > 1 else ''}")
     print(f"best     : {result.best.describe()}")
     print("top 5    :")
     for trial in result.sorted_trials()[:5]:

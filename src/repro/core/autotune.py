@@ -15,6 +15,13 @@ two candidates that differ only there encode one shared prediction
 the 192 candidates above, with the same ratios a full compress per
 candidate would give.
 
+The groups are independent, so by default they are scored on two
+processes: :meth:`AutoTuner.tune` makes each group one job and dispatches
+the jobs through the job loop of :mod:`repro.parallel` (the one
+``compress_chunked`` uses). Each job carries a pickled copy of the sample;
+results go back by candidate index, so the trials and ``best`` do not
+depend on the worker count.
+
 The period itself is estimated once from full-length rows (the FFT is cheap
 regardless of sampling rate, which is why the paper's Table IV finds
 period 12 even at 0.001% sampling). When a period exists, sample blocks
@@ -27,15 +34,17 @@ that periodic datasets pay a constant extra sampling cost.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.compressor import encode, predict, prediction_key, resolve_error_bound
 from repro.core.dims import enumerate_layouts
 from repro.core.periodicity import detect_period
 from repro.core.pipeline import PipelineConfig
-from repro.obs import inc_counter
+from repro.parallel import RetryPolicy, _finalize, _run_jobs
 from repro.utils.timer import Timer
 from repro.utils.validation import check_array, check_mask, ensure_float
 
@@ -43,6 +52,9 @@ __all__ = ["AutoTuner", "AutoTuneResult", "TrialResult", "sample_blocks", "mask_
 
 #: Axes this short or shorter are sampled in full (see ``AutoTuner.tune``).
 _FULL_AXIS_THRESHOLD = 32
+#: Default tune workers (fewer if fewer CPUs are usable). Two is the count
+#: the pooled tune has been measured at; more are used only when asked for.
+_DEFAULT_WORKERS = 2
 
 
 def mask_aware_anchors(shape: tuple[int, ...], mask: np.ndarray | None) -> dict[int, tuple[int, int]]:
@@ -160,7 +172,12 @@ class TrialResult:
 
 @dataclass
 class AutoTuneResult:
-    """Outcome of :meth:`AutoTuner.tune`."""
+    """Outcome of :meth:`AutoTuner.tune`.
+
+    ``total_time`` is wall-clock time; ``workers`` is how many processes
+    scored the trials (1: in-process), so with ``workers > 1`` the trials'
+    ``trial_time`` can add up to more than ``total_time``.
+    """
 
     best: PipelineConfig
     trials: list[TrialResult]
@@ -168,6 +185,7 @@ class AutoTuneResult:
     sampling_rate: float
     period: int | None
     total_time: float
+    workers: int
 
     def sorted_trials(self) -> list[TrialResult]:
         return sorted(self.trials, key=lambda t: -t.est_ratio)
@@ -190,7 +208,7 @@ def _score_group(configs: list[PipelineConfig], sample: np.ndarray, eb: float,
     prediction and is charged its own encode plus an equal share of the
     prediction. The prediction is dropped on return.
     """
-    inc_counter("autotune.predictions")
+    obs.inc_counter("autotune.predictions")
     shared = Timer()
     with shared:
         try:
@@ -212,6 +230,11 @@ def _score_group(configs: list[PipelineConfig], sample: np.ndarray, eb: float,
     return out
 
 
+def _score_job(job) -> list[TrialResult]:
+    """:func:`_score_group` on one pool job, ``(configs, sample, eb, sample_mask)``."""
+    return _score_group(*job)
+
+
 class AutoTuner:
     """Exhaustive pipeline search over a sampled subset of the data.
 
@@ -226,6 +249,13 @@ class AutoTuner:
         Fitting functions to try.
     max_layouts:
         Optional cap on the number of (perm, fusion) layouts, for quick runs.
+    workers:
+        Processes that score the prediction groups. ``None`` (default)
+        means two, capped by the usable CPUs and the number of groups;
+        ``1`` scores them in-process. Unlike ``compress_chunked``, whose
+        default is serial, the tune defaults to the pool: it is CPU-bound
+        and embarrassingly parallel, and every worker count gives the same
+        trials and ``best``.
     """
 
     def __init__(self, *, sampling_rate: float = 0.01,
@@ -235,9 +265,14 @@ class AutoTuner:
                  try_binclass: bool = True,
                  try_periodic: bool = True,
                  max_layouts: int | None = None,
+                 workers: int | None = None,
                  seed: int = 0) -> None:
         if not (0.0 < sampling_rate <= 1.0):
             raise ValueError("sampling_rate must be in (0, 1]")
+        if max_layouts is not None and max_layouts < 1:
+            raise ValueError("max_layouts must be >= 1")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         self.sampling_rate = sampling_rate
         self.time_axis = time_axis
         self.horiz_axes = horiz_axes
@@ -245,6 +280,7 @@ class AutoTuner:
         self.try_binclass = try_binclass
         self.try_periodic = try_periodic
         self.max_layouts = max_layouts
+        self.workers = workers
         self.seed = seed
 
     # ------------------------------------------------------------------ #
@@ -277,7 +313,8 @@ class AutoTuner:
         (periodicity, layout, fitting): each group is predicted once and
         that prediction is encoded once per bin-classification choice, so
         every ``est_ratio`` is exactly what ``CliZ(cfg).compress`` of the
-        sample gives. Groups run one at a time; trials come back in
+        sample gives. The groups run in-process or one job each on a
+        process pool (see ``workers``); either way trials come back in
         :meth:`candidate_pipelines` order and ``best`` is the first maximum.
         """
         arr = ensure_float(check_array(data))
@@ -306,13 +343,25 @@ class AutoTuner:
                 sample_mask = None  # degenerate sample: fall back to unmasked
 
             candidates = self.candidate_pipelines(arr.ndim, period)
-            groups: dict[tuple, list[int]] = {}
+            keyed: dict[tuple, list[int]] = {}
             for i, cfg in enumerate(candidates):
-                groups.setdefault(prediction_key(cfg), []).append(i)
+                keyed.setdefault(prediction_key(cfg), []).append(i)
+            jobs = [([candidates[i] for i in members], sample, eb, sample_mask)
+                    for members in keyed.values()]
+            workers = min(self.workers or min(_DEFAULT_WORKERS, len(os.sched_getaffinity(0))),
+                          len(jobs))
+            if workers == 1:
+                results = [_score_job(job) for job in jobs]
+            else:
+                with obs.span("autotune.dispatch", workers=workers,
+                              jobs=len(jobs)) as dispatch:
+                    results = _finalize(_run_jobs(
+                        _score_job, jobs, workers=workers, policy=RetryPolicy(),
+                        faults=None, scope="autotune", dispatch=dispatch),
+                        True, "autotune")
             scored: dict[int, TrialResult] = {}
-            for members in groups.values():
-                scored.update(zip(members, _score_group(
-                    [candidates[i] for i in members], sample, eb, sample_mask)))
+            for members, group_trials in zip(keyed.values(), results):
+                scored.update(zip(members, group_trials))
             trials = [scored[i] for i in range(len(candidates))]
 
         best = max(trials, key=lambda t: t.est_ratio).config
@@ -323,4 +372,5 @@ class AutoTuner:
             sampling_rate=self.sampling_rate,
             period=period,
             total_time=total.elapsed,
+            workers=workers,
         )

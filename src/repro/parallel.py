@@ -46,6 +46,7 @@ Retries, pool respawns, and salvage outcomes land in ``parallel.*`` /
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import os
 import signal
@@ -250,11 +251,18 @@ def _worker_call(fn, payload, directive: JobFaults | None, attempt: int,
     if not traced:
         return _run_attempt(fn, payload, directive, attempt, timeout,
                             in_worker=in_worker), None, None
-    with obs.run(tags={"role": "worker"}) as run:
-        with obs.span("worker", attempt=attempt):
-            out = _run_attempt(fn, payload, directive, attempt, timeout,
-                               in_worker=in_worker)
-    return out, run.span_records(), run.metrics.snapshot()
+
+    def traced_attempt():
+        with obs.run(tags={"role": "worker"}) as run:
+            with obs.span("worker", attempt=attempt):
+                out = _run_attempt(fn, payload, directive, attempt, timeout,
+                                   in_worker=in_worker)
+        return out, run.span_records(), run.metrics.snapshot()
+
+    # An empty context: a forked worker inherits the dispatching thread's
+    # open span, but its spans must start their own tree ("worker"), which
+    # Run.absorb then roots under the dispatch span exactly once.
+    return contextvars.Context().run(traced_attempt)
 
 
 # ---------------------------------------------------------------------- #

@@ -106,6 +106,13 @@ class TestTuner:
         with pytest.raises(ValueError):
             AutoTuner(sampling_rate=0.0)
 
+    @pytest.mark.parametrize("max_layouts", [0, -1])
+    def test_max_layouts_below_one_rejected(self, max_layouts):
+        # 0 leaves no candidates to pick from; a negative cap would slice
+        # layouts off the end of the list
+        with pytest.raises(ValueError, match="max_layouts"):
+            AutoTuner(max_layouts=max_layouts)
+
 
 class TestDegenerateCandidates:
     """Regression guard for the narrowed candidate-evaluation catch.

@@ -4,7 +4,8 @@
 and encodes that prediction once per bin-classification choice. The
 contract: every trial scores exactly what a full ``CliZ(cfg).compress`` of
 the sample scores, trials come back in ``candidate_pipelines`` order, and
-``best`` is the first maximum, as in a loop over the candidates.
+``best`` is the first maximum, as in a loop over the candidates, whether
+the groups are scored in-process or on a process pool.
 """
 
 import numpy as np
@@ -56,11 +57,13 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_shared_trials_match_full_compress(monkeypatch, case):
+@pytest.mark.parametrize("case,workers", [
+    pytest.param(case, workers, id=case if workers == 1 else f"{case}-pooled")
+    for case in sorted(CASES) for workers in (1, 2)])
+def test_shared_trials_match_full_compress(monkeypatch, case, workers):
     make, rate, n_candidates = CASES[case]
     f = make()
-    tuner = AutoTuner(sampling_rate=rate, **f.tuner_kwargs())
+    tuner = AutoTuner(sampling_rate=rate, workers=workers, **f.tuner_kwargs())
     with obs.run() as run:
         res, sample, sample_mask = tune_capturing_sample(monkeypatch, tuner, f.data, f.mask)
     if case.startswith("ssh"):
@@ -81,7 +84,9 @@ def test_shared_trials_match_full_compress(monkeypatch, case):
     assert len(groups) == n_candidates // 2
     assert run.metrics.counter("autotune.predictions").value == len(groups)
     assert all(t.trial_time > 0 for t in res.trials)
-    assert sum(t.trial_time for t in res.trials) <= res.total_time
+    # trial times are per-process: pooled workers overlap in wall time
+    assert res.workers == workers
+    assert sum(t.trial_time for t in res.trials) <= res.workers * res.total_time
 
 
 def test_ties_go_to_the_first_candidate(monkeypatch):

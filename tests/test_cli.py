@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ class TestTune:
         from repro.core import PipelineConfig
         cfg = PipelineConfig.from_dict(json.loads(cfg_path.read_text()))
         assert cfg.layout.ndim_in == 2
+
+    def test_tune_reports_its_workers(self, field_files, capsys):
+        dpath, mpath, _, _ = field_files
+        assert main(["tune", str(dpath), "--rel-eb", "1e-3", "--mask", str(mpath),
+                     "--max-layouts", "2", "--sampling-rate", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^tuning   : \d+\.\ds over \d+ pipelines on "
+                         r"(1 worker|[2-9]\d* workers)$", out, re.MULTILINE)
 
 
 class TestAssess:

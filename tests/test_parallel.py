@@ -178,7 +178,7 @@ class TestTelemetryMerge:
         assert len(workers) == 3  # one worker-root span per array
         for w in workers:
             assert w.tags.get("worker_run")
-            assert w.path.startswith("compress_many/")
+            assert w.path == "compress_many/worker"
         # every absorbed span carries the parent's run id but the worker's pid
         assert {s.run_id for s in spans} == {run.run_id}
         assert any(s.pid != dispatch.pid for s in workers)
