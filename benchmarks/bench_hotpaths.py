@@ -1,9 +1,11 @@
 """Hot-path micro-benchmarks: entropy coding, interpolation, tuning, blob puts.
 
 Measures throughput of the vectorized kernels against their scalar
-reference paths, the fixed per-codebook costs on a quantization-code
-stream and ``BlobStore.put`` at two store sizes, and writes the results
-to ``BENCH_hotpaths.json``. Run from the repository root::
+reference paths, ``HuffmanCode.decode`` as codecs call it (table build
+included) on a real CliZ code section and on short streams, the fixed
+per-codebook costs on a quantization-code stream and ``BlobStore.put`` at
+two store sizes, and writes the results to ``BENCH_hotpaths.json``. Run
+from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py [--smoke] [--out FILE]
 
@@ -29,11 +31,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import obs  # noqa: E402
 from repro.core import AutoTuner, CliZ  # noqa: E402
-from repro.datasets import hurricane_t, ssh  # noqa: E402
+from repro.datasets import cesm_t, hurricane_t, ssh  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
 from repro.encoding.container import Container  # noqa: E402
 from repro.encoding.huffman import HuffmanCode  # noqa: E402
 from repro.encoding.lz import lz_compress, lz_decompress  # noqa: E402
+from repro.encoding.varint import decode_uvarint  # noqa: E402
 from repro.prediction import InterpSpec, interp_compress, interp_decompress  # noqa: E402
 from repro.runtime.durable import atomic_write  # noqa: E402
 from repro.service.blobstore import BlobStore, blob_key  # noqa: E402
@@ -75,12 +78,12 @@ def bench_huffman(n: int, reps: int) -> list[dict]:
             w.getvalue()
 
         t_enc = _best(encode, reps)
-        t_dec_vec = _best(lambda: code.decode_vectorized(data, symbols.size), reps)
+        t_dec = _best(lambda: code.decode(data, symbols.size), reps)
         t_dec_scalar = _best(lambda: code.decode_scalar(data, symbols.size), max(1, reps // 2))
 
-        dec_v, _ = code.decode_vectorized(data, symbols.size)
+        dec, _ = code.decode(data, symbols.size)
         dec_s, _ = code.decode_scalar(data, symbols.size)
-        assert np.array_equal(dec_v, symbols) and np.array_equal(dec_s, symbols)
+        assert np.array_equal(dec, symbols) and np.array_equal(dec_s, symbols)
 
         rows.append({
             "kernel": "huffman",
@@ -89,12 +92,71 @@ def bench_huffman(n: int, reps: int) -> list[dict]:
             "alphabet": int(symbols.max()) + 1,
             "encode_ms": round(t_enc * 1e3, 3),
             "encode_mb_s": round(nbytes / t_enc / 1e6, 1),
-            "decode_vec_ms": round(t_dec_vec * 1e3, 3),
-            "decode_vec_mb_s": round(nbytes / t_dec_vec / 1e6, 1),
+            "decode_ms": round(t_dec * 1e3, 3),
+            "decode_mb_s": round(nbytes / t_dec / 1e6, 1),
             "decode_scalar_ms": round(t_dec_scalar * 1e3, 3),
             "decode_scalar_mb_s": round(nbytes / t_dec_scalar / 1e6, 1),
-            "decode_speedup": round(t_dec_scalar / t_dec_vec, 2),
+            "decode_speedup": round(t_dec_scalar / t_dec, 2),
         })
+    return rows
+
+
+def _section_parts(section: bytes) -> tuple[bytes, bytes, int]:
+    """(table, payload, symbol count) of one ``write_section`` blob."""
+    n, pos = decode_uvarint(section, 0)
+    table_len, pos = decode_uvarint(section, pos)
+    table = section[pos : pos + table_len]
+    bit_len, pos = decode_uvarint(section, pos + table_len)
+    return table, section[pos : pos + (bit_len + 7) // 8], n
+
+
+def _decode_row(stream: str, table: bytes, payload: bytes, n: int, reps: int,
+                calls: int) -> dict:
+    """Deserialize + ``decode`` per call, as a codec reads each section."""
+    def read():
+        return HuffmanCode.deserialize(table)[0].decode(payload, n)
+
+    code = HuffmanCode.deserialize(table)[0]
+    assert np.array_equal(read()[0], code.decode_scalar(payload, n)[0])
+    t = _per_call(read, calls, reps)
+    return {
+        "kernel": "huffman.decode",
+        "stream": stream,
+        "n_symbols": int(n),
+        "used": int(code._order.size),
+        "payload_bytes": len(payload),
+        "decode_ms": round(t * 1e3, 4),
+        "symbols_per_us": round(n / t / 1e6, 2),
+    }
+
+
+def bench_decode(reps: int, smoke: bool) -> list[dict]:
+    """``HuffmanCode.decode`` as codecs call it, table build included.
+
+    One row decodes the code section of a real CliZ stream (CESM-T,
+    default pipeline). The fixed-cost rows decode short streams of a wide
+    code (Laplace codes around the radius, a few hundred used ids) and a
+    peaked one (90% in one bin), where the per-call table build and
+    dispatch matter most.
+    """
+    shape = (8, 60, 120) if smoke else (26, 120, 240)
+    field = cesm_t(shape=shape, seed=2)
+    container = Container.from_bytes(CliZ().compress(field.data, rel_eb=1e-3))
+    name = next(s for s in container.section_names if s.endswith(".codes"))
+    rows = [_decode_row("cliz-cesm-t", *_section_parts(lz_decompress(container.section(name))),
+                        reps, calls=1 if smoke else 3)]
+    rng = np.random.default_rng(8)
+    sizes = (2048, 8192, 32768) if smoke else (2048, 8192, 32768, 131072)
+    for family in ("wide", "peaked"):
+        for n in sizes:
+            symbols = np.rint(rng.laplace(32768, 40 if family == "wide" else 6, n)).astype(np.int64)
+            if family == "peaked":
+                symbols[rng.random(n) < 0.9] = 32768
+            code = HuffmanCode.from_symbols(symbols)
+            writer = BitWriter()
+            code.encode(symbols, writer)
+            rows.append(_decode_row(f"{family}-{n // 1024}k", code.serialize(), writer.getvalue(),
+                                    n, reps, calls=max(1, (10 if smoke else 100) * 2048 // n)))
     return rows
 
 
@@ -340,7 +402,8 @@ def write_metrics_jsonl(results: dict, path) -> int:
     from repro.obs import MetricsRegistry, JsonlSink
 
     registry = MetricsRegistry()
-    for kernel_rows in (results["huffman"], results["codebook"], results["bitwriter"],
+    for kernel_rows in (results["huffman"], results["decode"], results["codebook"],
+                        results["bitwriter"],
                         results["lz"], results["interp"], results["autotune"],
                         results["blobstore"]):
         for row in kernel_rows:
@@ -370,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     results = {
         "config": {"n_symbols": n, "reps": reps, "smoke": bool(args.smoke)},
         "huffman": bench_huffman(n, reps),
+        "decode": bench_decode(reps, args.smoke),
         "codebook": bench_codebook(reps, args.smoke),
         "bitwriter": bench_bitwriter(n, reps),
         "lz": bench_lz(n, reps, args.smoke),
@@ -380,9 +444,12 @@ def main(argv: list[str] | None = None) -> int:
 
     for row in results["huffman"]:
         print(f"huffman/{row['stream']:12s} encode {row['encode_mb_s']:8.1f} MB/s  "
-              f"decode(vec) {row['decode_vec_mb_s']:8.1f} MB/s  "
+              f"decode {row['decode_mb_s']:8.1f} MB/s  "
               f"decode(scalar) {row['decode_scalar_mb_s']:8.1f} MB/s  "
               f"speedup {row['decode_speedup']:5.2f}x")
+    for row in results["decode"]:
+        print(f"huffman.decode/{row['stream']:12s} {row['n_symbols']:7d} symbols, "
+              f"{row['used']:4d} used ids: {row['decode_ms']:8.3f} ms")
     for row in results["codebook"]:
         print(f"codebook/{row['stream']} ({row['used']} of {row['alphabet']} ids): "
               f"build {row['build_ms']:.3f} ms  serialize {row['serialize_ms']:.3f} ms  "

@@ -1,4 +1,10 @@
-"""Lossless coding substrates: bit I/O, Huffman, multi-Huffman, LZ77, RLE, container."""
+"""Lossless coding substrates: bit I/O, Huffman, multi-Huffman, LZ77, RLE, container.
+
+Importing this package (every codec does) also pins glibc's malloc
+thresholds for the process, see :func:`_pin_malloc_thresholds`.
+"""
+
+import ctypes
 
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.container import Container
@@ -23,3 +29,33 @@ __all__ = [
     "pack_bitmap",
     "unpack_bitmap",
 ]
+
+# glibc mallopt parameters (malloc.h) and the values pinned for them.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Serve codec-sized arrays from the reused heap, not fresh mmaps.
+
+    glibc maps every block above its mmap threshold (128 KiB at start)
+    with its own ``mmap`` and unmaps it on free, so each call's arrays
+    cost fresh zeroed pages. The threshold also rises to the largest such
+    block freed so far, so which arrays pay depends on what some earlier
+    call allocated. Fixed thresholds make every array under 32 MiB reuse
+    heap memory, and the heap is trimmed back only past 64 MiB of free
+    top. Where ``mallopt`` does not exist (not glibc), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_malloc_thresholds()

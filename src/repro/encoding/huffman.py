@@ -10,24 +10,22 @@ Implementation highlights:
   then repaired to a 16-bit ceiling by a Kraft-sum redistribution (increment
   lengths of the least-frequent overlong symbols until the Kraft inequality
   holds, then greedily shorten where slack remains). A 16-bit ceiling lets
-  the decoder use a single flat 65536-entry lookup table.
+  the scalar decoder use a single flat 65536-entry window table.
 * Encoding is fully vectorized (gather codes/lengths per symbol, one bulk
   word-plane pack in :class:`~repro.encoding.bitstream.BitWriter`).
-* Decoding dispatches between two kernels. Small streams use a tight scalar
-  loop (16-bit window per symbol, C-level ``bytes`` indexing, plain-list
-  table lookups). Large streams use a batched NumPy kernel
-  (:meth:`HuffmanCode.decode_vectorized`): phase 1 looks up only the
-  codeword length of the 16-bit window at *every* bit position, in one
-  vectorized pass over a ``uint8`` table, then many chains are walked in
-  lockstep from evenly spaced anchor bit positions. Chains started at wrong
-  positions resynchronize with the true codeword chain after a few symbols
-  (the classic Huffman self-synchronization property), so a final stitch
-  pass only has to follow the true chain at anchor granularity, copying
-  whole spans of already-walked codeword starts. Symbols are gathered
-  once, at those starts. Equal-length codebooks skip the
-  chains entirely (codeword boundaries are known in closed form), and a
-  scalar fallback keeps pathological non-synchronizing streams correct.
-  The scalar loop is retained as the differential-testing oracle.
+* Decoding is a byte-wise state machine
+  (:meth:`HuffmanCode.decode_vectorized`). Its states are the code tree's
+  internal nodes; a nibble table gives each (state, nibble) its next state
+  and the bits where codewords end, and composing it with itself gives a
+  (state, byte) next-state table. Many speculative chains walk the stream a
+  byte per step in lockstep, each starting at the root a few codewords
+  before its block; Huffman codes resynchronize, so most guessed start
+  states are right, and the rest are re-walked from the previous chain's
+  end state, cascading where a re-walk moves a chain's own end. The
+  nibble rows then give every symbol and the end bit in a few vectorized
+  gathers. Equal-length codebooks decode in closed form, and a stream
+  that never resynchronizes finishes in the scalar loop, which is also
+  the differential-testing oracle.
 * The serialized form stores only (symbol, length) pairs — sorted symbols as
   zigzag-delta varints plus 4-bit length nibbles — and both sides rebuild the
   canonical codebook deterministically.
@@ -35,9 +33,9 @@ Implementation highlights:
   Quantization codes cluster around the radius, so a 32.8k-65.5k-entry
   alphabet typically uses a few hundred ids. One bool scan of the counts
   finds them; lengths, the canonical order and the codes are then built
-  once, over those ids; ``serialize`` reuses them; the decode table is one
-  ``np.repeat`` over the canonical order, because canonical codes tile the
-  16-bit window space in that order.
+  once, over those ids; ``serialize`` reuses them. A deserialized
+  codebook keeps only the used ids, so decoding allocates nothing
+  alphabet-sized whatever alphabet the table declares.
 """
 
 from __future__ import annotations
@@ -59,15 +57,15 @@ __all__ = ["HuffmanCode", "MAX_CODE_LENGTH"]
 
 MAX_CODE_LENGTH = 16
 
-# Vectorized-decode tuning knobs. Streams shorter than _VECTOR_MIN_SYMBOLS
-# decode faster in the scalar loop (the NumPy kernel has ~1 ms of fixed
-# setup); anchors are spaced ~_ANCHOR_SYMS codewords apart, and every chain
-# walks _SLACK_BITS extra bits so a wrongly-started chain has room to
-# resynchronize before its span is needed.
-_VECTOR_MIN_SYMBOLS = 2048
-_ANCHOR_SYMS = 256
-_SLACK_BITS = 96
-_MAX_STEPS = 640
+# State-machine decode knobs. The walk goes a byte per step once the stream
+# has _BYTES_PER_STATE bytes per tree state (the byte table has 256 rows
+# per state, the nibble table 16), a nibble per step otherwise. Each chain
+# walks _WARMUP_CODEWORDS average codewords before its block, and a stream
+# whose repairs take more than _MAX_ROUNDS rounds per 256 blocks goes to
+# the scalar loop.
+_BYTES_PER_STATE = 16
+_WARMUP_CODEWORDS = 6
+_MAX_ROUNDS = 16
 _EOF_MSG = "corrupt or truncated Huffman stream"
 _INF = float("inf")
 
@@ -201,6 +199,132 @@ def _canonical_codes(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, (first[sorted_len] + rank).astype(np.uint32)
 
 
+class _Machine:
+    """Decode tables over the internal nodes of a canonical code tree.
+
+    A state is an internal node: a proper prefix of some codeword, the
+    root (state 0) first, then by depth and value. One more state,
+    ``dead``, is where bits no codeword starts with lead; it absorbs.
+    Row ``s << 4 | x`` of the nibble tables describes reading nibble ``x``
+    (high bit first) in state ``s``: ``nib_step`` holds the state after
+    it (shifted left by 4, so that ``nib_step[row] | next_nibble`` is the
+    next row); for each of its bits ``j``, byte ``j`` of ``emit_bits[row]``
+    is 1 if a codeword ends at that bit and ``symbols[4 * row + j]`` is
+    that codeword's symbol.
+    """
+
+    def __init__(self, order: np.ndarray, order_len: np.ndarray) -> None:
+        # Canonical layout: the codewords of length d are the d-bit values
+        # first[d] .. first[d] + count[d] - 1, and the internal nodes at
+        # depth d the values after them up to the last codeword's d-bit
+        # prefix; past that, a Kraft-deficient code has dead values.
+        lmax = int(order_len[-1])
+        count = np.bincount(order_len, minlength=lmax + 1).tolist()
+        first = [0] * (lmax + 1)
+        for d in range(1, lmax + 1):
+            first[d] = (first[d - 1] + count[d - 1]) << 1
+        last = first[lmax] + count[lmax] - 1
+        n_int = [(last >> (lmax - d)) - first[d] - count[d] + 1 for d in range(lmax)] + [0]
+        self.n_states = dead = sum(n_int)
+        # One bit: list the children of every internal node, by depth and
+        # then value. At each depth they are the leaves (in canonical
+        # order), then the internal nodes (states 1, 2, ... in order),
+        # then the dead values, so three run lengths per depth say which.
+        sizes = [k for d in range(1, lmax + 1) for k in
+                 (count[d], n_int[d], 2 * n_int[d - 1] - count[d] - n_int[d])]
+        kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), lmax), sizes)
+        nxt = np.full(2 * dead + 2, dead, dtype=np.int32)  # the dead state's too
+        nxt[:-2][kind == 0] = 0
+        nxt[:-2][kind == 1] = np.arange(1, dead, dtype=np.int32)
+        emit = np.zeros(2 * dead + 2, dtype="<u1")
+        emit[:-2] = kind == 0
+        rank = np.zeros(2 * dead + 2, dtype="<u2")
+        rank[:-2][kind == 0] = np.arange(order.size, dtype=np.uint16)
+        emit, rank, nxt = (t.reshape(dead + 1, 2) for t in (emit, rank, nxt))
+        # Two doublings, 1 -> 2 -> 4 bits: reading x_hi then x_lo is the
+        # row of x_hi, then the row of x_lo in the state x_hi leads to.
+        # Per-bit fields are packed into one integer, first bit lowest.
+        for bits, e_t, r_t in ((1, "<u2", "<u4"), (2, "<u4", "<u8")):
+            emit = emit[:, :, None].astype(e_t) | (
+                np.take(emit, nxt, axis=0).astype(e_t) << (8 * bits))
+            rank = rank[:, :, None].astype(r_t) | (
+                np.take(rank, nxt, axis=0).astype(r_t) << (16 * bits))
+            nxt = np.take(nxt, nxt, axis=0)
+            emit, rank, nxt = (a.reshape(dead + 1, -1) for a in (emit, rank, nxt))
+        self.nib_step = nxt.reshape(-1) << 4
+        self.emit_bits = emit.reshape(-1)
+        self.symbols = np.take(order, rank.reshape(-1).view("<u2"))
+        self._byte_step: np.ndarray | None = None
+
+    def byte_step(self) -> np.ndarray:
+        """``nib_step`` composed with itself: one row per (state, byte)."""
+        if self._byte_step is None:
+            nxt = (self.nib_step >> 4).reshape(-1, 16)
+            self._byte_step = np.take(nxt << 8, nxt, axis=0).reshape(-1)
+        return self._byte_step
+
+
+def _walk(step: np.ndarray, units: np.ndarray, shift: int, warm: int) -> np.ndarray | None:
+    """Table rows ``state << shift | unit`` of every unit of the stream.
+
+    ``step[row]`` is the state after reading the row's unit, shifted left
+    by ``shift``. The stream is cut into blocks, one chain per block, and
+    chain k > 0 guesses its start state by walking ``warm`` units from
+    the root before its block. A chain is flagged when its start differs
+    from the previous chain's end. Each round re-walks the first chain of
+    every run of flagged chains from its predecessor's end; if that moves
+    its own end, the next chain is flagged in turn (a cascade), while a
+    chain flagged only because its predecessor was wrong often matches
+    once the predecessor is mended. The first flagged chain always has a
+    final predecessor, so every round mends at least one chain. Returns
+    None if flags remain after ``_MAX_ROUNDS * (1 + chains // 256)``
+    rounds: past that, the scalar loop is the cheaper way on.
+    """
+    n = units.size
+    # ~sqrt(n) / 8 units per block, a power of two in 16..64 (or the whole
+    # of a shorter stream): then if every code length is a multiple of an
+    # odd g (say 3), successive blocks start in different bit phases mod g.
+    length = min(n, 16 << min(2, max(0, n.bit_length() // 2 - 7)))
+    warm = max(1, min(warm, length - 1))
+    chains = -(-n // length)
+    flat = np.zeros(chains * length, dtype=np.int32)
+    flat[:n] = units
+    x = np.ascontiguousarray(flat.reshape(chains, length).T)  # x[t, k]: unit k*length + t
+    rec = np.empty((length, chains), dtype=np.int32)
+    guess = x[length - warm, :-1]
+    for t in range(length - warm + 1, length):
+        guess = np.take(step, guess) | x[t, :-1]
+    rec[0, 0] = x[0, 0]
+    rec[0, 1:] = np.take(step, guess) | x[0, 1:]
+    _run(step, x, rec)
+    ends = np.take(step, rec[-1])
+    keep_state = -1 << shift
+    rounds_left = _MAX_ROUNDS * (1 + chains // 256)
+    while True:
+        flagged = rec[0, 1:] & keep_state != ends[:-1]
+        if not flagged.any():
+            return rec.T.reshape(-1)[:n]
+        if not rounds_left:
+            return None
+        rounds_left -= 1
+        flagged[1:] &= ~flagged[:-1].copy()  # the first chain of each run
+        heads = np.flatnonzero(flagged) + 1
+        xh = x[:, heads]
+        sub = np.empty_like(xh)
+        sub[0] = ends[heads - 1] | xh[0]
+        _run(step, xh, sub)
+        rec[:, heads] = sub
+        ends[heads] = np.take(step, sub[-1])
+
+
+def _run(step: np.ndarray, x: np.ndarray, rec: np.ndarray) -> None:
+    """Fill rows 1.. of ``rec`` by walking every column on from row 0."""
+    for t in range(1, len(rec)):
+        row = rec[t]
+        np.take(step, rec[t - 1], out=row)
+        row |= x[t]
+
+
 class HuffmanCode:
     """A canonical Huffman codebook over the alphabet ``0..alphabet_size-1``.
 
@@ -215,24 +339,58 @@ class HuffmanCode:
         when the caller already has them; otherwise one scan finds them.
         Every later step works on those ids only.
         """
-        self.lengths = np.asarray(lengths, dtype=np.uint8)
-        self._used = np.flatnonzero(self.lengths) if used is None else used
-        used_len = self.lengths[self._used]
+        lengths = np.asarray(lengths, dtype=np.uint8)
+        used = np.flatnonzero(lengths) if used is None else used
+        self._set_used(used, lengths[used], lengths.size)
+        self._lengths = lengths
+
+    @classmethod
+    def _from_used(cls, used: np.ndarray, used_len: np.ndarray,
+                   alphabet_size: int) -> "HuffmanCode":
+        """Codebook from the ascending used ids and their lengths alone."""
+        code = cls.__new__(cls)
+        code._set_used(used, used_len, alphabet_size)
+        return code
+
+    def _set_used(self, used: np.ndarray, used_len: np.ndarray, alphabet_size: int) -> None:
         if used_len.size and int(used_len.max()) > MAX_CODE_LENGTH:
             raise ValueError("code length exceeds MAX_CODE_LENGTH")
         kraft = int((1 << (MAX_CODE_LENGTH - used_len.astype(np.int64))).sum())
         if kraft > 1 << MAX_CODE_LENGTH:
             raise ValueError("code lengths violate the Kraft inequality")
         order, codes = _canonical_codes(used_len)
-        # Symbols and their lengths in canonical (length, symbol) order.
-        self._order = self._used[order]
+        self._used = used
+        self._used_len = used_len
+        self._alphabet_size = alphabet_size
+        # Symbols, lengths and codes in canonical (length, symbol) order.
+        self._order = used[order]
         self._order_len = used_len[order]
-        self.codes = np.zeros(self.lengths.size, dtype=np.uint32)
-        self.codes[self._order] = codes
-        self._decode_sym_np: np.ndarray | None = None
-        self._decode_len_np: np.ndarray | None = None
+        self._order_codes = codes
+        self._lengths: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
         self._decode_sym: list[int] | None = None
         self._decode_len: list[int] | None = None
+        self._machine: _Machine | None = None
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Code length of every symbol id, 0 for an unused one.
+
+        Alphabet-sized, so built on first use: a decoded codebook never
+        needs it, and its stream may declare a huge alphabet.
+        """
+        if self._lengths is None:
+            self._lengths = np.zeros(self._alphabet_size, dtype=np.uint8)
+            self._lengths[self._used] = self._used_len
+        return self._lengths
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Canonical code of every symbol id (``uint32``), built on first use."""
+        if self._codes is None:
+            self._codes = np.zeros(self._alphabet_size, dtype=np.uint32)
+            self._codes[self._order] = self._order_codes
+        return self._codes
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -263,7 +421,7 @@ class HuffmanCode:
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.lengths)
+        return self._alphabet_size
 
     def expected_bits(self, freqs: np.ndarray) -> int:
         """Total encoded size in bits for the given symbol counts."""
@@ -290,34 +448,30 @@ class HuffmanCode:
         table fills it. Windows past the last code (a Kraft-deficient
         code) keep length 0, which decoders read as an invalid prefix.
         """
-        if self._decode_sym_np is None:
-            size = 1 << MAX_CODE_LENGTH
-            widths = 1 << (MAX_CODE_LENGTH - self._order_len.astype(np.int64))
-            n = int(widths.sum())
-            sym_t = np.zeros(size, dtype=np.int64)
-            len_t = np.zeros(size, dtype=np.uint8)
-            sym_t[:n] = np.repeat(self._order, widths)
-            len_t[:n] = np.repeat(self._order_len, widths)
-            self._decode_sym_np = sym_t
-            self._decode_len_np = len_t
-        return self._decode_sym_np, self._decode_len_np
+        size = 1 << MAX_CODE_LENGTH
+        widths = 1 << (MAX_CODE_LENGTH - self._order_len.astype(np.int64))
+        n = int(widths.sum())
+        sym_t = np.zeros(size, dtype=np.int64)
+        len_t = np.zeros(size, dtype=np.uint8)
+        sym_t[:n] = np.repeat(self._order, widths)
+        len_t[:n] = np.repeat(self._order_len, widths)
+        return sym_t, len_t
 
-    def decode(self, data: bytes, n_symbols: int, bit_offset: int = 0) -> tuple[np.ndarray, int]:
-        """Decode ``n_symbols`` codewords from ``data`` starting at ``bit_offset``.
+    def decode(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
+        """Decode ``n_symbols`` codewords from the start of ``data``.
 
-        Returns ``(symbols, new_bit_offset)``. Large streams dispatch to the
-        batched NumPy kernel (:meth:`decode_vectorized`), small ones to the
-        scalar loop (:meth:`decode_scalar`); both produce identical output.
+        Returns ``(symbols, end_bit)``. This is the byte-wise state machine
+        (:meth:`decode_vectorized`) at every length: on a freshly read
+        codebook it beats the scalar loop even at 16 symbols, because the
+        scalar loop's 65536-entry window table costs ~2.5 ms to build.
         """
-        if n_symbols >= _VECTOR_MIN_SYMBOLS:
-            return self.decode_vectorized(data, n_symbols, bit_offset)
-        return self.decode_scalar(data, n_symbols, bit_offset)
+        return self.decode_vectorized(data, n_symbols)
 
-    def decode_scalar(self, data: bytes, n_symbols: int, bit_offset: int = 0) -> tuple[np.ndarray, int]:
+    def decode_scalar(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
         """Scalar reference decoder (one table lookup per symbol).
 
-        Kept as the differential-testing oracle for the vectorized kernel and
-        as the fast path for short streams.
+        Kept as the differential-testing oracle for the state machine and
+        as its fallback for streams that do not resynchronize.
         """
         if self._decode_sym is None:
             # Plain lists: element access is ~3x faster than ndarray scalar
@@ -329,11 +483,11 @@ class HuffmanCode:
         len_t = self._decode_len
         assert sym_t is not None and len_t is not None
         nbits = len(data) * 8
-        if n_symbols and bit_offset >= nbits:
+        if n_symbols and nbits == 0:
             raise EOFError(_EOF_MSG)
         buf = bytes(data) + b"\x00\x00\x00"
         out = [0] * n_symbols
-        pos = bit_offset
+        pos = 0
         for i in range(n_symbols):
             byte = pos >> 3
             w = (((buf[byte] << 16) | (buf[byte + 1] << 8) | buf[byte + 2]) >> (8 - (pos & 7))) & 0xFFFF
@@ -344,147 +498,87 @@ class HuffmanCode:
             pos += ln
         return np.array(out, dtype=np.int64), pos
 
-    def decode_vectorized(self, data: bytes, n_symbols: int, bit_offset: int = 0) -> tuple[np.ndarray, int]:
-        """Batched NumPy decoder (anchor chains + self-synchronization).
+    def decode_vectorized(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
+        """Byte-wise state-machine decoder (speculative chains + repair).
 
-        Phases, all vectorized except a short stitch loop:
+        The states are the code tree's internal nodes (:class:`_Machine`).
 
-        1. decode the 16-bit window at *every* bit position of the stream in
-           one pass, yielding a per-position codeword length (``uint8``);
-           symbols are gathered later, at the true codeword starts only;
-        2. equal-length codebooks finish immediately (codeword boundaries
-           are ``offset + k * L``);
-        3. otherwise walk one decode chain per anchor (anchors every
-           ``~_ANCHOR_SYMS`` codewords) in lockstep, recording the visited
-           bit positions — chains started mid-codeword resynchronize with
-           the true chain within a few symbols;
-        4. stitch: follow the true chain at anchor granularity, copying each
-           chain's already-decoded span; single-symbol scalar steps patch
-           the rare sync gaps, and persistent sync failure falls back to the
-           scalar loop for the remainder (correct for adversarial streams).
+        1. Equal-length codebooks finish in closed form (codeword ``k``
+           starts at bit ``k * L``).
+        2. Walk: the stream is cut into blocks, and one chain per block
+           walks it a byte per step (a nibble on large trees or short
+           streams), all chains in lockstep. Each chain starts at the root
+           a few codewords before its block, so its guessed start state is
+           usually already the true one (Huffman codes resynchronize).
+        3. Repair: a chain whose guess differs from the previous chain's
+           end state is re-walked from that state, and a re-walk that
+           changes the chain's own end state flags the next chain, so
+           repairs cascade (:func:`_walk`). A stream that needs too many
+           rounds (e.g. every code length a multiple of 3, which never
+           resynchronizes) finishes in the scalar loop.
+        4. Emit: the nibble-table row of every nibble marks the bits where
+           codewords end, in stream order; the first ``n_symbols`` marks
+           give the symbols, and the last one the end bit.
         """
         if n_symbols == 0:
-            return np.zeros(0, dtype=np.int64), bit_offset
-        sym_np, len_np = self._decode_tables()
-
-        data = bytes(data)
-        nbits = len(data) * 8
-        if self._order.size == 0 or bit_offset >= nbits:
+            return np.zeros(0, dtype=np.int64), 0
+        if self._order.size == 0 or not len(data):
             raise EOFError(_EOF_MSG)
-        min_len = int(self._order_len[0])
-        max_len_used = int(self._order_len[-1])
-
         # n symbols span at most 16n bits; never touch (or allocate) more.
-        nb = min(nbits, bit_offset + MAX_CODE_LENGTH * n_symbols)
-        pad = _MAX_STEPS * MAX_CODE_LENGTH + MAX_CODE_LENGTH
-        if nb + pad >= 2**31:  # keep int32 position arithmetic exact
-            return self.decode_scalar(data, n_symbols, bit_offset)
-        nbytes_eff = (nb + 7) // 8
-        buf = np.frombuffer(data[:nbytes_eff] + b"\x00\x00\x00", dtype=np.uint8).astype(np.int32)
+        nbytes = min(len(data), 2 * n_symbols)
+        buf = np.frombuffer(data, dtype=np.uint8, count=nbytes)
+        if self._order_len[0] == self._order_len[-1]:
+            return self._decode_equal_length(buf, n_symbols, len(data) * 8)
+        if self._machine is None:
+            self._machine = _Machine(self._order, self._order_len)
+        m = self._machine
+        if nbytes >= _BYTES_PER_STATE * m.n_states:
+            shift, step, units = 8, m.byte_step(), buf
+        else:
+            shift, step = 4, m.nib_step
+            units = np.empty(2 * nbytes, dtype=np.uint8)
+            np.right_shift(buf, 4, out=units[0::2])
+            np.bitwise_and(buf, 15, out=units[1::2])
+        warm = -(-_WARMUP_CODEWORDS * 8 * nbytes // (n_symbols * shift))
+        walk = _walk(step, units, shift, warm)
+        if walk is None:
+            return self.decode_scalar(data, n_symbols)
+        if shift == 8:
+            # walk = state << 8 | byte, so walk >> 4 = state << 4 | high nibble
+            nib = np.empty((nbytes, 2), dtype=np.int32)
+            np.right_shift(walk, 4, out=nib[:, 0])
+            np.take(m.nib_step, nib[:, 0], out=nib[:, 1])
+            nib[:, 1] |= walk & 15
+            nib = nib.reshape(-1)
+        else:
+            nib = walk
+        # Bit 4k + j of the stream ends a codeword iff byte j of
+        # emit_bits[nib[k]] is 1.
+        ends = np.flatnonzero(np.take(m.emit_bits, nib).view(bool))
+        if ends.size < n_symbols:
+            raise EOFError(_EOF_MSG)
+        ends = ends[:n_symbols]
+        rows = np.take(nib, ends >> 2)
+        rows <<= 2
+        rows |= ends & 3
+        return np.take(m.symbols, rows), int(ends[-1]) + 1
 
-        def window_at(pos: np.ndarray) -> np.ndarray:
-            byte = pos >> 3
-            return (((buf[byte] << 16) | (buf[byte + 1] << 8) | buf[byte + 2])
-                    >> (8 - (pos & 7))) & 0xFFFF
-
-        # --- equal-length fast path (covers 1-symbol codebooks) --------- #
-        if min_len == max_len_used:
-            step = min_len
-            end = bit_offset + step * n_symbols
-            if end > nbits:
-                raise EOFError(_EOF_MSG)
-            pos = bit_offset + step * np.arange(n_symbols, dtype=np.int32)
-            w = window_at(pos)
-            if (len_np[w] == 0).any():
-                raise EOFError(_EOF_MSG)
-            return sym_np[w], end
-
-        # --- per-bit-position window decode ------------------------------ #
-        # The 24-bit word starting at each byte, broadcast over the 8 bit
-        # phases, yields the 16-bit decode window at every bit position
-        # without any gather.
-        w24 = (buf[:-2] << 16) | (buf[1:-1] << 8) | buf[2:]
-        shifts = np.arange(8, 0, -1, dtype=np.int32)
-        w_all = ((w24[:, None] >> shifts[None, :]) & 0xFFFF).ravel()[:nb]
-        # Padded lengths: walking chains may briefly run past the stream
-        # end; invalid/pad positions advance 1 bit and flag length 0.
-        # Symbols are gathered only at the final codeword starts.
-        len_ext = np.zeros(nb + pad, dtype=np.uint8)
-        np.take(len_np, w_all, out=len_ext[:nb])  # 0 marks an invalid prefix
-        len_walk = np.maximum(len_ext, 1)
-
-        # --- anchor chain walk (positions only) -------------------------- #
-        avg_len = max(min_len, min(MAX_CODE_LENGTH, (nb - bit_offset) / n_symbols))
-        gap = max(min_len, int(round(_ANCHOR_SYMS * avg_len)))
-        n_chains = max(1, -(-(nb - bit_offset) // gap))
-        anchors = (bit_offset + gap * np.arange(n_chains, dtype=np.int64)).astype(np.int32)
-        target = np.minimum(anchors + np.int32(gap + _SLACK_BITS), np.int32(nb))
-
-        pos_recs = [anchors]
-        cur = anchors
-        steps = 0
-        while True:
-            cur = cur + len_walk[cur]
-            pos_recs.append(cur)
-            steps += 1
-            if steps >= _MAX_STEPS:
-                break
-            if steps % 8 == 0 and (cur >= target).all():
-                break
-        n_steps = steps
-        pos_mat = np.ascontiguousarray(np.array(pos_recs).T)  # (n_chains, n_steps+1)
-
-        # --- stitch along the true chain --------------------------------- #
-        # Record only the codeword start positions here; symbols are
-        # gathered and the stream validated in one batched pass afterwards.
-        # Every recorded position lies on the true decode chain, so on any
-        # validation failure the scalar oracle (re-run from the start) is
-        # guaranteed to raise EOFError at the exact failing symbol.
-        pos_all = np.empty(n_symbols, dtype=np.int32)
-        count = 0
-        p = bit_offset
-        n_scalar_steps = 0
-        while count < n_symbols:
-            if p >= nb:
-                raise EOFError(_EOF_MSG)
-            k = (p - bit_offset) // gap
-            if k >= n_chains:
-                k = n_chains - 1
-            row = pos_mat[k]
-            j = int(row.searchsorted(p))
-            if j < n_steps and row[j] == p:
-                take = min(n_steps - j, n_symbols - count)
-                pos_all[count : count + take] = row[j : j + take]
-                count += take
-                p = int(row[j + take])
-            else:
-                # Sync gap: the chain covering this region has not merged
-                # with the true chain yet. Step one symbol.
-                ln_s = int(len_ext[p])
-                if ln_s == 0:
-                    return self.decode_scalar(data, n_symbols, bit_offset)
-                pos_all[count] = p
-                count += 1
-                p += ln_s
-                n_scalar_steps += 1
-                if n_scalar_steps > 4096 and n_scalar_steps * 4 > count:
-                    # Pathological stream that refuses to resynchronize:
-                    # finish with the scalar loop rather than limping along.
-                    prefix = pos_all[:count]
-                    if count and int(len_ext[prefix].min()) == 0:
-                        return self.decode_scalar(data, n_symbols, bit_offset)
-                    rest, p = self.decode_scalar(data, n_symbols - count, p)
-                    out = np.empty(n_symbols, dtype=np.int64)
-                    out[:count] = sym_np[w_all[prefix]]
-                    out[count:] = rest
-                    return out, p
-
-        ln_all = len_ext[pos_all]
-        if int(ln_all.min()) == 0 or p > nbits:
-            # Invalid window or overrun on the true chain: the oracle raises
-            # EOFError at the exact failing symbol.
-            return self.decode_scalar(data, n_symbols, bit_offset)
-        return sym_np[w_all[pos_all]], p
+    def _decode_equal_length(self, buf: np.ndarray, n_symbols: int,
+                             nbits: int) -> tuple[np.ndarray, int]:
+        """Closed form for a codebook whose codewords all have one length."""
+        step = int(self._order_len[0])
+        end = step * n_symbols
+        if end > nbits:
+            raise EOFError(_EOF_MSG)
+        b = np.zeros(buf.size + 3, dtype=np.int32)
+        b[: buf.size] = buf
+        pos = step * np.arange(n_symbols, dtype=np.int64)
+        byte = pos >> 3
+        words = (b[byte] << 16) | (b[byte + 1] << 8) | b[byte + 2]
+        codes = (words >> (24 - step - (pos & 7))) & ((1 << step) - 1)
+        if int(codes.max()) >= self._order.size:  # past the last codeword
+            raise EOFError(_EOF_MSG)
+        return self._order[codes], end
 
     # ------------------------------------------------------------------ #
     def serialize(self) -> bytes:
@@ -497,7 +591,7 @@ class HuffmanCode:
             return bytes(out)
         deltas = np.diff(used, prepend=0)
         out += encode_uvarint_array(zigzag_encode(deltas))
-        lens = self.lengths[used] - 1  # 1..16 -> 0..15
+        lens = self._used_len - 1  # 1..16 -> 0..15
         if len(lens) % 2:
             lens = np.concatenate([lens, np.zeros(1, dtype=np.uint8)])
         nibbles = (lens[0::2] << 4) | lens[1::2]
@@ -511,6 +605,9 @@ class HuffmanCode:
         Rejects a table whose symbol ids are not strictly ascending within
         ``[0, alphabet)`` (:class:`CorruptStreamError`) or whose lengths
         overfill the code space (Kraft sum above 1, :class:`ValueError`).
+        Nothing alphabet-sized is allocated, so a table may declare any
+        alphabet: chunked streams written with the retired chunk codebook
+        cache declare padded ones.
         """
         n_used, pos = decode_uvarint(data, pos)
         alphabet, pos = decode_uvarint(data, pos)
@@ -528,6 +625,4 @@ class HuffmanCode:
         lens = np.empty(n_nib_bytes * 2, dtype=np.uint8)
         lens[0::2] = nibbles >> 4
         lens[1::2] = nibbles & 0x0F
-        lengths = np.zeros(alphabet, dtype=np.uint8)
-        lengths[symbols] = lens[:n_used] + 1
-        return cls(lengths, symbols), pos
+        return cls._from_used(symbols, lens[:n_used] + 1, alphabet), pos

@@ -93,15 +93,6 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             code.encode(np.array([1]), BitWriter())
 
-    def test_decode_with_offset(self):
-        symbols = np.array([0, 1, 0, 2, 2])
-        code = HuffmanCode.from_symbols(symbols)
-        w = BitWriter()
-        w.write(0b1011, 4)  # leading junk
-        code.encode(symbols, w)
-        decoded, _ = code.decode(w.getvalue(), len(symbols), bit_offset=4)
-        np.testing.assert_array_equal(decoded, symbols)
-
     def test_truncated_stream_raises(self):
         symbols = np.arange(32).repeat(3)
         code = HuffmanCode.from_symbols(symbols)

@@ -104,6 +104,24 @@ class TestCorruptTables:
             HuffmanCode.deserialize(table)
         assert isinstance(info.value, DECODE_ERRORS)
 
+    @pytest.mark.parametrize("alphabet", [2**31, 2**40])
+    def test_huge_declared_alphabet_decodes(self, alphabet):
+        # nothing alphabet-sized is allocated on the decode side
+        table = _table(alphabet, [3, 1000, alphabet - 1], [1, 2, 2])
+        code, pos = HuffmanCode.deserialize(table)
+        assert pos == len(table) and code.alphabet_size == alphabet
+        assert code.serialize() == table
+        decoded, end = code.decode(bytes([0b01011000]), 4)  # 0 10 11 0
+        assert decoded.tolist() == [3, 1000, alphabet - 1, 3] and end == 6
+
+    @pytest.mark.parametrize("alphabet", [2**31, 2**40])
+    def test_huge_declared_alphabet_still_checked(self, alphabet):
+        for table in (_table(alphabet, [0, 1, 2], [1, 1, 1]),     # Kraft sum 1.5
+                      _table(alphabet, [5, alphabet], [1, 1])):   # id past the end
+            with pytest.raises(ValueError) as info:
+                HuffmanCode.deserialize(table)
+            assert isinstance(info.value, DECODE_ERRORS)
+
     def test_valid_crafted_table_accepted(self):
         code, pos = HuffmanCode.deserialize(_table(8, [1, 3, 7], [1, 2, 2]))
         assert pos == len(_table(8, [1, 3, 7], [1, 2, 2]))

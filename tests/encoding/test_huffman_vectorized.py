@@ -20,12 +20,11 @@ def _encode(symbols, alphabet=None):
     return code, writer.getvalue()
 
 
-def _assert_differential(symbols, alphabet=None, bit_offset=0, pad=b""):
+def _assert_differential(symbols, alphabet=None):
     symbols = np.asarray(symbols, dtype=np.int64)
     code, data = _encode(symbols, alphabet)
-    data = pad + data if bit_offset else data
-    ref, end_ref = code.decode_scalar(data, symbols.size, bit_offset)
-    vec, end_vec = code.decode_vectorized(data, symbols.size, bit_offset)
+    ref, end_ref = code.decode_scalar(data, symbols.size)
+    vec, end_vec = code.decode_vectorized(data, symbols.size)
     assert np.array_equal(ref, symbols)
     assert np.array_equal(vec, ref)
     assert end_vec == end_ref
@@ -66,16 +65,6 @@ class TestDifferentialFuzz:
         # closed-form equal-length fast path.
         rng = np.random.default_rng(13)
         _assert_differential(rng.integers(0, 256, 30_000))
-
-    def test_bit_offset(self):
-        rng = np.random.default_rng(17)
-        syms = rng.integers(0, 50, 20_000)
-        code, data = _encode(syms)
-        shifted = b"\xa5" + data  # full spare byte => bit_offset 8
-        ref, end_ref = code.decode_scalar(shifted, syms.size, 8)
-        vec, end_vec = code.decode_vectorized(shifted, syms.size, 8)
-        assert np.array_equal(vec, ref)
-        assert end_vec == end_ref
 
     def test_small_stream_identical(self):
         # Below the dispatch threshold decode() uses the scalar loop; the
