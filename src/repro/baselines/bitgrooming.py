@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compressor import resolve_error_bound
+from repro.core.codec import Codec, CodecInput, decode_floats, encode_floats
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
-from repro.encoding.lz import lz_compress, lz_decompress
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["BitGrooming", "groom", "bits_for_relative_error"]
 
@@ -54,43 +51,27 @@ def groom(values: np.ndarray, keep_bits: int) -> np.ndarray:
     return out.view(np.float64).reshape(np.asarray(values).shape)
 
 
-class BitGrooming:
-    """NSD-style precision trimming + LZ backend (baseline)."""
+class BitGrooming(Codec):
+    """NSD-style precision trimming + LZ backend (baseline).
+
+    ``compress(data, keep_bits=m)`` keeps ``m`` mantissa bits instead of
+    deriving them from an error bound (none is needed then).
+    """
 
     codec_name = "bitgroom"
     pointwise_bound = False  # the guarantee is relative-per-value
 
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None,
-                 keep_bits: int | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
+    def _encode(self, inp: CodecInput, container: Container, *,
+                keep_bits: int | None = None) -> None:
+        work, mask = inp.data, inp.mask
         if keep_bits is None:
             # translate the bound into per-value relative precision against
             # the largest magnitude (conservative for absolute bounds)
-            eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
             vals = np.abs(work[mask] if mask is not None else work)
             peak = float(vals.max()) or 1.0
-            keep_bits = bits_for_relative_error(min(max(eb / peak, 2.0 ** -52), 0.5))
-        groomed = groom(work, keep_bits)
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "keep_bits": int(keep_bits),
-        })
-        container.add_section("data", lz_compress(groomed.tobytes()))
-        return container.to_bytes()
+            keep_bits = bits_for_relative_error(min(max(inp.eb / peak, 2.0 ** -52), 0.5))
+        container.header["keep_bits"] = int(keep_bits)
+        container.add_section("data", encode_floats(groom(work, keep_bits)))
 
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a BitGrooming stream (codec {container.codec!r})")
-        header = container.header
-        shape = tuple(header["shape"])
-        raw = lz_decompress(container.section("data"))
-        work = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+    def _decode(self, container: Container) -> np.ndarray:
+        return decode_floats(container.section("data")).reshape(container.header["shape"])

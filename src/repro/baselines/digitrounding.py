@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compressor import resolve_error_bound
+from repro.core.codec import Codec, CodecInput, decode_floats, encode_floats
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
-from repro.encoding.lz import lz_compress, lz_decompress
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["DigitRounding", "round_to_quantum"]
 
@@ -34,36 +31,15 @@ def round_to_quantum(values: np.ndarray, abs_eb: float) -> np.ndarray:
     return rounded
 
 
-class DigitRounding:
+class DigitRounding(Codec):
     """Error-bounded power-of-two rounding + LZ backend (baseline)."""
 
     codec_name = "digitround"
     pointwise_bound = True
 
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
-        rounded = round_to_quantum(work, eb)
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-        })
-        container.add_section("data", lz_compress(rounded.tobytes()))
-        return container.to_bytes()
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        container.header["eb"] = inp.eb
+        container.add_section("data", encode_floats(round_to_quantum(inp.data, inp.eb)))
 
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a DigitRounding stream (codec {container.codec!r})")
-        header = container.header
-        shape = tuple(header["shape"])
-        raw = lz_decompress(container.section("data"))
-        work = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+    def _decode(self, container: Container) -> np.ndarray:
+        return decode_floats(container.section("data")).reshape(container.header["shape"])

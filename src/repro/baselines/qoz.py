@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.codec import (
+    Codec,
+    CodecInput,
     decode_bits,
     decode_code_stream,
     decode_floats,
@@ -23,16 +25,13 @@ from repro.core.codec import (
     encode_code_stream,
     encode_floats,
 )
-from repro.core.compressor import resolve_error_bound
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
 from repro.prediction.interpolation import (
     InterpSpec,
     interp_compress,
     interp_decompress,
     max_level,
 )
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["QoZ"]
 
@@ -61,7 +60,7 @@ def _sample_block(data: np.ndarray, target: int = 20000) -> np.ndarray:
     return np.ascontiguousarray(data[tuple(slices)])
 
 
-class QoZ:
+class QoZ(Codec):
     """QoZ 1.1-style compressor (baseline)."""
 
     codec_name = "qoz"
@@ -87,36 +86,19 @@ class QoZ:
                 best_score, best_ab = score, (alpha, beta)
         return best_ab
 
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        work, eb = inp.data, inp.eb
         alpha, beta = self._tune_ab(work, eb)
         levels = max_level(work.shape)
         spec = InterpSpec(order=tuple(range(work.ndim)), fitting="auto",
                           level_eb_factors=_level_factors(levels, alpha, beta))
         res = interp_compress(work, eb, spec)
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-            "alpha": alpha,
-            "beta": beta,
-        })
+        container.header.update(eb=eb, alpha=alpha, beta=beta)
         container.add_section("codes", encode_code_stream(res.codes))
         container.add_section("unpred", encode_floats(res.unpredictable))
         container.add_section("fits", encode_bits(res.fit_choices))
-        return container.to_bytes()
 
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a QoZ stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
         shape = tuple(header["shape"])
         levels = max_level(shape)
@@ -125,5 +107,4 @@ class QoZ:
         codes = decode_code_stream(container.section("codes"))
         unpred = decode_floats(container.section("unpred"))
         fits = decode_bits(container.section("fits"))
-        work = interp_decompress(shape, header["eb"], spec, codes, unpred, fit_choices=fits)
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return interp_decompress(shape, header["eb"], spec, codes, unpred, fit_choices=fits)

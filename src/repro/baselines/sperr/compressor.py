@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.baselines.sperr.speck import speck_decode, speck_encode
 from repro.baselines.sperr.wavelet import dwt_forward, dwt_inverse, max_dwt_levels
-from repro.core.compressor import resolve_error_bound
+from repro.core.codec import Codec, CodecInput
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.container import Container
 from repro.encoding.lz import lz_compress, lz_decompress
@@ -26,8 +26,6 @@ from repro.encoding.varint import (
     encode_uvarint,
     encode_uvarint_array,
 )
-from repro.obs import traced_compress, traced_decompress
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["SPERR"]
 
@@ -36,20 +34,22 @@ __all__ = ["SPERR"]
 _Q_FACTOR = 1.0
 
 
-class SPERR:
-    """SPERR-style wavelet compressor with guaranteed pointwise bound."""
+class SPERR(Codec):
+    """SPERR-style wavelet compressor with guaranteed pointwise bound.
+
+    ``decompress(blob, preview_planes=k)`` decodes only the k most
+    significant bit planes of the coefficient stream (the SPECK stream is
+    embedded, so any prefix is a valid coarse reconstruction). Previews
+    skip the outlier corrections and therefore do NOT honour the error
+    bound: they are for progressive browsing, matching SPERR's
+    multi-resolution use.
+    """
 
     codec_name = "sperr"
 
     # ------------------------------------------------------------------ #
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        tol = resolve_error_bound(work, abs_eb, rel_eb, mask)
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        work, tol = inp.data, inp.eb
         levels = max_dwt_levels(work.shape)
         q = tol * _Q_FACTOR
 
@@ -77,33 +77,13 @@ class SPERR:
             deltas = np.diff(bad, prepend=0)
             out += encode_uvarint_array(deltas.astype(np.uint64))
             out += work.ravel()[bad].tobytes()
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "tol": tol,
-            "q": float(q),
-            "levels": levels,
-            "n_planes": n_planes,
-            "bit_length": writer.bit_length,
-        })
+        container.header.update(tol=tol, q=float(q), levels=levels, n_planes=n_planes,
+                                bit_length=writer.bit_length)
         container.add_section("stream", writer.getvalue())
         container.add_section("outliers", lz_compress(bytes(out)))
-        return container.to_bytes()
 
     # ------------------------------------------------------------------ #
-    @traced_decompress
-    def decompress(self, blob: bytes, *, preview_planes: int | None = None) -> np.ndarray:
-        """Full reconstruction, or an embedded *preview*.
-
-        ``preview_planes=k`` decodes only the k most significant bit planes
-        of the coefficient stream (the SPECK stream is embedded, so any
-        prefix is a valid coarse reconstruction). Previews skip the outlier
-        corrections and therefore do NOT honour the error bound — they are
-        for progressive browsing, matching SPERR's multi-resolution use.
-        """
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a SPERR stream (codec {container.codec!r})")
+    def _decode(self, container: Container, *, preview_planes: int | None = None) -> np.ndarray:
         header = container.header
         shape = tuple(header["shape"])
         reader = BitReader(container.section("stream"), bit_length=header["bit_length"])
@@ -111,7 +91,7 @@ class SPERR:
                             stop_after=preview_planes)
         work = dwt_inverse(ints.astype(np.float64) * header["q"], header["levels"])
         if preview_planes is not None and preview_planes < header["n_planes"]:
-            return work.astype(np.dtype(header["dtype"]), copy=False)
+            return work
 
         payload = lz_decompress(container.section("outliers"))
         n_bad, pos = decode_uvarint(payload, 0)
@@ -121,4 +101,4 @@ class SPERR:
             exact = np.frombuffer(payload[pos : pos + 8 * n_bad], dtype=np.float64)
             flat = work.ravel()
             flat[idx] = exact
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return work

@@ -22,16 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.codec import (
+    Codec,
+    CodecInput,
     decode_code_stream,
     decode_floats,
     encode_code_stream,
     encode_floats,
 )
-from repro.core.compressor import resolve_error_bound
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
 from repro.quantization.linear import DEFAULT_RADIUS, UNPREDICTABLE, LinearQuantizer
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["SZ2", "fit_block_planes", "predict_from_planes"]
 
@@ -96,7 +95,7 @@ def predict_from_planes(coeffs: np.ndarray, ndim: int) -> np.ndarray:
     return coeffs @ design.T
 
 
-class SZ2:
+class SZ2(Codec):
     """SZ2-style regression-predictor compressor (baseline)."""
 
     codec_name = "sz2"
@@ -106,15 +105,8 @@ class SZ2:
         self.radius = radius
 
     # ------------------------------------------------------------------ #
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
-
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        work, eb = inp.data, inp.eb
         blocks, grid = _gather(work)
         coeffs = fit_block_planes(blocks, work.ndim)
         # Quantize the coefficients (SZ2 stores them reduced-precision) so
@@ -127,22 +119,12 @@ class SZ2:
         codes, rec = quant.quantize(blocks, preds)
         unpred = blocks.ravel()[codes.ravel() == UNPREDICTABLE]
 
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-            "radius": self.radius,
-        })
+        container.header.update(eb=eb, radius=self.radius)
         container.add_section("codes", encode_code_stream(codes.ravel()))
         container.add_section("coeffs", encode_floats(qcoeffs.ravel()))
         container.add_section("unpred", encode_floats(unpred))
-        return container.to_bytes()
 
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not an SZ2 stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
         shape = tuple(header["shape"])
         d = len(shape)
@@ -155,5 +137,4 @@ class SZ2:
         preds = predict_from_planes(qcoeffs, d)
         quant = LinearQuantizer(header["eb"], radius=header["radius"])
         rec = quant.dequantize(codes.ravel(), preds.ravel(), unpred).reshape(n_blocks, size)
-        work = _scatter(rec, shape)
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return _scatter(rec, shape)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.codec import (
+    Codec,
+    CodecInput,
     decode_bits,
     decode_code_stream,
     decode_floats,
@@ -26,16 +28,13 @@ from repro.core.codec import (
     encode_code_stream,
     encode_floats,
 )
-from repro.core.compressor import resolve_error_bound
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
 from repro.prediction.interpolation import InterpSpec, interp_compress, interp_decompress
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["SZ3"]
 
 
-class SZ3:
+class SZ3(Codec):
     """SZ3-style error-bounded lossy compressor (baseline).
 
     Parameters
@@ -52,38 +51,17 @@ class SZ3:
             raise ValueError(f"unknown fitting {fitting!r}")
         self.fitting = fitting
 
-    def _spec(self, ndim: int, level_eb_factors: tuple[float, ...] = ()) -> InterpSpec:
-        return InterpSpec(order=tuple(range(ndim)), fitting=self.fitting,
-                          level_eb_factors=level_eb_factors)
-
     # ------------------------------------------------------------------ #
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
-        spec = self._spec(work.ndim)
-        res = interp_compress(work, eb, spec)
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-            "fitting": self.fitting,
-        })
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        spec = InterpSpec(order=tuple(range(inp.data.ndim)), fitting=self.fitting)
+        res = interp_compress(inp.data, inp.eb, spec)
+        container.header.update(eb=inp.eb, fitting=self.fitting)
         container.add_section("codes", encode_code_stream(res.codes))
         container.add_section("unpred", encode_floats(res.unpredictable))
         if self.fitting == "auto":
             container.add_section("fits", encode_bits(res.fit_choices))
-        return container.to_bytes()
 
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not an SZ3 stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
         shape = tuple(header["shape"])
         fitting = header["fitting"]
@@ -91,6 +69,5 @@ class SZ3:
         codes = decode_code_stream(container.section("codes"))
         unpred = decode_floats(container.section("unpred"))
         fits = decode_bits(container.section("fits")) if fitting == "auto" else None
-        work = interp_decompress(shape, header["eb"], spec, codes, unpred,
+        return interp_decompress(shape, header["eb"], spec, codes, unpred,
                                  fit_choices=fits)
-        return work.astype(np.dtype(header["dtype"]), copy=False)

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compressor import resolve_error_bound
+from repro.core.codec import Codec, CodecInput
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
 from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.varint import (
     decode_uvarint,
@@ -34,7 +33,6 @@ from repro.encoding.varint import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["TTHRESH", "hosvd", "tucker_reconstruct"]
 
@@ -73,21 +71,15 @@ def tucker_reconstruct(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarra
     return out
 
 
-class TTHRESH:
+class TTHRESH(Codec):
     """HOSVD + core-thresholding compressor (baseline; RMSE-targeted)."""
 
     codec_name = "tthresh"
     pointwise_bound = False
 
     # ------------------------------------------------------------------ #
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data)
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        work, eb = inp.data, inp.eb
         rmse_target = eb * _RMSE_FRACTION
 
         core, factors = hosvd(work)
@@ -130,28 +122,16 @@ class TTHRESH:
             payload += encode_uvarint_array(deltas.astype(np.uint64))
             payload += encode_uvarint_array(zigzag_encode(bins))
 
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "eb": eb,
-            "q": q,
-            "factor_shapes": [list(u.shape) for u in factors],
-            "core_shape": list(core.shape),
-        })
+        container.header.update(eb=eb, q=q, factor_shapes=[list(u.shape) for u in factors],
+                                core_shape=list(core.shape))
         container.add_section("core", lz_compress(bytes(payload)))
         for mode, u in enumerate(factors):
             container.add_section(f"factor{mode}",
                                   lz_compress(u.astype(np.float32).tobytes()))
-        return container.to_bytes()
 
     # ------------------------------------------------------------------ #
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a TTHRESH stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
-        shape = tuple(header["shape"])
         core_shape = tuple(header["core_shape"])
         core = np.zeros(int(np.prod(core_shape)))
         payload = lz_decompress(container.section("core"))
@@ -167,5 +147,4 @@ class TTHRESH:
             raw = lz_decompress(container.section(f"factor{mode}"))
             factors.append(np.frombuffer(raw, dtype=np.float32)
                            .reshape(tuple(fshape)).astype(np.float64))
-        work = tucker_reconstruct(core, factors)
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return tucker_reconstruct(core, factors)

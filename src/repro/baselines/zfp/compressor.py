@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.zfp.blocks import BLOCK_SIDE, gather_blocks, scatter_blocks
+from repro.baselines.zfp.blocks import (
+    BLOCK_SIDE,
+    block_grid_shape,
+    gather_blocks,
+    scatter_blocks,
+)
 from repro.baselines.zfp.codec import (
     decode_block_planes,
     encode_block_planes,
@@ -31,11 +36,9 @@ from repro.baselines.zfp.transform import (
     inverse_transform,
     sequency_order,
 )
-from repro.core.compressor import resolve_error_bound
+from repro.core.codec import Codec, CodecInput
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.container import Container
-from repro.obs import traced_compress, traced_decompress
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["ZFP"]
 
@@ -48,30 +51,21 @@ _EMAX_BIAS = 2048
 _EMAX_BITS = 12
 
 
-class ZFP:
+class ZFP(Codec):
     """ZFP-style transform compressor in fixed-accuracy mode (baseline)."""
 
     codec_name = "zfp"
 
     # ------------------------------------------------------------------ #
-    @traced_compress
-    def compress(self, data: np.ndarray, *, abs_eb: float | None = None,
-                 rel_eb: float | None = None, mask: np.ndarray | None = None) -> bytes:
-        arr = check_array(data, max_ndim=4)
-        if arr.ndim == 4:
+    def _encode(self, inp: CodecInput, container: Container) -> None:
+        work = inp.data
+        if work.ndim == 4:
             # ZFP's common handling of 4D fields: fold the two leading axes
             # and compress as 3D (the header keeps the original shape).
-            orig_shape = arr.shape
-            folded = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2], arr.shape[3])
-            fmask = mask.reshape(folded.shape) if mask is not None else None
-            blob = self.compress(folded, abs_eb=abs_eb, rel_eb=rel_eb, mask=fmask)
-            container = Container.from_bytes(blob)
-            container.header["orig_shape"] = list(orig_shape)
-            return container.to_bytes()
-        orig_dtype = arr.dtype
-        work = ensure_float(arr)
-        mask = check_mask(mask, work.shape)
-        tol = resolve_error_bound(work, abs_eb, rel_eb, mask)
+            container.header["orig_shape"] = list(work.shape)
+            work = work.reshape(work.shape[0] * work.shape[1], *work.shape[2:])
+            container.header["shape"] = list(work.shape)
+        tol = inp.eb
         d = work.ndim
         size = BLOCK_SIDE ** d
         order = sequency_order(d)
@@ -113,23 +107,12 @@ class ZFP:
                 continue
             encode_block_planes(masks_list[b], size, n_planes_full, writer, kmin=km)
 
-        container = Container(self.codec_name, {
-            "shape": list(work.shape),
-            "dtype": orig_dtype.str,
-            "tol": tol,
-            "precision": _PRECISION,
-            "n_planes": n_planes_full,
-            "bit_length": writer.bit_length,
-        })
+        container.header.update(tol=tol, precision=_PRECISION, n_planes=n_planes_full,
+                                bit_length=writer.bit_length)
         container.add_section("stream", writer.getvalue())
-        return container.to_bytes()
 
     # ------------------------------------------------------------------ #
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != self.codec_name:
-            raise ValueError(f"not a ZFP stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
         shape = tuple(header["shape"])
         tol = header["tol"]
@@ -141,7 +124,6 @@ class ZFP:
         inv_order = np.argsort(order)
 
         reader = BitReader(container.section("stream"), bit_length=header["bit_length"])
-        from repro.baselines.zfp.blocks import block_grid_shape
         n_blocks = int(np.prod(block_grid_shape(shape)))
         planes_mat = np.zeros((n_blocks, n_planes_full), dtype=np.uint64)
         emax = np.zeros(n_blocks, dtype=np.int64)
@@ -173,4 +155,4 @@ class ZFP:
         work = scatter_blocks(blocks, shape)
         if "orig_shape" in header:
             work = work.reshape(tuple(header["orig_shape"]))
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return work

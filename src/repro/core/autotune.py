@@ -40,18 +40,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.compressor import encode, predict, prediction_key, resolve_error_bound
+from repro.core.codec import codec_input
+from repro.core.compressor import encode, predict, prediction_key
 from repro.core.dims import enumerate_layouts
 from repro.core.periodicity import detect_period
 from repro.core.pipeline import PipelineConfig
 from repro.parallel import RetryPolicy, _finalize, _run_jobs
 from repro.utils.timer import Timer
-from repro.utils.validation import check_array, check_mask, ensure_float
 
 __all__ = ["AutoTuner", "AutoTuneResult", "TrialResult", "sample_blocks", "mask_aware_anchors"]
 
 #: Axes this short or shorter are sampled in full (see ``AutoTuner.tune``).
 _FULL_AXIS_THRESHOLD = 32
+#: Smallest block side on a sampled axis (shorter axes: half their length).
+_MIN_SIDE = 4
 #: Default tune workers (fewer if fewer CPUs are usable). Two is the count
 #: the pooled tune has been measured at; more are used only when asked for.
 _DEFAULT_WORKERS = 2
@@ -81,7 +83,6 @@ def mask_aware_anchors(shape: tuple[int, ...], mask: np.ndarray | None) -> dict[
 
 
 def sample_blocks(shape: tuple[int, ...], sampling_rate: float,
-                  min_side: int = 4,
                   full_axes: tuple[int, ...] = (),
                   anchors: dict[int, tuple[int, int]] | None = None) -> list[tuple[slice, ...]]:
     """Block slices at the 1/3 and 2/3 anchor points of each dimension.
@@ -106,7 +107,7 @@ def sample_blocks(shape: tuple[int, ...], sampling_rate: float,
     for d in sampled_dims:
         size = shape[d]
         b = int(round(size * frac))
-        b = max(min(b, size // 2), min(min_side, size // 2), 1)
+        b = max(min(b, size // 2), min(_MIN_SIDE, size // 2), 1)
         sides[d] = b
     out = []
     if anchors is None:
@@ -317,9 +318,8 @@ class AutoTuner:
         process pool (see ``workers``); either way trials come back in
         :meth:`candidate_pipelines` order and ``best`` is the first maximum.
         """
-        arr = ensure_float(check_array(data))
-        mask = check_mask(mask, arr.shape)
-        eb = resolve_error_bound(arr, abs_eb, rel_eb, mask)
+        inp = codec_input(data, abs_eb=abs_eb, rel_eb=rel_eb, mask=mask)
+        arr, mask, eb = inp.data, inp.mask, inp.eb
         total = Timer()
         with total:
             period = None

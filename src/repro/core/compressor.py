@@ -32,10 +32,13 @@ import numpy as np
 
 from repro.core.binclass import BinClassification, classify_bins, undo_shift
 from repro.core.codec import (
+    Codec,
+    codec_input,
     decode_code_stream,
     decode_floats,
     encode_code_stream,
     encode_floats,
+    resolve_error_bound,
 )
 from repro.core.dims import apply_layout, undo_layout
 from repro.core.periodicity import detect_period, merge_periodic, split_periodic
@@ -52,37 +55,11 @@ from repro.prediction.interpolation import (
     traversal_indices,
 )
 from repro.quantization.linear import DEFAULT_RADIUS
-from repro.obs import inc_counter, set_gauge, span as profile_stage, traced_compress, traced_decompress
-from repro.utils.validation import check_array, check_error_bound, check_mask, ensure_float
+from repro.obs import inc_counter, set_gauge, span, traced_compress
 
 __all__ = ["CliZ", "Prediction", "encode", "predict", "prediction_key", "resolve_error_bound"]
 
 _CODEC = "cliz"
-
-
-def resolve_error_bound(data: np.ndarray, abs_eb: float | None, rel_eb: float | None,
-                        mask: np.ndarray | None = None) -> float:
-    """Turn (absolute | relative) user bounds into one absolute bound.
-
-    Relative bounds are scaled by the value range of *valid* points, the
-    convention used throughout the paper's evaluation.
-    """
-    if (abs_eb is None) == (rel_eb is None):
-        raise ValueError("specify exactly one of abs_eb / rel_eb")
-    if abs_eb is not None:
-        return check_error_bound(abs_eb, name="abs_eb")
-    rel = check_error_bound(rel_eb, name="rel_eb")
-    vals = data[mask] if mask is not None else data
-    if vals.size == 0:
-        raise ValueError(
-            "mask excludes every point: cannot resolve a relative error bound "
-            "against an empty value range (pass abs_eb, or a mask with at "
-            "least one True entry)"
-        )
-    rng = float(np.max(vals) - np.min(vals))
-    if rng <= 0.0:
-        return rel  # constant field: any positive bound works
-    return rel * rng
 
 
 def _hpos_grid(shape: tuple[int, ...], horiz_axes: tuple[int, int]) -> np.ndarray:
@@ -151,14 +128,13 @@ def predict(data: np.ndarray, cfg: PipelineConfig, *, abs_eb: float | None = Non
     Arguments are those of :meth:`CliZ.compress` with the pipeline made
     explicit.
     """
-    arr = check_array(data)
-    work = ensure_float(arr)
+    inp = codec_input(data, abs_eb=abs_eb, rel_eb=rel_eb, mask=mask)
+    work, mask = inp.data, inp.mask
     if cfg.layout.ndim_in != work.ndim:
         raise ValueError(
             f"config layout is {cfg.layout.ndim_in}D but data is {work.ndim}D"
         )
-    mask = check_mask(mask, work.shape)
-    eb = resolve_error_bound(work, abs_eb, rel_eb, mask)
+    eb = inp.eb
     eff_mask = mask if mask is not None and cfg.use_mask else None
 
     if fill_value is None:
@@ -192,7 +168,7 @@ def predict(data: np.ndarray, cfg: PipelineConfig, *, abs_eb: float | None = Non
     components = [_predict_component(*part, cfg) for part in parts]
     header = {
         "shape": list(work.shape),
-        "dtype": arr.dtype.str,
+        "dtype": inp.dtype.str,
         "eb": eb,
         "fill_value": float(fill_value),
         "has_mask": eff_mask is not None,
@@ -209,7 +185,7 @@ def _predict_component(name: str, arr: np.ndarray, eb: float, mask: np.ndarray |
     laid = apply_layout(arr, cfg.layout)
     lmask = apply_layout(mask, cfg.layout) if mask is not None else None
     spec = InterpSpec(order=tuple(range(laid.ndim)), fitting=cfg.fitting)
-    with profile_stage("predict+quantize", nbytes=laid.nbytes, component=name):
+    with span("predict+quantize", nbytes=laid.nbytes, component=name):
         res = interp_compress(laid, eb, spec, mask=lmask)
     if res.codes.size:
         set_gauge(f"cliz.quantize.hit_rate.{name}",
@@ -233,7 +209,7 @@ def encode(pred: Prediction, cfg: PipelineConfig) -> bytes:
         raise ValueError("pipeline does not match the one the prediction was made with")
     container = Container(_CODEC)
     if pred.mask is not None:
-        with profile_stage("mask.pack"):
+        with span("mask.pack"):
             container.add_section("mask", pack_bitmap(pred.mask))
     for comp in pred.components:
         _encode_component(comp, cfg, container)
@@ -245,7 +221,7 @@ def _encode_component(comp: PredictedComponent, cfg: PipelineConfig,
                       container: Container) -> None:
     name = comp.name
     if cfg.binclass and cfg.horiz_axes is not None:
-        with profile_stage("binclass"):
+        with span("binclass"):
             hgrid = apply_layout(_hpos_grid(comp.shape, cfg.horiz_axes), cfg.layout).ravel()
             order = tuple(range(comp.laid.ndim))
             hpos = hgrid[traversal_indices(comp.laid.shape, order, comp.laid_mask)]
@@ -255,20 +231,20 @@ def _encode_component(comp: PredictedComponent, cfg: PipelineConfig,
                 comp.result.codes, hpos, n_hpos, DEFAULT_RADIUS,
                 j=cfg.binclass_j, k=cfg.binclass_k, lam=cfg.binclass_lambda,
             )
-        with profile_stage("encode.codes"):
+        with span("encode.codes"):
             grouped = encode_grouped(shifted, groups, cls.n_groups)
-            with profile_stage("lz.compress", nbytes=len(grouped)):
+            with span("lz.compress", nbytes=len(grouped)):
                 blob = lz_compress(grouped)
             container.add_section(f"{name}.codes", blob)
         container.add_section(f"{name}.cls", cls.serialize())
     else:
-        with profile_stage("encode.codes"):
+        with span("encode.codes"):
             container.add_section(f"{name}.codes", encode_code_stream(comp.result.codes))
-    with profile_stage("encode.unpred"):
+    with span("encode.unpred"):
         container.add_section(f"{name}.unpred", encode_floats(comp.result.unpredictable))
 
 
-class CliZ:
+class CliZ(Codec):
     """CliZ compressor facade.
 
     Parameters
@@ -278,6 +254,11 @@ class CliZ:
         :class:`repro.core.autotune.AutoTuner`. Defaults to a neutral
         pipeline (natural order, cubic fitting, no extras) matching the
         data's dimensionality at compress time.
+
+    ``compress`` stays in this class body (it builds its container in
+    :func:`encode`, and the tuner shares :func:`predict`/:func:`encode`
+    with it); the input contract is :func:`predict`'s, and decompression
+    runs through the :class:`~repro.core.codec.Codec` frame.
     """
 
     codec_name = _CODEC
@@ -302,21 +283,13 @@ class CliZ:
                               fill_value=fill_value), cfg)
 
     # ------------------------------------------------------------------ #
-    @traced_decompress
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Reconstruct the array from a CliZ container blob."""
-        return self._decompress_impl(blob)
-
-    def _decompress_impl(self, blob: bytes) -> np.ndarray:
-        container = Container.from_bytes(blob)
-        if container.codec != _CODEC:
-            raise ValueError(f"not a CliZ stream (codec {container.codec!r})")
+    def _decode(self, container: Container) -> np.ndarray:
         header = container.header
         cfg = PipelineConfig.from_dict(header["config"])
         shape = tuple(header["shape"])
         mask = None
         if header["has_mask"]:
-            with profile_stage("mask.unpack"):
+            with span("mask.unpack"):
                 mask = unpack_bitmap(container.section("mask"), shape=shape)
 
         period = header["period"]
@@ -343,7 +316,7 @@ class CliZ:
 
         if mask is not None:
             work[~mask] = header["fill_value"]
-        return work.astype(np.dtype(header["dtype"]), copy=False)
+        return work
 
     def _decompress_component(self, name: str, shape: tuple[int, ...], eb: float,
                               mask: np.ndarray | None, cfg: PipelineConfig,
@@ -354,13 +327,13 @@ class CliZ:
         spec = InterpSpec(order=order, fitting=cfg.fitting)
 
         if container.has_section(f"{name}.cls"):
-            with profile_stage("decode.codes"):
+            with span("decode.codes"):
                 cls = BinClassification.deserialize(container.section(f"{name}.cls"))
                 hgrid = apply_layout(_hpos_grid(shape, cfg.horiz_axes), cfg.layout).ravel()
                 tidx = traversal_indices(laid_shape, order, lmask)
                 hpos = hgrid[tidx]
                 section = container.section(f"{name}.codes")
-                with profile_stage("lz.decompress", nbytes=len(section)):
+                with span("lz.decompress", nbytes=len(section)):
                     grouped_blob = lz_decompress(section)
                 groups = cls.group_map[hpos]
                 shifted, end = decode_grouped(grouped_blob, groups)
@@ -369,10 +342,10 @@ class CliZ:
                         f"{name}.codes has {len(grouped_blob) - end} trailing bytes")
                 codes = undo_shift(shifted, hpos, cls)
         else:
-            with profile_stage("decode.codes"):
+            with span("decode.codes"):
                 codes = decode_code_stream(container.section(f"{name}.codes"))
-        with profile_stage("decode.unpred"):
+        with span("decode.unpred"):
             unpred = decode_floats(container.section(f"{name}.unpred"))
-        with profile_stage("reconstruct", nbytes=codes.size * 8):
+        with span("reconstruct", nbytes=codes.size * 8):
             laid = interp_decompress(laid_shape, eb, spec, codes, unpred, mask=lmask)
         return undo_layout(laid, shape, cfg.layout)

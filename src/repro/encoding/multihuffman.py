@@ -17,7 +17,7 @@ from repro.encoding.bitstream import BitWriter
 from repro.encoding.container import CorruptStreamError
 from repro.encoding.huffman import HuffmanCode
 from repro.encoding.varint import decode_uvarint, encode_uvarint
-from repro.obs import inc_counter, observe, span as profile_stage
+from repro.obs import inc_counter, observe, span
 
 __all__ = [
     "encode_grouped",
@@ -99,7 +99,7 @@ def encode_grouped(symbols: np.ndarray, groups: np.ndarray, n_groups: int) -> by
     encode_uvarint(symbols.size, out)
     inc_counter("multihuffman.encode.calls")
     observe("multihuffman.n_groups", n_groups, buckets=[1, 2, 4, 8, 16, 32])
-    with profile_stage("multihuffman.encode", nbytes=symbols.size * 8):
+    with span("multihuffman.encode", nbytes=symbols.size * 8):
         blob = bytes(_encode_groups(symbols, groups, n_groups, out))
     if symbols.size:
         observe("multihuffman.bits_per_symbol", len(blob) * 8.0 / symbols.size)
@@ -127,7 +127,7 @@ def decode_grouped(blob: bytes, groups: np.ndarray, pos: int = 0) -> tuple[np.nd
         raise CorruptStreamError(
             f"group map length {groups.size} does not match stream ({total})")
     out = np.zeros(total, dtype=np.int64)
-    with profile_stage("multihuffman.decode", nbytes=len(blob) - pos):
+    with span("multihuffman.decode", nbytes=len(blob) - pos):
         for g in range(n_groups):
             sel = groups == g
             out[sel], pos = read_section(blob, pos, expected=int(sel.sum()))

@@ -15,6 +15,9 @@ import numpy as np
 
 __all__ = ["ssim"]
 
+#: Side of the square sliding window (shorter planes: their own side).
+_WINDOW = 8
+
 
 def _box_sums(img: np.ndarray, w: int) -> np.ndarray:
     """Sums over all w x w windows of the trailing two axes."""
@@ -26,7 +29,6 @@ def _box_sums(img: np.ndarray, w: int) -> np.ndarray:
 
 
 def ssim(original: np.ndarray, reconstructed: np.ndarray, *,
-         window: int = 8, data_range: float | None = None,
          mask: np.ndarray | None = None) -> float:
     """Mean SSIM over all sliding windows of every trailing-2D slice.
 
@@ -40,10 +42,9 @@ def ssim(original: np.ndarray, reconstructed: np.ndarray, *,
         raise ValueError("shape mismatch")
     if x.ndim < 2:
         raise ValueError("ssim needs at least 2 dimensions")
-    w = min(window, x.shape[-1], x.shape[-2])
-    if data_range is None:
-        vals = x[mask] if mask is not None else x
-        data_range = float(vals.max() - vals.min())
+    w = min(_WINDOW, x.shape[-1], x.shape[-2])
+    vals = x[mask] if mask is not None else x
+    data_range = float(vals.max() - vals.min())
     if data_range == 0.0:
         return 1.0 if np.array_equal(x, y) else 0.0
     c1 = (0.01 * data_range) ** 2

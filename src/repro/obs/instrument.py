@@ -3,10 +3,11 @@
 ``@traced_compress`` / ``@traced_decompress`` wrap a compressor method in
 a trace span tagged with the codec name and record the standard codec
 metrics (calls, bytes in/out, ``<codec>.compression_ratio``,
-``<codec>.bits_per_value``). One decorator line per codec keeps CliZ and
-every baseline emitting identical telemetry, so experiment harnesses can
-compare codecs straight from a metrics snapshot. Near-free when no run is
-active.
+``<codec>.bits_per_value``). The codec frame
+(:class:`repro.core.codec.Codec`) applies both once for every codec (CliZ
+decorates its own ``compress``), so CliZ and every baseline emit identical
+telemetry and experiment harnesses can compare codecs straight from a
+metrics snapshot. Near-free when no run is active.
 """
 
 from __future__ import annotations

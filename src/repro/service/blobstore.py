@@ -226,25 +226,20 @@ class BlobStore:
                                   if p.is_file() and self._is_blob_name(p.name)))
         return out
 
-    def owned_keys(self) -> list[str]:
-        """Stored keys this partition owns (== :meth:`keys` unpartitioned)."""
-        return [k for k in self.keys() if self.owns(k)]
-
     def count(self) -> int:
         return len(self.keys())
 
-    def verify_all(self, *, owned_only: bool = False) -> dict[str, bool]:
+    def verify_all(self) -> dict[str, bool]:
         """Digest-check every stored blob: key -> intact? (drill invariant).
 
         A blob committed by a *concurrent* writer is either absent from
         the listing or fully visible (atomic rename), so the walk never
         sees a half-written payload; a key that vanishes between the
         listing and the read (impossible for content-addressed puts, but
-        cheap to guard) is simply skipped. ``owned_only`` restricts the
-        sweep to this partition's keyspace.
+        cheap to guard) is simply skipped.
         """
         result = {}
-        for key in self.owned_keys() if owned_only else self.keys():
+        for key in self.keys():
             try:
                 data = self.path_for(key).read_bytes()
             except FileNotFoundError:

@@ -7,12 +7,11 @@ from repro.transfer.globus import (
     simulate_globus,
 )
 from repro.faults import LinkFaults
-from repro.transfer.network import WanLink, fair_share_completions, fair_share_stats
+from repro.transfer.network import WanLink, fair_share_stats
 
 __all__ = [
     "WanLink",
     "LinkFaults",
-    "fair_share_completions",
     "fair_share_stats",
     "ThroughputModel",
     "PAPER_SPEEDS",

@@ -30,7 +30,7 @@ import numpy as np
 from repro import obs
 from repro.faults import LinkFaults
 
-__all__ = ["WanLink", "fair_share_completions", "fair_share_stats"]
+__all__ = ["WanLink", "fair_share_stats"]
 
 #: Queue-depth histogram edges (flows in flight on the shared link).
 QUEUE_DEPTH_BUCKETS = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096]
@@ -55,23 +55,15 @@ class WanLink:
             raise ValueError("latency must be non-negative")
 
 
-def fair_share_completions(arrivals: np.ndarray, sizes: np.ndarray,
-                           link: WanLink, *,
-                           faults: LinkFaults | None = None) -> np.ndarray:
-    """Completion time of each flow under equal-share bandwidth.
-
-    ``arrivals`` are the times flows hit the link (latency is added here);
-    ``sizes`` are payload bytes. Returns per-flow completion times.
-    ``faults`` adds outage windows and drop/retransmit behaviour.
-    """
-    done, _ = fair_share_stats(arrivals, sizes, link, faults=faults)
-    return done
-
-
 def fair_share_stats(arrivals: np.ndarray, sizes: np.ndarray, link: WanLink,
                      *, faults: LinkFaults | None = None
                      ) -> tuple[np.ndarray, dict]:
-    """Like :func:`fair_share_completions`, plus a stats dict.
+    """Completion time of each flow under equal-share bandwidth, plus stats.
+
+    ``arrivals`` are the times flows hit the link (latency is added here);
+    ``sizes`` are payload bytes. Returns per-flow completion times and a
+    stats dict. ``faults`` adds outage windows and drop/retransmit
+    behaviour.
 
     Stats keys: ``retransmits``, ``dropped_bytes``, ``drops_exhausted``,
     ``outage_time``, ``forced_completions``, ``goodput`` (useful bytes /

@@ -10,23 +10,24 @@ import numpy as np
 
 __all__ = ["check_array", "check_error_bound", "check_mask", "ensure_float"]
 
+#: Highest supported dimensionality (the paper's datasets are 2D-4D).
+_MAX_NDIM = 4
 
-def check_array(data: np.ndarray, *, name: str = "data", max_ndim: int = 4) -> np.ndarray:
+
+def check_array(data: np.ndarray, *, name: str = "data") -> np.ndarray:
     """Validate a numeric input array and return it as a C-contiguous ndarray.
 
     Parameters
     ----------
     data:
         Input array; must be a real floating/integer ndarray with
-        ``1 <= ndim <= max_ndim`` and a positive number of elements.
+        ``1 <= ndim <= 4`` and a positive number of elements.
     name:
         Name used in error messages.
-    max_ndim:
-        Highest supported dimensionality (the paper's datasets are 2D-4D).
     """
     arr = np.asarray(data)
-    if arr.ndim < 1 or arr.ndim > max_ndim:
-        raise ValueError(f"{name} must have 1..{max_ndim} dimensions, got {arr.ndim}")
+    if arr.ndim < 1 or arr.ndim > _MAX_NDIM:
+        raise ValueError(f"{name} must have 1..{_MAX_NDIM} dimensions, got {arr.ndim}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.issubdtype(arr.dtype, np.floating) and not np.issubdtype(arr.dtype, np.integer):

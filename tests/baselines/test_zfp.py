@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.baselines import ZFP
 from repro.baselines.zfp.blocks import block_grid_shape, gather_blocks, scatter_blocks
 from repro.baselines.zfp.codec import (
@@ -149,6 +150,17 @@ class TestCompressor:
         dec = ZFP().decompress(blob)
         assert dec.shape == data.shape
         assert np.abs(dec - data).max() <= 0.1
+
+    def test_four_d_compress_is_one_traced_call(self):
+        # The fold happens inside the codec, not by compressing again:
+        # one ``compress`` span, one call, and the caller's bytes counted once.
+        data = np.arange(2 * 3 * 8 * 8, dtype=np.float64).reshape(2, 3, 8, 8)
+        with obs.run() as run:
+            blob = ZFP().compress(data, abs_eb=0.1)
+        assert [sp.name for sp in run.spans()] == ["compress"]
+        assert run.metrics.counter("zfp.compress.calls").value == 1
+        assert run.metrics.counter("zfp.compress.bytes_in").value == data.nbytes == 3072
+        assert run.metrics.counter("zfp.compress.bytes_out").value == len(blob)
 
     def test_five_d_rejected(self):
         with pytest.raises(ValueError):

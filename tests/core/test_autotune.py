@@ -23,7 +23,7 @@ class TestSampling:
 
     def test_block_volume_approximates_rate(self):
         shape = (200, 300, 400)
-        blocks = sample_blocks(shape, 0.01, min_side=1)
+        blocks = sample_blocks(shape, 0.01)
         vol = sum(int(np.prod([s.stop - s.start for s in b])) for b in blocks)
         assert 0.25 * 0.01 <= vol / np.prod(shape) <= 4 * 0.01
 

@@ -1,19 +1,24 @@
-"""Tests for the shared stream-codec helpers."""
+"""Tests for the codec frame and the shared stream-codec helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core import compressor
 from repro.core.codec import (
+    Codec,
+    codec_input,
     decode_bits,
     decode_code_stream,
     decode_floats,
     encode_bits,
     encode_code_stream,
     encode_floats,
+    resolve_error_bound,
 )
-from repro.encoding.container import CorruptStreamError
+from repro.encoding.container import Container, CorruptStreamError
 from repro.encoding.lz import lz_compress, lz_decompress
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 
@@ -129,3 +134,62 @@ class TestBits:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, bits):
         assert decode_bits(encode_bits(bits)) == bits
+
+
+class TestInputContract:
+    def test_float64_copy_and_caller_dtype(self):
+        data = np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2]
+        inp = codec_input(data, rel_eb=0.1)
+        assert inp.data.dtype == np.float64 and inp.data.flags["C_CONTIGUOUS"]
+        assert inp.dtype == np.float32 and inp.mask is None
+        np.testing.assert_array_equal(inp.data, data)
+
+    def test_bound_over_valid_points(self):
+        data = np.array([0.0, 1.0, 100.0])
+        mask = np.array([1, 1, 0])
+        inp = codec_input(data, rel_eb=0.5, mask=mask)
+        assert inp.mask.dtype == bool
+        assert inp.eb == 0.5
+
+    def test_array_and_mask_checked(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            codec_input(np.zeros((2,) * 5), abs_eb=1.0)
+        with pytest.raises(TypeError):
+            codec_input(np.zeros(3, dtype=complex), abs_eb=1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            codec_input(np.zeros(3), abs_eb=1.0, mask=np.ones(4, dtype=bool))
+
+    def test_bound_resolves_on_first_read(self):
+        inp = codec_input(np.zeros(3))  # no bound given: fine until read
+        with pytest.raises(ValueError, match="exactly one"):
+            inp.eb
+
+    def test_one_resolve_error_bound(self):
+        assert compressor.resolve_error_bound is resolve_error_bound
+
+
+def _codecs():
+    return sorted(repro.COMPRESSORS.items())
+
+
+class TestCodecFrame:
+    @pytest.mark.parametrize("name,cls", _codecs())
+    def test_every_codec_is_framed(self, name, cls):
+        assert issubclass(cls, Codec)
+        # baselines carry only their transform; CliZ keeps its own
+        # compress (perfbench wraps CliZ.__dict__["compress"])
+        assert "decompress" not in cls.__dict__
+        assert ("compress" in cls.__dict__) == (name == "cliz")
+
+    @pytest.mark.parametrize("name,cls", _codecs())
+    def test_another_codecs_stream_rejected(self, name, cls):
+        other = Container("sz3" if name != "sz3" else "zfp", {"dtype": "<f8"})
+        with pytest.raises(ValueError, match=f"expected a {name!r} stream"):
+            cls().decompress(other.to_bytes())
+
+    def test_unknown_option_raises(self):
+        with pytest.raises(TypeError):
+            repro.SZ3().compress(np.zeros(8), abs_eb=1.0, keep_bits=3)
+        blob = repro.SZ3().compress(np.zeros(8), abs_eb=1.0)
+        with pytest.raises(TypeError):
+            repro.SZ3().decompress(blob, preview_planes=1)

@@ -67,8 +67,8 @@ class TestDifferentialFuzz:
         _assert_differential(rng.integers(0, 256, 30_000))
 
     def test_small_stream_identical(self):
-        # Below the dispatch threshold decode() uses the scalar loop; the
-        # vectorized kernel must still agree when called directly.
+        # decode() runs the state machine at every stream length (there is
+        # no scalar-loop threshold), so short streams must agree too.
         rng = np.random.default_rng(19)
         _assert_differential(rng.integers(0, 10, 300))
 

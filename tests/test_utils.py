@@ -26,10 +26,6 @@ class TestCheckArray:
         with pytest.raises(ValueError):
             check_array(np.zeros((2,) * 5))
 
-    def test_max_ndim_override(self):
-        with pytest.raises(ValueError):
-            check_array(np.zeros((2, 2, 2)), max_ndim=2)
-
     def test_complex_rejected(self):
         with pytest.raises(TypeError):
             check_array(np.zeros(3, dtype=complex))

@@ -133,8 +133,8 @@ def simulate_shared_link(arrivals: np.ndarray, sizes: np.ndarray,
                          bandwidth: float, latency: float = 0.0) -> np.ndarray:
     """Processor-sharing completions via the DES engine.
 
-    Semantically identical to
-    :func:`repro.transfer.network.fair_share_completions`; used as its
+    Semantically identical to the completion times of
+    :func:`repro.transfer.network.fair_share_stats`; used as its
     cross-validation oracle and as the substrate for richer scenarios.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64) + latency

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transfer import WanLink, fair_share_completions
+from repro.transfer import WanLink, fair_share_stats
 from tests.transfer.reference import EventQueue, SharedResource, simulate_shared_link
 
 
@@ -94,8 +94,7 @@ class TestCrossValidation:
         sizes = rng.uniform(1, 500, n)
         bandwidth = float(rng.uniform(1, 100))
         latency = float(rng.uniform(0, 2))
-        analytic = fair_share_completions(arrivals, sizes,
-                                          WanLink(bandwidth, latency))
+        analytic, _ = fair_share_stats(arrivals, sizes, WanLink(bandwidth, latency))
         des = simulate_shared_link(arrivals, sizes, bandwidth, latency)
         np.testing.assert_allclose(des, analytic, rtol=1e-6, atol=1e-6)
 

@@ -9,7 +9,7 @@ from repro.transfer import (
     PAPER_SPEEDS,
     ThroughputModel,
     WanLink,
-    fair_share_completions,
+    fair_share_stats,
     simulate_globus,
 )
 
@@ -23,29 +23,29 @@ class TestWanLink:
 
     def test_single_flow_time(self):
         link = WanLink(bandwidth=100.0, latency=0.0)
-        done = fair_share_completions(np.array([0.0]), np.array([1000.0]), link)
+        done, _ = fair_share_stats(np.array([0.0]), np.array([1000.0]), link)
         assert done[0] == pytest.approx(10.0)
 
     def test_latency_added(self):
         link = WanLink(bandwidth=100.0, latency=2.0)
-        done = fair_share_completions(np.array([0.0]), np.array([100.0]), link)
+        done, _ = fair_share_stats(np.array([0.0]), np.array([100.0]), link)
         assert done[0] == pytest.approx(3.0)
 
     def test_two_simultaneous_flows_share(self):
         link = WanLink(bandwidth=100.0, latency=0.0)
-        done = fair_share_completions(np.zeros(2), np.array([500.0, 500.0]), link)
+        done, _ = fair_share_stats(np.zeros(2), np.array([500.0, 500.0]), link)
         np.testing.assert_allclose(done, [10.0, 10.0])
 
     def test_short_flow_finishes_first_then_rate_recovers(self):
         link = WanLink(bandwidth=100.0, latency=0.0)
-        done = fair_share_completions(np.zeros(2), np.array([100.0, 1000.0]), link)
+        done, _ = fair_share_stats(np.zeros(2), np.array([100.0, 1000.0]), link)
         # both at 50 B/s until t=2 (short done); long has 900 left at 100 B/s
         assert done[0] == pytest.approx(2.0)
         assert done[1] == pytest.approx(11.0)
 
     def test_staggered_arrivals(self):
         link = WanLink(bandwidth=100.0, latency=0.0)
-        done = fair_share_completions(np.array([0.0, 5.0]), np.array([1000.0, 100.0]), link)
+        done, _ = fair_share_stats(np.array([0.0, 5.0]), np.array([1000.0, 100.0]), link)
         # flow 0 alone for 5 s (500 done); then shared
         assert done[1] == pytest.approx(7.0)
         assert done[0] == pytest.approx(11.0)
@@ -55,7 +55,7 @@ class TestWanLink:
         link = WanLink(bandwidth=50.0, latency=0.0)
         sizes = rng.uniform(10, 1000, 30)
         arrivals = rng.uniform(0, 10, 30)
-        done = fair_share_completions(arrivals, sizes, link)
+        done, _ = fair_share_stats(arrivals, sizes, link)
         # last completion cannot beat total-bytes / bandwidth
         assert done.max() >= sizes.sum() / link.bandwidth - 1e-6
         assert (done >= arrivals).all()
@@ -67,7 +67,7 @@ class TestWanLink:
         link = WanLink(bandwidth=float(rng.uniform(1, 100)), latency=float(rng.uniform(0, 2)))
         arrivals = rng.uniform(0, 100, n)
         sizes = rng.uniform(1, 1000, n)
-        done = fair_share_completions(arrivals, sizes, link)
+        done, _ = fair_share_stats(arrivals, sizes, link)
         assert (done >= arrivals + link.latency - 1e-9).all()
         assert (done >= arrivals + sizes / link.bandwidth + link.latency - 1e-6).all()
 

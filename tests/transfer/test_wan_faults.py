@@ -7,7 +7,6 @@ import repro.transfer.network as network
 from repro.faults import LinkFaults, parse_fault_spec
 from repro.transfer import (
     WanLink,
-    fair_share_completions,
     fair_share_stats,
     simulate_globus,
 )
@@ -81,13 +80,6 @@ class TestDropRetransmit:
                                        faults=faults)
         assert stats["retransmits"] == 1
         assert done[1] > done[0]
-
-    def test_completions_wrapper_matches_stats(self):
-        faults = LinkFaults(drop_p=1.0, max_attempts=2, backoff=0.25, seed=2)
-        arrivals, sizes = np.array([0.0]), np.array([100.0])
-        done = fair_share_completions(arrivals, sizes, LINK, faults=faults)
-        done2, _ = fair_share_stats(arrivals, sizes, LINK, faults=faults)
-        assert np.array_equal(done, done2)
 
 
 class TestProgressGuardRegression:
