@@ -1,9 +1,11 @@
-"""Hot-path micro-benchmarks: entropy coding, interpolation, tuning, blob puts.
+"""Hot-path micro-benchmarks: entropy coding, interpolation, tuning, chunk
+dispatch, blob puts.
 
 Measures throughput of the vectorized kernels against their scalar
 reference paths, ``HuffmanCode.decode`` as codecs call it (table build
 included) on a real CliZ code section and on short streams, the fixed
-per-codebook costs on a quantization-code stream and ``BlobStore.put`` at
+per-codebook costs on a quantization-code stream, chunked compress and
+decompress inline against a two-worker pool, and ``BlobStore.put`` at
 two store sizes, and writes the results to ``BENCH_hotpaths.json``. Run
 from the repository root::
 
@@ -29,7 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import obs  # noqa: E402
+from repro import obs, parallel  # noqa: E402
 from repro.core import AutoTuner, CliZ  # noqa: E402
 from repro.datasets import cesm_t, hurricane_t, ssh  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
@@ -391,6 +393,41 @@ def bench_autotune(reps: int, smoke: bool) -> list[dict]:
     return rows
 
 
+def bench_chunked(reps: int, smoke: bool) -> list[dict]:
+    """``compress_chunked``/``decompress_chunked`` in 4 chunks of Hurricane-T.
+
+    One row dispatches the chunks inline, the other on a two-worker pool
+    (started and shut down inside every call, as in use); both must write
+    the same bytes and decode to the same bits. One global bound serves
+    every chunk.
+    """
+    field = hurricane_t(shape=(24, 60, 60) if smoke else (100, 140, 140), seed=0)
+    data = field.data
+    eb = 1e-3 * float(np.ptp(data))
+    blob = parallel.compress_chunked(data, n_chunks=4, abs_eb=eb)
+    recon = parallel.decompress_chunked(blob)
+    rows = []
+    for stream, workers in (("hurricane-t-inline", None), ("hurricane-t-pool", 2)):
+        assert parallel.compress_chunked(data, n_chunks=4, workers=workers,
+                                         abs_eb=eb) == blob
+        assert parallel.decompress_chunked(blob, workers).tobytes() == recon.tobytes()
+        t_c = _best(lambda: parallel.compress_chunked(data, n_chunks=4, workers=workers,
+                                                      abs_eb=eb), reps)
+        t_d = _best(lambda: parallel.decompress_chunked(blob, workers), reps)
+        rows.append({
+            "kernel": "chunked",
+            "stream": stream,
+            "shape": list(data.shape),
+            "n_chunks": 4,
+            "workers": workers or 0,
+            "compress_ms": round(t_c * 1e3, 3),
+            "compress_mb_s": round(data.nbytes / t_c / 1e6, 1),
+            "decompress_ms": round(t_d * 1e3, 3),
+            "decompress_mb_s": round(data.nbytes / t_d / 1e6, 1),
+        })
+    return rows
+
+
 def write_metrics_jsonl(results: dict, path) -> int:
     """Flatten benchmark rows into the shared metrics-JSONL schema.
 
@@ -405,7 +442,7 @@ def write_metrics_jsonl(results: dict, path) -> int:
     for kernel_rows in (results["huffman"], results["decode"], results["codebook"],
                         results["bitwriter"],
                         results["lz"], results["interp"], results["autotune"],
-                        results["blobstore"]):
+                        results["chunked"], results["blobstore"]):
         for row in kernel_rows:
             base = f"bench.{row['kernel']}.{row['stream']}"
             for key, value in row.items():
@@ -439,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         "lz": bench_lz(n, reps, args.smoke),
         "interp": bench_interp(reps, args.smoke),
         "autotune": bench_autotune(reps, args.smoke),
+        "chunked": bench_chunked(reps, args.smoke),
         "blobstore": bench_blobstore(reps, args.smoke),
     }
 
@@ -467,6 +505,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"autotune/{row['stream']} {row['trials']} trials on "
               f"{row['predictions']} predictions, {row['workers']} worker(s): "
               f"{row['tune_ms']:7.1f} ms")
+    for row in results["chunked"]:
+        print(f"chunked/{row['stream']:18s} compress {row['compress_ms']:7.1f} ms  "
+              f"decompress {row['decompress_ms']:7.1f} ms")
     for row in results["blobstore"]:
         print(f"blobstore.put/{row['stream']:12s} p50 {row['put_ms_p50']:7.2f} ms  "
               f"min {row['put_ms_min']:7.2f} ms")

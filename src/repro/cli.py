@@ -161,18 +161,23 @@ def cmd_decompress(args) -> int:
         for event in events:
             print(f"injected: {event}", file=sys.stderr)
     run = _obs_begin(args)
-    if args.salvage:
-        from repro.encoding.container import Container
+    from repro.encoding.container import Container
+
+    codec = Container.peek_codec(blob)
+    if args.salvage and codec != "chunked":
+        raise SystemExit(
+            f"--salvage needs a chunked blob (got codec {codec!r}); "
+            "for RCDF datasets use repro.io.rcdf.read_rcdf(salvage=True)")
+    if codec == "chunked":
         from repro.parallel import decompress_chunked
 
-        codec = Container.peek_codec(blob)
-        if codec != "chunked":
-            raise SystemExit(
-                f"--salvage needs a chunked blob (got codec {codec!r}); "
-                "for RCDF datasets use repro.io.rcdf.read_rcdf(salvage=True)")
-        data, report = decompress_chunked(
-            blob, workers=args.workers, salvage=True, retries=args.retries,
+        data = decompress_chunked(
+            blob, workers=args.workers, salvage=args.salvage, retries=args.retries,
             retry_backoff=args.retry_backoff)
+    else:
+        data = decompress(blob)
+    if args.salvage:
+        data, report = data
         print(report.summary(), file=sys.stderr)
         if args.salvage_report:
             from repro.runtime import atomic_write
@@ -180,8 +185,6 @@ def cmd_decompress(args) -> int:
             atomic_write(args.salvage_report,
                          json.dumps(report.to_dict(), indent=2))
             print(f"salvage report -> {args.salvage_report}", file=sys.stderr)
-    else:
-        data = decompress(blob)
     _obs_end(args, run)
     np.save(args.output, data)
     print(f"{args.input} -> {args.output}: shape {data.shape}, dtype {data.dtype}")

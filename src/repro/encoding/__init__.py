@@ -1,7 +1,8 @@
 """Lossless coding substrates: bit I/O, Huffman, multi-Huffman, LZ77, RLE, container.
 
 Importing this package (every codec does) also pins glibc's malloc
-thresholds for the process, see :func:`_pin_malloc_thresholds`.
+thresholds for the process, see :func:`_pin_malloc_thresholds`;
+:func:`_release_free_heap` is the process pools' worker initializer.
 """
 
 import ctypes
@@ -56,6 +57,25 @@ def _pin_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _release_free_heap() -> None:
+    """Hand the heap's free pages back to the OS (glibc ``malloc_trim(0)``).
+
+    A forked pool worker inherits its parent's heap, free blocks
+    included, as copy-on-write pages; reusing one copies the page. Once
+    trimmed, the worker's first touch of that memory maps a zero-filled
+    page instead of copying the parent's. Process pools call this once
+    per worker as their initializer. Where ``malloc_trim`` does not exist
+    (not glibc), nothing changes.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 _pin_malloc_thresholds()

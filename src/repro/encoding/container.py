@@ -289,3 +289,15 @@ class Container:
         if len(name) != codec_len:
             raise EOFError("container too short for codec name")
         return name.decode("ascii")
+
+    @staticmethod
+    def peek_header(blob: bytes) -> dict:
+        """Return the JSON header without checking checksums or reading sections."""
+        rd = _Reader(blob, 6 + len(Container.peek_codec(blob)))
+        try:
+            header = json.loads(rd.take(rd.uvarint(), "header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptStreamError(f"container header unreadable: {exc}") from None
+        if not isinstance(header, dict):
+            raise CorruptStreamError("container header is not a JSON object")
+        return header

@@ -17,7 +17,13 @@ codec:
 Workers are plain processes (``concurrent.futures``): NumPy releases the
 GIL for large kernels, but the Python-level coding stages do not, so
 processes are the profitable unit — with chunks sized so the fork+pickle
-overhead stays negligible, per the HPC-Python guidance.
+overhead stays negligible, per the HPC-Python guidance. A pool lives for
+one dispatch (no child process outlives a call), so its per-call costs
+are kept small: each worker first hands its inherited free heap back to
+the OS (``malloc_trim``, see :func:`_start_pool`), so its first job
+zero-fills pages instead of copying the parent's; ``compress_chunked``
+stages its input, and ``decompress_chunked`` its output, in one
+shared-memory segment each, so no chunk array is pickled either way.
 
 Resilience (see ``docs/ROBUSTNESS.md``): every dispatch accepts a retry
 budget (``retries`` + bounded exponential ``retry_backoff``), a per-job
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import contextvars
 import heapq
+import math
 import os
 import signal
 import threading
@@ -62,7 +69,9 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro import obs
+from repro.encoding import _release_free_heap
 from repro.encoding.container import (
+    DECODE_ERRORS,
     Container,
     CorruptStreamError,
     SalvageReport,
@@ -164,6 +173,32 @@ def _decompress_one(blob: bytes) -> np.ndarray:
     from repro import decompress
 
     return decompress(blob)
+
+
+def _decompress_into(args) -> None:
+    """Decode one chunk blob and write it into its slab of the output.
+
+    The target is the slab itself (inline) or a :class:`_ShmSlice` into
+    the parent's shared-memory output (pooled). A decode whose shape or
+    dtype differs from the slab's is corrupt, and nothing is written.
+    """
+    blob, target = args
+    chunk = _decompress_one(blob)
+    staged = isinstance(target, _ShmSlice)
+    shape = target.slab_shape if staged else target.shape
+    dtype = np.dtype(target.dtype)
+    if chunk.shape != shape or chunk.dtype != dtype:
+        raise CorruptStreamError(
+            f"chunk decoded to {chunk.dtype} {chunk.shape}, "
+            f"expected {dtype} {shape}")
+    if not staged:
+        target[...] = chunk
+        return
+    seg = _attach_shm(target.name)
+    try:
+        np.ndarray(target.shape, dtype=dtype, buffer=seg.buf)[target.index] = chunk
+    finally:
+        seg.close()
 
 
 def _raise_job_timeout(signum, frame):  # pragma: no cover - async signal
@@ -356,6 +391,16 @@ class _InlineExecutor:
         pass
 
 
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers first release their inherited free heap.
+
+    A forked worker's first job would otherwise reuse the parent's free
+    heap pages and pay a copy-on-write fault per page (see
+    :func:`repro.encoding._release_free_heap`).
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=_release_free_heap)
+
+
 def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
               faults: FaultInjector | None, scope: str, dispatch,
               deadline_at: float | None = None) -> list[JobResult]:
@@ -387,7 +432,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
     results: list[JobResult | None] = [None] * n
     ready: deque[tuple[int, int]] = deque((i, 1) for i in range(n))
     delayed: list[tuple[float, int, int]] = []  # (ready_time, index, attempt)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers else _InlineExecutor()
+    pool = _start_pool(workers) if workers else _InlineExecutor()
     in_flight: dict = {}
     respawns = 0
 
@@ -497,7 +542,9 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     requeue_or_fail(i, attempt, None,
                                     "requeued after pool crash", count_retry=False)
                 in_flight.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
+                # wait until the broken pool's workers are gone, so none of
+                # them still writes into a staged output after the dispatch
+                pool.shutdown(wait=True, cancel_futures=True)
                 if respawns > _MAX_POOL_RESPAWNS:
                     for i, attempt in list(ready) + [(di, da) for _, di, da in delayed]:
                         results[i] = _failure(
@@ -506,7 +553,7 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
                     ready.clear()
                     delayed.clear()
                     break
-                pool = ProcessPoolExecutor(max_workers=workers)
+                pool = _start_pool(workers)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     for i, r in enumerate(results):
@@ -558,7 +605,8 @@ def _chunk_slices(n: int, n_chunks: int) -> list[slice]:
 # ---------------------------------------------------------------------- #
 # Zero-copy chunk dispatch: pool workers receive a (name, shape, dtype,
 # slice) descriptor into one parent-owned shared-memory segment instead of
-# a pickled ndarray copy of their chunk.
+# a pickled ndarray copy of their chunk, and write decoded chunks into
+# their slab of one such segment instead of pickling them back.
 
 @dataclass(frozen=True)
 class _ShmSlice:
@@ -570,6 +618,20 @@ class _ShmSlice:
     axis: int
     start: int
     stop: int
+
+    @property
+    def index(self) -> tuple[slice, ...]:
+        return _along(self.axis, slice(self.start, self.stop))
+
+    @property
+    def slab_shape(self) -> tuple[int, ...]:
+        return (*self.shape[:self.axis], self.stop - self.start,
+                *self.shape[self.axis + 1:])
+
+
+def _along(axis: int, sl: slice) -> tuple[slice, ...]:
+    """Index of the slab ``sl`` along ``axis``."""
+    return (slice(None),) * axis + (sl,)
 
 
 def _attach_shm(name: str) -> shared_memory.SharedMemory:
@@ -608,11 +670,10 @@ def _chunk_array(payload) -> np.ndarray:
     try:
         full = np.ndarray(payload.shape, dtype=np.dtype(payload.dtype),
                           buffer=seg.buf)
-        sel = (slice(None),) * payload.axis + (slice(payload.start, payload.stop),)
         # .copy() (never ascontiguousarray: a contiguous slice would come
         # back as a *view*) — the bytes must be owned before close() unmaps
         # the segment out from under the codec.
-        out = full[sel].copy()
+        out = full[payload.index].copy()
         del full
         return out
     finally:
@@ -622,24 +683,40 @@ def _chunk_array(payload) -> np.ndarray:
 class _ShmArena:
     """Parent-side shared-memory segments with guaranteed unlink.
 
-    ``share()`` copies an array into a fresh segment once; ``close()``
-    (in the dispatcher's ``finally``) closes and unlinks every segment,
-    so no exit path — strict-mode raise, worker crash, timeout, fault
-    injection — leaks a ``/dev/shm`` entry. The parent's resource
-    tracker is the backstop if the parent itself dies mid-dispatch.
+    ``empty()`` makes a segment for an array and returns its
+    ``(name, shape, dtype)`` reference; ``share()`` also copies an array
+    into it, and ``read()`` copies one back out. The parent holds no view
+    into a segment between calls, so ``close()`` (in the dispatcher's
+    ``finally``) always closes and unlinks every segment: no exit path —
+    strict-mode raise, worker crash, timeout, fault injection — leaks a
+    ``/dev/shm`` entry. The parent's resource tracker is the backstop if
+    the parent itself dies mid-dispatch.
     """
 
     def __init__(self) -> None:
-        self._segments: list[shared_memory.SharedMemory] = []
+        self._segments: dict[str, shared_memory.SharedMemory] = {}
+
+    def empty(self, shape: tuple[int, ...],
+              dtype: np.dtype) -> tuple[str, tuple[int, ...], str]:
+        seg = shared_memory.SharedMemory(
+            create=True, size=max(1, math.prod(shape) * dtype.itemsize))
+        self._segments[seg.name] = seg
+        return seg.name, tuple(shape), dtype.str
+
+    def _view(self, ref: tuple[str, tuple[int, ...], str]) -> np.ndarray:
+        name, shape, dtype = ref
+        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._segments[name].buf)
 
     def share(self, arr: np.ndarray) -> tuple[str, tuple[int, ...], str]:
-        seg = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        self._segments.append(seg)
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)[...] = arr
-        return seg.name, arr.shape, arr.dtype.str
+        ref = self.empty(arr.shape, arr.dtype)
+        self._view(ref)[...] = arr
+        return ref
+
+    def read(self, ref: tuple[str, tuple[int, ...], str]) -> np.ndarray:
+        return self._view(ref).copy()
 
     def close(self) -> None:
-        for seg in self._segments:
+        for seg in self._segments.values():
             try:
                 seg.close()
             finally:
@@ -711,7 +788,7 @@ def compress_chunked(data: np.ndarray, codec: str = "cliz", *, axis: int = 0,
                     *ref, axis, sl.start, sl.stop)
             else:
                 arr_ref, mask_ref = arr, mask
-                take = lambda a, sl: a[(slice(None),) * axis + (sl,)]  # noqa: E731  (view)
+                take = lambda a, sl: a[_along(axis, sl)]  # noqa: E731  (view)
             jobs = [(codec, take(arr_ref, sl), kwargs,
                      take(mask_ref, sl) if mask_ref is not None else None)
                     for sl in slices]
@@ -764,13 +841,20 @@ def _validate_chunked_header(header: dict) -> tuple[int, int, list[int]]:
     return n_chunks, axis, shape
 
 
-def _nan_fill(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    chunk = np.empty(shape, dtype=dtype)
-    if np.issubdtype(dtype, np.inexact):
-        chunk.fill(np.nan)
-    else:
-        chunk.fill(0)
-    return chunk
+def _output_dtype(blobs: list[bytes]) -> np.dtype:
+    """The dtype the first chunk with a readable header records (else float64).
+
+    Only a real numeric dtype counts; a chunk that decodes to another
+    dtype fails its job.
+    """
+    for blob in blobs:
+        try:
+            dtype = np.dtype(Container.peek_header(blob)["dtype"])
+        except (*DECODE_ERRORS, TypeError):
+            continue
+        if dtype.kind in "fiu":
+            return dtype
+    return np.dtype(np.float64)
 
 
 def decompress_chunked(blob: bytes, workers: int | None = None, *,
@@ -780,6 +864,14 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
                        deadline: float | None = None,
                        faults: FaultInjector | str | None = None):
     """Inverse of :func:`compress_chunked`.
+
+    The output is allocated once, in the dtype the first present chunk's
+    header records, and every chunk job decodes its chunk and writes it
+    into its slab in place; a chunk that decodes to another shape or
+    dtype than its slab is corrupt. Pooled dispatch (``workers`` set,
+    more than one chunk present) stages the output in one shared-memory
+    segment, copied out once at the end and unlinked on every exit path,
+    so no decoded slab is pickled back to the parent.
 
     With ``salvage=True`` corruption no longer aborts the read: chunks
     that are missing, fail their section CRC, or fail to decode come back
@@ -799,57 +891,56 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
             f"chunked header: n_chunks {n_chunks} inconsistent with shape {shape}")
     report = SalvageReport(codec=_CODEC, total=n_chunks)
 
-    chunk_blobs: list[bytes | None] = []
+    present: list[tuple[int, bytes]] = []
+    lost: list[int] = []
     for i in range(n_chunks):
         name = f"chunk{i}"
         if not container.has_section(name):
             if not salvage:
                 raise CorruptStreamError(f"chunked stream is missing section {name!r}")
-            chunk_blobs.append(None)
+            lost.append(i)
             report.add(name, "missing", "section absent (truncated container)")
             continue
         try:
-            chunk_blobs.append(container.section(name))
+            present.append((i, container.section(name)))
         except CorruptStreamError as exc:
             # only reachable in salvage mode (strict parse raised earlier)
-            chunk_blobs.append(None)
+            lost.append(i)
             report.add(name, "crc", str(exc))
 
-    present = [(i, b) for i, b in enumerate(chunk_blobs) if b is not None]
-    with obs.span("decompress_chunked", nbytes=len(blob), salvage=salvage,
-                  workers=workers or 0) as dispatch:
-        results = _run_jobs(_decompress_one, [b for _, b in present],
-                            workers=workers, policy=policy, faults=faults,
-                            scope="unchunk", dispatch=dispatch,
-                            deadline_at=deadline_at)
-    chunks: list[np.ndarray | None] = [None] * n_chunks
-    for (i, _), result in zip(present, results):
-        if result.ok:
-            chunks[i] = result.value
-        else:
-            if not salvage:
-                return _finalize([result], True, "decompress_chunked")
-            report.add(f"chunk{i}", "decode", result.error or "decode failed")
+    dtype = _output_dtype([b for _, b in present])
+    use_pool = bool(workers) and len(present) > 1
+    arena = _ShmArena()
+    try:
+        with obs.span("decompress_chunked", nbytes=len(blob), salvage=salvage,
+                      workers=workers or 0) as dispatch:
+            if use_pool:
+                ref = arena.empty(shape, dtype)
+                target = lambda sl: _ShmSlice(*ref, axis, sl.start, sl.stop)  # noqa: E731
+            else:
+                out = np.empty(shape, dtype=dtype)
+                target = lambda sl: out[_along(axis, sl)]  # noqa: E731  (view)
+            results = _run_jobs(_decompress_into,
+                                [(b, target(slices[i])) for i, b in present],
+                                workers=workers if use_pool else None,
+                                policy=policy, faults=faults, scope="unchunk",
+                                dispatch=dispatch, deadline_at=deadline_at)
+        for (i, _), result in zip(present, results):
+            if not result.ok:
+                if not salvage:
+                    _finalize([result], True, "decompress_chunked")
+                lost.append(i)
+                report.add(f"chunk{i}", "decode", result.error or "decode failed")
+        if use_pool:
+            out = arena.read(ref)
+    finally:
+        arena.close()
 
-    dtype = next((c.dtype for c in chunks if c is not None), np.dtype(np.float64))
-    if not np.issubdtype(dtype, np.inexact) and any(c is None for c in chunks):
+    fill = np.nan if np.issubdtype(dtype, np.inexact) else 0
+    if lost and fill == 0:
         report.notes.append(f"integer dtype {dtype}: failed chunks zero-filled")
-    for i, sl in enumerate(slices):
-        chunk_shape = (*shape[:axis], sl.stop - sl.start, *shape[axis + 1:])
-        if chunks[i] is not None and chunks[i].shape != chunk_shape:
-            if not salvage:
-                raise CorruptStreamError(
-                    f"chunk {i} decoded to shape {chunks[i].shape}, "
-                    f"expected axis-{axis} slice of {shape}")
-            report.add(f"chunk{i}", "decode",
-                       f"decoded to wrong shape {chunks[i].shape}")
-            chunks[i] = None
-        if chunks[i] is None:
-            chunks[i] = _nan_fill(chunk_shape, dtype)
-
-    out = np.concatenate(chunks, axis=axis)
-    if list(out.shape) != shape:
-        raise CorruptStreamError("chunked stream reassembled to the wrong shape")
+    for i in lost:
+        out[_along(axis, slices[i])] = fill
     if salvage:
         obs.inc_counter("salvage.reads")
         obs.inc_counter("salvage.chunks_failed", len(report.failures))

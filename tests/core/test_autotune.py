@@ -95,9 +95,11 @@ class TestTuner:
         assert max(t.est_ratio for t in res.trials) > 0
 
     def test_lower_rate_is_faster(self):
+        # in-process tunes: a pooled tune's time is mostly pool start-up,
+        # which machine load can tip either way
         data = field(nlat=48, nlon=40, nt=96)
         common = dict(time_axis=2, max_layouts=6, fittings=("linear",),
-                      try_binclass=False, try_periodic=False)
+                      try_binclass=False, try_periodic=False, workers=1)
         slow = AutoTuner(sampling_rate=0.2, **common).tune(data, abs_eb=1e-3)
         fast = AutoTuner(sampling_rate=0.005, **common).tune(data, abs_eb=1e-3)
         assert fast.total_time < slow.total_time

@@ -1,10 +1,12 @@
 """Chunk-dispatch internals: shm lifecycle, chunk contract, timeouts, geometry.
 
-Covers zero-copy shared-memory chunk payloads (with unlink guaranteed on
-every exit path), the per-chunk byte contract of ``compress_chunked``
-(every section is the codec's own blob for that chunk, serial or
-pooled), the off-main-thread timeout fallback, and the chunk slicing /
-header geometry edge cases.
+Covers zero-copy shared-memory chunk payloads and the staged
+decompress output (with unlink guaranteed on every exit path), the
+per-chunk byte contract of ``compress_chunked`` (every section is the
+codec's own blob for that chunk, serial or pooled), in-place slab writes
+of ``decompress_chunked`` (pooled and inline agree bit for bit), the
+off-main-thread timeout fallback, and the chunk slicing / header
+geometry edge cases.
 """
 
 import os
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 import repro.parallel as par
-from repro import compressor_for, obs
+from repro import compressor_for, decompress, obs
 from repro.datasets import load
-from repro.encoding.container import Container
+from repro.encoding.container import Container, CorruptStreamError
 from repro.parallel import (
+    DeadlineExceededError,
     ParallelJobError,
     _chunk_array,
     _chunk_slices,
@@ -41,6 +44,21 @@ def shm_segments() -> set[str]:
         return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+@pytest.fixture
+def staged(monkeypatch):
+    """Names of the shared-memory segments ``_ShmArena.empty`` creates."""
+    names = []
+    empty = _ShmArena.empty
+
+    def spy(self, shape, dtype):
+        ref = empty(self, shape, dtype)
+        names.append(ref[0].lstrip("/"))
+        return ref
+
+    monkeypatch.setattr(_ShmArena, "empty", spy)
+    return names
 
 
 # ---------------------------------------------------------------------- #
@@ -113,6 +131,25 @@ class TestShmLifecycle:
                              faults="seed=1;slow:only=1:delay=0.5")
         assert shm_segments() <= before
 
+    @pytest.mark.parametrize("kwargs, raises", [
+        ({}, None),
+        ({"retries": 0, "faults": "seed=1;crash:only=2:attempts=9"}, ParallelJobError),
+        ({"timeout": 0.05, "retries": 0, "faults": "seed=1;slow:only=1:delay=0.5"},
+         TimeoutError),
+        ({"deadline": 0.2, "faults": "seed=1;slow:delay=1.0"}, DeadlineExceededError),
+    ], ids=["success", "exhausted-crash", "timeout", "deadline"])
+    def test_output_segment_unlinked(self, staged, kwargs, raises):
+        """A pooled decompress stages its output in one segment, unlinked
+        on success and on every failure path."""
+        data = field(seed=14)
+        blob = compress_chunked(data, "sz3", n_chunks=4, abs_eb=1e-3)
+        if raises is None:
+            assert np.abs(decompress_chunked(blob, workers=2) - data).max() <= 1e-3
+        else:
+            with pytest.raises(raises):
+                decompress_chunked(blob, workers=2, **kwargs)
+        assert len(staged) == 1 and not set(staged) & shm_segments()
+
 
 # ---------------------------------------------------------------------- #
 # Chunk contract: section chunk{i} is the codec's own blob for chunk i.
@@ -169,6 +206,83 @@ class TestChunkContract:
         snap = run.metrics.snapshot()
         assert "parallel.retries" not in snap
         assert "parallel.job_failures" not in snap
+
+
+# ---------------------------------------------------------------------- #
+# Staged decompress: every job writes its chunk into its slab in place.
+
+def _concatenated(blob):
+    """The reassembly the staged output replaces: decode each section and
+    concatenate the chunks."""
+    container = Container.from_bytes(blob)
+    return np.concatenate([decompress(sec) for sec in _sections(blob)],
+                          axis=container.header["axis"])
+
+
+def _swap_section(blob, name, payload):
+    """``blob`` with section ``name`` replaced by ``payload``."""
+    c = Container.from_bytes(blob)
+    rebuilt = Container(c.codec, c.header)
+    for section in c.section_names:
+        rebuilt.add_section(section,
+                            payload if section == name else c.section(section))
+    return rebuilt.to_bytes()
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStagedDecompress:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_pooled_equals_inline(self, dtype, axis):
+        data = field(seed=30).astype(dtype)
+        blob = compress_chunked(data, "sz3", axis=axis, n_chunks=4, abs_eb=1e-3)
+        inline = decompress_chunked(blob)
+        pooled = decompress_chunked(blob, workers=2)
+        assert inline.dtype == dtype
+        assert _same_bits(inline, pooled)
+        assert _same_bits(inline, _concatenated(blob))
+
+    def test_masked_cliz_pooled_equals_inline(self):
+        f = load("SSH", shape=(16, 14, 48))
+        blob = compress_chunked(f.data, "cliz", axis=2, n_chunks=3,
+                                mask=f.mask, abs_eb=1e-3)
+        inline = decompress_chunked(blob)
+        assert _same_bits(inline, decompress_chunked(blob, workers=2))
+        assert _same_bits(inline, _concatenated(blob))
+
+    def test_salvage_pooled_matches_inline(self):
+        data = field(seed=31)
+        blob = compress_chunked(data, "sz3", n_chunks=4, abs_eb=1e-3,
+                                faults="seed=5;bitflip:only=1:n=3")
+        inline, inline_report = decompress_chunked(blob, salvage=True)
+        pooled, pooled_report = decompress_chunked(blob, salvage=True, workers=2)
+        assert pooled_report.failed_names == ["chunk1"]
+        assert pooled_report.to_dict() == inline_report.to_dict()
+        assert np.isnan(pooled[8:16]).all()  # chunk1: rows 8..16 of 32
+        assert _same_bits(inline, pooled)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("wrong", ["shape", "dtype"])
+    def test_mismatched_chunk_is_corrupt(self, workers, wrong):
+        """chunk1 decodes to a slab that disagrees with the chunked header
+        (one row short) or with chunk0's dtype (float32, not float64)."""
+        data = field(seed=32)
+        blob = compress_chunked(data, "sz3", n_chunks=4, abs_eb=1e-3)
+        other = data[8:15] if wrong == "shape" else data[8:16].astype(np.float32)
+        bad = _swap_section(blob, "chunk1",
+                            compressor_for("sz3").compress(other, abs_eb=1e-3))
+        with pytest.raises(CorruptStreamError, match="chunk decoded to"):
+            decompress_chunked(bad, workers=workers)
+        out, report = decompress_chunked(bad, salvage=True, workers=workers)
+        assert report.failed_names == ["chunk1"]
+        assert report.failures[0].stage == "decode"
+        assert out.dtype == np.float64
+        assert np.isnan(out[8:16]).all()
+        clean = decompress_chunked(blob)
+        assert _same_bits(out[:8], clean[:8]) and _same_bits(out[16:], clean[16:])
 
 
 # ---------------------------------------------------------------------- #

@@ -98,6 +98,16 @@ class TestResilienceFlags:
         assert json.loads(rep.read_text())["ok"]
         assert np.abs(np.load(back) - data).max() <= 1e-3 + 1e-6
 
+    def test_pooled_decompress_equals_serial(self, tmp_path, field_files):
+        dpath, _, _, _ = field_files
+        out = tmp_path / "d.rz"
+        main(["compress", str(dpath), str(out), "--codec", "sz3",
+              "--abs-eb", "1e-3", "--chunks", "4"])
+        serial, pooled = tmp_path / "serial.npy", tmp_path / "pooled.npy"
+        assert main(["decompress", str(out), str(serial)]) == 0
+        assert main(["decompress", str(out), str(pooled), "--workers", "2"]) == 0
+        assert np.load(serial).tobytes() == np.load(pooled).tobytes()
+
     def test_salvage_rejects_non_chunked_blob(self, tmp_path, field_files):
         dpath, _, _, _ = field_files
         out = tmp_path / "d.rz"
