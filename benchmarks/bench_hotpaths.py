@@ -4,7 +4,9 @@ dispatch, blob puts.
 Measures throughput of the vectorized kernels against their scalar
 reference paths, ``HuffmanCode.decode`` as codecs call it (table build
 included) on a real CliZ code section and on short streams, the fixed
-per-codebook costs on a quantization-code stream, chunked compress and
+per-codebook costs on a quantization-code stream, LZ on synthetic and real
+CliZ code streams (every blob checked against the plain greedy loop in
+``tests/encoding/reference.py``), chunked compress and
 decompress inline against a two-worker pool, and ``BlobStore.put`` at
 two store sizes, and writes the results to ``BENCH_hotpaths.json``. Run
 from the repository root::
@@ -30,9 +32,11 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the tests' oracles
 
 from repro import obs, parallel  # noqa: E402
 from repro.core import AutoTuner, CliZ  # noqa: E402
+from repro.core.autotune import assemble_sample, mask_aware_anchors, sample_blocks  # noqa: E402
 from repro.datasets import cesm_t, hurricane_t, ssh  # noqa: E402
 from repro.encoding.bitstream import BitWriter  # noqa: E402
 from repro.encoding.container import Container  # noqa: E402
@@ -42,6 +46,7 @@ from repro.encoding.varint import decode_uvarint  # noqa: E402
 from repro.prediction import InterpSpec, interp_compress, interp_decompress  # noqa: E402
 from repro.runtime.durable import atomic_write  # noqa: E402
 from repro.service.blobstore import BlobStore, blob_key  # noqa: E402
+from tests.encoding.reference import lz_compress_reference  # noqa: E402
 
 
 def _best(fn, reps: int) -> float:
@@ -274,31 +279,45 @@ def bench_bitwriter(n: int, reps: int) -> list[dict]:
     return rows
 
 
-def _cliz_code_stream(smoke: bool) -> bytes:
-    """The Huffman payload CliZ hands to LZ for a Hurricane-T field."""
-    shape = (13, 50, 50) if smoke else (50, 140, 140)
-    field = hurricane_t(shape=shape, seed=5)
-    blob = CliZ().compress(field.data, rel_eb=1e-3)
+def _codes_section(data: np.ndarray, mask: np.ndarray | None = None) -> bytes:
+    """The Huffman payload CliZ hands to LZ for ``data`` at rel_eb 1e-3."""
+    blob = CliZ().compress(data, rel_eb=1e-3, mask=mask)
     container = Container.from_bytes(blob)
     name = next(s for s in container.section_names if s.endswith(".codes"))
     return lz_decompress(container.section(name))
 
 
 def bench_lz(n: int, reps: int, smoke: bool) -> list[dict]:
+    """LZ on synthetic streams and on real CliZ code streams.
+
+    ``cliz_codes`` is a Hurricane-T field's (stored: LZ finds too little),
+    ``cliz_ssh_codes`` SSH's (the field where LZ is kept) and
+    ``tuner_sample`` the stream of one trial on a 1% sample of SSH, the
+    size the auto-tuner hands LZ hundreds of times per tune. Every blob
+    must equal the plain greedy loop's in ``tests/encoding/reference.py``.
+    """
     rng = np.random.default_rng(2)
     syms = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 64, n))
     code = HuffmanCode.from_symbols(syms)
     w = BitWriter()
     code.encode(syms, w)
+    hurricane = hurricane_t(shape=(13, 50, 50) if smoke else (50, 140, 140), seed=5)
+    field = ssh(shape=(48, 40, 252), seed=1)
+    blocks = sample_blocks(field.data.shape, 0.01,
+                           anchors=mask_aware_anchors(field.data.shape, field.mask))
     cases = {
         "huffman_output": w.getvalue(),
         "zero_runs": bytes(min(n, 4 * n // 4)),
         "text": b"the quick brown fox jumps over the lazy dog " * max(1, n // 45),
-        "cliz_codes": _cliz_code_stream(smoke),
+        "cliz_codes": _codes_section(hurricane.data),
+        "cliz_ssh_codes": _codes_section(field.data, field.mask),
+        "tuner_sample": _codes_section(assemble_sample(field.data, blocks),
+                                       assemble_sample(field.mask, blocks)),
     }
     rows = []
     for name, payload in cases.items():
         blob = lz_compress(payload)
+        assert blob == lz_compress_reference(payload), f"lz/{name}: parse differs from the oracle"
         assert lz_decompress(blob) == payload
         t_c = _best(lambda: lz_compress(payload), reps)
         t_d = _best(lambda: lz_decompress(blob), reps)

@@ -1,11 +1,12 @@
 """Reference implementations of the compress-side entropy kernels.
 
-Straightforward forms of the LZ match index (a stable argsort), of the
-``BitWriter`` bulk write (one array entry per output bit) and of the
-Huffman codebook build (a binary heap for the code lengths, a per-symbol
-loop for the canonical codes and for the decode table). They are the
-differential oracles for the packed-key sort in ``repro.encoding.lz``,
-the word-plane pack in ``repro.encoding.bitstream`` and the two-queue,
+Straightforward forms of the LZ match index (a stable argsort) and greedy
+parse (one loop step per input byte or match), of the ``BitWriter`` bulk
+write (one array entry per output bit) and of the Huffman codebook build
+(a binary heap for the code lengths, a per-symbol loop for the canonical
+codes and for the decode table). They are the differential oracles for
+the packed-key sort and the array parse in ``repro.encoding.lz``, the
+word-plane pack in ``repro.encoding.bitstream`` and the two-queue,
 first-code-per-length and canonical-order ``np.repeat`` builds in
 ``repro.encoding.huffman``: those must return the same arrays and write
 the same bytes on every input.
@@ -18,6 +19,7 @@ import heapq
 import numpy as np
 
 from repro.encoding.bitstream import _MAX_WRITE_BITS, BitWriter
+from repro.encoding.varint import encode_uvarint
 
 
 def prev_occurrence_reference(data: bytes) -> np.ndarray:
@@ -35,6 +37,59 @@ def prev_occurrence_reference(data: bytes) -> np.ndarray:
     prev = np.full(v.size, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
     return prev
+
+
+def lz_compress_reference(data: bytes) -> bytes:
+    """``lz_compress`` as a plain greedy loop over the input bytes.
+
+    At each position with an earlier occurrence of its shingle at most
+    65535 bytes back, take the common prefix with the nearest one (compared
+    byte by byte) as a match, else take one literal; a match's sub-4 tail
+    modulo 131 goes back to the input. The block is stored unless its
+    tokens plus 10 bytes come out shorter than the input.
+    """
+    data = bytes(data)
+    n = len(data)
+    tokens = bytearray()
+    if n >= 16:
+        prev = prev_occurrence_reference(data)
+        literals = bytearray()
+
+        def flush() -> None:
+            for s in range(0, len(literals), 128):
+                run = literals[s : s + 128]
+                tokens.append(len(run) - 1)
+                tokens.extend(run)
+            literals.clear()
+
+        i = 0
+        while i < n:
+            j = int(prev[i]) if i < prev.size else -1
+            if j < 0 or i - j > 65535:
+                literals.append(data[i])
+                i += 1
+                continue
+            length = 4
+            while i + length < n and data[j + length] == data[i + length]:
+                length += 1
+            flush()
+            off = i - j
+            q, r = divmod(length, 131)
+            tokens.extend(bytes((0x80 | 127, off & 0xFF, off >> 8)) * q)
+            if r >= 4:
+                tokens.extend((0x80 | (r - 4), off & 0xFF, off >> 8))
+            else:
+                length -= r
+            i += length
+        flush()
+    header = bytearray()
+    if n >= 16 and len(tokens) + 10 < n:
+        header.append(1)
+        encode_uvarint(n, header)
+        return bytes(header) + bytes(tokens)
+    header.append(0)
+    encode_uvarint(n, header)
+    return bytes(header) + data
 
 
 class ReferenceBitWriter(BitWriter):
