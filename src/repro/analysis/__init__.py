@@ -12,55 +12,24 @@ this and deliberately installs nothing).
 Run it::
 
     python -m repro.analysis src tests          # or the repro-lint script
-    python -m repro.analysis --list-rules
+    python -m repro.analysis src tests --whole-program --output report.json
 
 Suppress a finding::
 
     blob = risky()  # repro-lint: disable=DEC-001 -- header probe, re-raised below
 
-Configure in ``pyproject.toml`` under ``[tool.repro-lint]``. See
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue and how to add a rule.
+See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and how to add a
+rule.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.config import LintConfig, Override, find_pyproject, load_config
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import LintEngine, LintResult, iter_python_files
-from repro.analysis.project import ProjectModel
-from repro.analysis.registry import (
-    ModuleContext,
-    ProjectRule,
-    Rule,
-    WholeProgramRule,
-    all_rules,
-    get_rule,
-    register,
-)
-from repro.analysis.reporters import JSON_REPORT_VERSION, render_json, render_text
-from repro.analysis.suppressions import Suppression, scan_suppressions
+from repro.analysis.engine import LintEngine, LintResult
+from repro.analysis.registry import all_rules
 
 __all__ = [
     "Baseline",
     "BaselineEntry",
-    "LintConfig",
-    "Override",
-    "find_pyproject",
-    "load_config",
-    "Diagnostic",
     "LintEngine",
     "LintResult",
-    "iter_python_files",
-    "ModuleContext",
-    "ProjectModel",
-    "ProjectRule",
-    "Rule",
-    "WholeProgramRule",
     "all_rules",
-    "get_rule",
-    "register",
-    "JSON_REPORT_VERSION",
-    "render_json",
-    "render_text",
-    "Suppression",
-    "scan_suppressions",
 ]

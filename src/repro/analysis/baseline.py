@@ -1,11 +1,11 @@
 """Committed baseline for known-unproven whole-program findings.
 
-The EXC family can hit edges it cannot prove statically — the canonical
-example is ``raise type(worker_exc)(...)``, which deliberately re-raises
-the worker's original exception class. Those findings are real but
-accepted: they live in a reviewed, committed JSON file instead of inline
-suppressions, so the set of unproven edges is visible in one place and
-every entry carries a justification.
+The EXC family can hit edges it cannot prove statically, and the RES
+and CONC families can flag code that is correct for a reason the
+analyzer cannot see. Those findings are real but accepted: they live in
+a reviewed, committed JSON file instead of inline suppressions, so the
+set of accepted edges is visible in one place and every entry carries a
+justification.
 
 Format (``lint-baseline.json`` at the repo root, version 1)::
 
@@ -13,11 +13,11 @@ Format (``lint-baseline.json`` at the repo root, version 1)::
       "version": 1,
       "entries": [
         {
-          "rule": "EXC-002",
+          "rule": "EXC-001",
           "path": "src/repro/service/handlers.py",
           "symbol": "repro.service.handlers.do_compress",
-          "contains": "repro.parallel._finalize",
-          "reason": "strict-mode re-raise preserves the original class"
+          "contains": "repro.obs.metrics.MetricsRegistry._get",
+          "reason": "programming-error guard, mapped by the app backstop"
         }
       ]
     }
@@ -29,8 +29,9 @@ qualified symbol they are attached to, so entries survive unrelated
 edits. A ``reason`` is mandatory — an unexplained baseline entry is just
 a suppression with worse ergonomics.
 
-Entries that match nothing are *stale* and reported as warning-severity
-``BAS-001`` diagnostics, so the baseline shrinks as edges get proven.
+Entries that match nothing are *stale* and reported as ``BAS-001``
+findings, which fail the run like any other, so the baseline shrinks as
+edges get proven.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from repro.analysis.diagnostics import Diagnostic
 
 BASELINE_VERSION = 1
 
-#: Default filename looked for next to pyproject.toml.
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
+#: The baseline's filename, at the repo root.
+BASELINE_NAME = "lint-baseline.json"
 
 
 @dataclass
@@ -65,7 +66,6 @@ class BaselineEntry:
 @dataclass
 class Baseline:
     entries: list[BaselineEntry] = field(default_factory=list)
-    source: str = ""                      # where it was loaded from, for msgs
     _used: set[int] = field(default_factory=set)
 
     @classmethod
@@ -98,7 +98,7 @@ class Baseline:
                 symbol=str(raw["symbol"]), reason=str(raw["reason"]),
                 contains=str(raw.get("contains", "")),
             ))
-        return cls(entries=entries, source=str(path))
+        return cls(entries=entries)
 
     def absorbs(self, diag: Diagnostic) -> bool:
         """True when some entry matches ``diag`` (and mark that entry used)."""
@@ -114,18 +114,18 @@ class Baseline:
 
 
 def stale_diagnostics(baseline: Baseline) -> list[Diagnostic]:
-    """BAS-001 warnings for entries that no longer match any finding."""
+    """BAS-001 findings for entries that no longer match any finding."""
     out = []
     for entry in baseline.stale_entries():
         out.append(Diagnostic(
             rule_id="BAS-001", family="baseline", path=entry.path,
-            line=1, col=0, severity="warning",
+            line=1, col=0,
             message=(f"stale baseline entry ({entry.rule} / {entry.symbol}): "
                      "no current finding matches it; delete it from "
-                     f"{baseline.source or DEFAULT_BASELINE_NAME}"),
+                     f"{BASELINE_NAME}"),
         ))
     return out
 
 
 __all__ = ["Baseline", "BaselineEntry", "BASELINE_VERSION",
-           "DEFAULT_BASELINE_NAME", "stale_diagnostics"]
+           "BASELINE_NAME", "stale_diagnostics"]

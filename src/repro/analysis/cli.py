@@ -1,10 +1,15 @@
 """``repro-lint`` / ``python -m repro.analysis`` command line.
 
+Stdout always carries the text report; ``--output FILE`` also writes the
+JSON report there, so one run serves a log and a CI artifact. The repo
+root (path scoping, ``lint-baseline.json``) is the nearest ancestor of
+the working directory holding a ``pyproject.toml``.
+
 Exit codes (CI contract):
 
 * ``0`` — no findings (suppressed findings do not fail the build)
-* ``1`` — at least one error-severity finding
-* ``2`` — usage or internal error (argparse, unreadable config, bad rule id)
+* ``1`` — at least one finding
+* ``2`` — usage or internal error (argparse, missing path, bad baseline)
 """
 
 from __future__ import annotations
@@ -13,10 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.config import LintConfig, find_pyproject, load_config
+from repro.analysis.baseline import BASELINE_NAME, Baseline
 from repro.analysis.engine import LintEngine
-from repro.analysis.registry import all_rules
 from repro.analysis.reporters import render_json, render_text
 
 
@@ -29,135 +32,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="*", default=["src", "tests"],
                    help="files or directories to lint (default: src tests)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format (default: text)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
-    p.add_argument("--output", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
-    p.add_argument("--select", metavar="IDS",
-                   help="comma-separated rule ids/families to run exclusively")
-    p.add_argument("--disable", "--ignore", dest="disable", metavar="IDS",
-                   help="comma-separated rule ids/families to turn off "
-                        "(--ignore is an alias)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan the per-file pass out over N worker processes "
-                        "(whole-program pass stays single-shot)")
     p.add_argument("--whole-program", action="store_true",
                    help="also build the project model over src/repro and "
-                        "run the EXC/RES/CONC rule families")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="baseline file for whole-program findings "
-                        "(default: [tool.repro-lint] baseline setting)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any configured baseline file")
-    p.add_argument("--config", metavar="PYPROJECT",
-                   help="explicit pyproject.toml (default: nearest ancestor)")
-    p.add_argument("--no-config", action="store_true",
-                   help="ignore [tool.repro-lint] config entirely")
-    p.add_argument("--root", metavar="DIR",
-                   help="repo root for path scoping (default: config dir or cwd)")
-    p.add_argument("--lint-as", metavar="RELPATH",
-                   help="lint a single input file as if it lived at RELPATH "
-                        "(fixture/testing aid)")
-    p.add_argument("--show-suppressed", action="store_true",
-                   help="also print suppressed findings (text format)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
+                        "run the EXC/RES/CONC rule families against "
+                        "lint-baseline.json")
+    p.add_argument("--output", metavar="FILE",
+                   help="also write the JSON report to FILE")
     return p
 
 
-def _list_rules() -> str:
-    lines = []
-    for rule in all_rules():
-        scope = ", ".join(rule.default_paths) if rule.default_paths else "everywhere"
-        lines.append(f"{rule.id}  [{rule.family}]  {rule.description}")
-        lines.append(f"    scope: {scope}")
-        if rule.requires_reason:
-            lines.append("    suppression requires a '-- <reason>'")
-    return "\n".join(lines)
+def find_root(start: Path) -> Path:
+    """The nearest ancestor of ``start`` holding a pyproject.toml, else ``start``."""
+    start = start.resolve()
+    for candidate in [start, *start.parents]:
+        if (candidate / "pyproject.toml").is_file():
+            return candidate
+    return start
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.list_rules:
-        print(_list_rules())
-        return 0
-
-    try:
-        if args.no_config:
-            config, pyproject = LintConfig(), None
-        else:
-            pyproject = Path(args.config) if args.config \
-                else find_pyproject(Path.cwd())
-            config = load_config(pyproject)
-    except (OSError, ValueError) as exc:
-        print(f"repro-lint: config error: {exc}", file=sys.stderr)
-        return 2
-    if args.select:
-        config.select = [s.strip() for s in args.select.split(",") if s.strip()]
-    if args.disable:
-        config.disable += [s.strip() for s in args.disable.split(",") if s.strip()]
-
-    known = {r.id for r in all_rules()} | {r.family for r in all_rules()} \
-        | {r.id.split("-")[0] for r in all_rules()}
-    for rid in config.select + config.disable:
-        if rid.upper() not in {k.upper() for k in known}:
-            print(f"repro-lint: unknown rule or family {rid!r} "
-                  f"(see --list-rules)", file=sys.stderr)
-            return 2
-
-    if args.root:
-        root = Path(args.root)
-    elif pyproject is not None:
-        root = pyproject.parent
-    else:
-        root = Path.cwd()
-
-    if args.jobs < 1:
-        print("repro-lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
-    baseline = None
-    if args.whole_program and not args.no_baseline:
-        baseline_path = None
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        elif config.baseline:
-            baseline_path = root / config.baseline
-        if baseline_path is not None:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except ValueError as exc:
-                print(f"repro-lint: {exc}", file=sys.stderr)
-                return 2
-
-    engine = LintEngine(config=config, root=root)
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"repro-lint: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
-    try:
-        result = engine.run(paths, lint_as=args.lint_as, jobs=args.jobs,
-                            whole_program=args.whole_program,
-                            baseline=baseline)
-    except ValueError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
-        return 2
 
-    if args.format == "json" or args.json:
-        report = render_json(result)
-    else:
-        report = render_text(result, show_suppressed=args.show_suppressed)
+    root = find_root(Path.cwd())
+    baseline = None
+    if args.whole_program and (root / BASELINE_NAME).is_file():
+        try:
+            baseline = Baseline.load(root / BASELINE_NAME)
+        except ValueError as exc:
+            print(f"repro-lint: {exc}", file=sys.stderr)
+            return 2
+
+    result = LintEngine(root=root).run(
+        paths, whole_program=args.whole_program, baseline=baseline)
     if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-        if args.format == "text":
-            print(report.splitlines()[-1])
-    else:
-        print(report)
+        Path(args.output).write_text(render_json(result) + "\n",
+                                     encoding="utf-8")
+    print(render_text(result))
     return result.exit_code
 
 

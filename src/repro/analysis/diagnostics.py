@@ -2,17 +2,13 @@
 
 A :class:`Diagnostic` is one finding: a rule id, a location, and a
 message. Diagnostics are plain data — reporters decide how to render
-them and the engine decides which ones survive suppression.
+them and the engine decides which ones survive suppression. Every
+unsuppressed diagnostic fails the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-#: Severity levels, mildest first. ``error`` is the only level that makes
-#: the CLI exit non-zero; ``warning`` exists for rules being trialled.
-SEVERITIES = ("warning", "error")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,8 +21,6 @@ class Diagnostic:
     line: int            # 1-based
     col: int             # 0-based, matching ast.col_offset
     message: str
-    severity: str = "error"
-    suppressed: bool = field(default=False, compare=False)
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule_id)
@@ -42,8 +36,7 @@ class Diagnostic:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
 
 
-__all__ = ["Diagnostic", "SEVERITIES"]
+__all__ = ["Diagnostic"]

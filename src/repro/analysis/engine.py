@@ -8,15 +8,13 @@ an arbitrary repo path (``lint_source(..., relpath=...)``).
 
 Two passes can run per invocation:
 
-* the **per-file pass** — every :class:`Rule` over every collected file,
-  optionally fanned out over ``jobs`` worker processes (results are
-  deterministic: workers return per-file results that are merged in
-  input order), plus :class:`ProjectRule` checks;
+* the **per-file pass** — every :class:`Rule` over every collected file
+  outside the fixture corpus, plus :class:`ProjectRule` checks;
 * the **whole-program pass** (``whole_program=True``) — builds one
   :class:`~repro.analysis.project.ProjectModel` over ``src/repro`` and
   runs every :class:`WholeProgramRule` against it. Whole-program
-  diagnostics honour the same suppression comments and config overrides,
-  and additionally pass through the committed baseline file
+  diagnostics honour the same suppression comments, and additionally
+  pass through the committed baseline file
   (:mod:`repro.analysis.baseline`) for known-unproven edges.
 
 Files that cannot be parsed (syntax errors, non-UTF-8 bytes, null bytes)
@@ -32,7 +30,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.baseline import Baseline, stale_diagnostics
-from repro.analysis.config import LintConfig
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import (
     ModuleContext,
@@ -40,14 +37,19 @@ from repro.analysis.registry import (
     Rule,
     WholeProgramRule,
     all_rules,
+    match_path,
 )
-from repro.analysis.suppressions import scan_suppressions
+from repro.analysis.suppressions import Suppression, scan_suppressions
 
 #: Directories never worth descending into.
 SKIP_DIRS = frozenset({
     "__pycache__", ".git", ".pytest_cache", ".hypothesis",
     "build", "dist", "telemetry",
 })
+
+#: The fixture corpus is known-bad on purpose: tree walks skip it, and
+#: its tests lint each fixture explicitly under an in-scope ``lint_as``.
+FIXTURE_CORPUS = "tests/analysis/fixtures/**"
 
 
 @dataclass
@@ -61,7 +63,7 @@ class LintResult:
 
     @property
     def exit_code(self) -> int:
-        return 1 if any(d.severity == "error" for d in self.diagnostics) else 0
+        return 1 if self.diagnostics else 0
 
     def merge(self, other: "LintResult") -> None:
         self.files_checked += other.files_checked
@@ -83,20 +85,32 @@ def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
                     yield sub
 
 
-def _lint_file_job(item: tuple[str, str, LintConfig, str]) -> "LintResult":
-    """Worker-process entry for the ``--jobs`` fan-out (must be picklable)."""
-    path, rel, config, root = item
-    engine = LintEngine(config=config, root=Path(root))
-    return engine.lint_file(Path(path), relpath=rel)
+def _triage(result: LintResult, rule: Rule, diag: Diagnostic,
+            supp: Suppression | None,
+            baseline: Baseline | None = None) -> None:
+    """File ``diag`` in ``result`` as a finding or as suppressed.
+
+    A matching comment suppresses it, unless the rule requires a reason
+    and the comment gives none; otherwise a baseline entry may absorb it.
+    """
+    if supp is not None and supp.matches(diag.rule_id, diag.family):
+        if rule.requires_reason and not supp.reason:
+            result.diagnostics.append(replace(
+                diag, message=diag.message
+                + " [suppression ignored: no '-- <reason>' given]"))
+        else:
+            result.suppressed.append(diag)
+    elif baseline is not None and baseline.absorbs(diag):
+        result.suppressed.append(diag)
+    else:
+        result.diagnostics.append(diag)
 
 
 class LintEngine:
-    """Runs registered rules over files, applying config and suppressions."""
+    """Runs registered rules over files, applying suppressions."""
 
-    def __init__(self, config: LintConfig | None = None,
-                 root: Path | None = None,
+    def __init__(self, root: Path | None = None,
                  rules: Sequence[Rule] | None = None) -> None:
-        self.config = config or LintConfig()
         self.root = (root or Path.cwd()).resolve()
         self.rules: list[Rule] = list(rules) if rules is not None else all_rules()
 
@@ -136,22 +150,10 @@ class LintEngine:
                 continue
             if not rule.applies_to(relpath):
                 continue
-            if not self.config.rule_enabled(rule.id, rule.family, relpath):
-                continue
             if rule.id not in result.rules_run:
                 result.rules_run.append(rule.id)
             for diag in rule.check(ctx):
-                supp = suppressions.get(diag.line)
-                if supp is not None and supp.matches(diag.rule_id, diag.family):
-                    if rule.requires_reason and not supp.reason:
-                        result.diagnostics.append(replace(
-                            diag,
-                            message=diag.message
-                            + " [suppression ignored: no '-- <reason>' given]"))
-                    else:
-                        result.suppressed.append(diag)
-                else:
-                    result.diagnostics.append(diag)
+                _triage(result, rule, diag, suppressions.get(diag.line))
         return result
 
     def lint_file(self, path: Path, relpath: str | None = None) -> LintResult:
@@ -170,32 +172,24 @@ class LintEngine:
     # -- whole-tree linting -----------------------------------------------
 
     def run(self, paths: Sequence[Path], *, lint_as: str | None = None,
-            jobs: int = 1, whole_program: bool = False,
+            whole_program: bool = False,
             baseline: Baseline | None = None) -> LintResult:
         """Lint files/trees plus the project-level rules.
 
         ``lint_as`` overrides the repo-relative path when exactly one file
         is passed — used by tests and fixtures to place a snippet in an
-        arbitrary rule scope. ``jobs > 1`` fans the per-file pass out over
-        worker processes; the whole-program pass (and project rules) stay
-        single-shot in this process.
+        arbitrary rule scope.
         """
         total = LintResult()
         files = list(iter_python_files(paths))
         if lint_as is not None and len(files) != 1:
-            raise ValueError("--lint-as requires exactly one input file")
-        work: list[tuple[Path, str]] = []
+            raise ValueError("lint_as requires exactly one input file")
         for path in files:
             rel = lint_as if lint_as is not None else self.relpath(path)
-            if self.config.excluded(rel):
-                continue
-            work.append((path, rel))
-        for res in self._map_files(work, jobs):
-            total.merge(res)
+            if not match_path(rel, FIXTURE_CORPUS):
+                total.merge(self.lint_file(path, relpath=rel))
         for rule in self.rules:
             if not isinstance(rule, ProjectRule):
-                continue
-            if not self.config.rule_enabled(rule.id, rule.family):
                 continue
             total.rules_run.append(rule.id)
             total.diagnostics.extend(rule.check_project(self.root))
@@ -204,23 +198,6 @@ class LintEngine:
         total.diagnostics.sort(key=Diagnostic.sort_key)
         total.rules_run.sort()
         return total
-
-    def _map_files(self, work: Sequence[tuple[Path, str]],
-                   jobs: int) -> Iterable[LintResult]:
-        if jobs <= 1 or len(work) < 2:
-            for path, rel in work:
-                yield self.lint_file(path, relpath=rel)
-            return
-        items = [(str(path), rel, self.config, str(self.root))
-                 for path, rel in work]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                # map() preserves input order: output is deterministic
-                yield from pool.map(_lint_file_job, items, chunksize=8)
-        except (OSError, ImportError):   # no usable worker transport
-            for path, rel in work:
-                yield self.lint_file(path, relpath=rel)
 
     # -- whole-program pass -------------------------------------------------
 
@@ -233,40 +210,19 @@ class LintEngine:
             total.diagnostics.append(Diagnostic(
                 rule_id="SYNTAX", family="engine", path=relpath, line=1,
                 col=0, message=f"unparseable file: {message}"))
-        supp_cache: dict[str, dict] = {}
-        for mod in model.modules.values():
-            supp_cache.setdefault(
-                mod.relpath, scan_suppressions(mod.source))
+        supp_by_path = {mod.relpath: scan_suppressions(mod.source)
+                        for mod in model.modules.values()}
         for rule in self.rules:
             if not isinstance(rule, WholeProgramRule):
-                continue
-            if not self.config.rule_enabled(rule.id, rule.family):
                 continue
             if rule.id not in total.rules_run:
                 total.rules_run.append(rule.id)
             for diag in rule.check_program(model):
-                if self.config.excluded(diag.path):
-                    continue
-                if not self.config.rule_enabled(rule.id, rule.family,
-                                                diag.path):
-                    continue
-                supp = supp_cache.get(diag.path, {}).get(diag.line)
-                if supp is not None and supp.matches(diag.rule_id,
-                                                     diag.family):
-                    if rule.requires_reason and not supp.reason:
-                        total.diagnostics.append(replace(
-                            diag,
-                            message=diag.message
-                            + " [suppression ignored: no '-- <reason>' "
-                              "given]"))
-                    else:
-                        total.suppressed.append(diag)
-                elif baseline is not None and baseline.absorbs(diag):
-                    total.suppressed.append(diag)
-                else:
-                    total.diagnostics.append(diag)
+                supp = supp_by_path.get(diag.path, {}).get(diag.line)
+                _triage(total, rule, diag, supp, baseline)
         if baseline is not None:
             total.diagnostics.extend(stale_diagnostics(baseline))
 
 
-__all__ = ["LintEngine", "LintResult", "iter_python_files", "SKIP_DIRS"]
+__all__ = ["LintEngine", "LintResult", "iter_python_files", "SKIP_DIRS",
+           "FIXTURE_CORPUS"]

@@ -15,19 +15,33 @@ registered with the :func:`register` decorator::
             yield from ...
 
 ``default_paths`` scopes where a rule applies (empty = everywhere);
-``[tool.repro-lint]`` overrides can further disable rules per path but
-cannot widen a rule beyond its built-in scope — scope is part of the
-rule's contract, not user preference.
+scope is part of the rule's contract, so nothing narrows or widens it
+at run time.
 """
 
 from __future__ import annotations
 
 import ast
+import fnmatch
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.analysis.config import match_any
 from repro.analysis.diagnostics import Diagnostic
+
+
+def match_path(relpath: str, pattern: str) -> bool:
+    """fnmatch with ``**`` behaving like "any subpath" (also zero dirs)."""
+    if fnmatch.fnmatch(relpath, pattern):
+        return True
+    # "pkg/**" should also match direct children and the dir itself
+    if pattern.endswith("/**"):
+        base = pattern[:-3]
+        return relpath == base or relpath.startswith(base + "/")
+    return False
+
+
+def match_any(relpath: str, patterns: tuple[str, ...]) -> bool:
+    return any(match_path(relpath, p) for p in patterns)
 
 
 @dataclass
@@ -52,7 +66,6 @@ class Rule:
     family: str = ""
     description: str = ""
     rationale: str = ""
-    severity: str = "error"
     #: Glob patterns (repo-relative, posix) the rule applies to; empty = all.
     default_paths: tuple[str, ...] = ()
     #: When True, a suppression comment must carry a ``-- reason`` to count.
@@ -73,7 +86,6 @@ class Rule:
             line=line if line is not None else getattr(node, "lineno", 1),
             col=col if col is not None else getattr(node, "col_offset", 0),
             message=message,
-            severity=self.severity,
         )
 
 
@@ -107,8 +119,7 @@ class WholeProgramRule(Rule):
     def pdiag(self, relpath: str, line: int, message: str, *,
               col: int = 0) -> Diagnostic:
         return Diagnostic(rule_id=self.id, family=self.family, path=relpath,
-                          line=line, col=col, message=message,
-                          severity=self.severity)
+                          line=line, col=col, message=message)
 
 
 _RULES: dict[str, Rule] = {}
@@ -133,12 +144,6 @@ def all_rules() -> list[Rule]:
     import repro.analysis.rules  # noqa: F401  (registration side effect)
 
     return [_RULES[k] for k in sorted(_RULES)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    import repro.analysis.rules  # noqa: F401
-
-    return _RULES[rule_id.upper()]
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -179,7 +184,8 @@ __all__ = [
     "ModuleContext",
     "register",
     "all_rules",
-    "get_rule",
     "dotted_name",
     "walk_functions",
+    "match_path",
+    "match_any",
 ]

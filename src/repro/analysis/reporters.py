@@ -1,8 +1,9 @@
 """Reporters: render a LintResult as human text or machine JSON.
 
-The JSON shape (``"version": 1``) is a stable contract consumed by the CI
+The JSON shape (``"version": 2``) is a stable contract consumed by the CI
 artifact upload and asserted by ``tests/analysis/test_reporters.py`` —
-bump the version if you change it.
+bump the version if you change it. Version 2 dropped each diagnostic's
+``severity`` key: every finding is an error.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from collections import Counter
 
 from repro.analysis.engine import LintResult
 
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
-def render_text(result: LintResult, *, show_suppressed: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     lines = [d.format_text() for d in result.diagnostics]
-    if show_suppressed:
-        lines += [f"{d.format_text()} [suppressed]" for d in result.suppressed]
     n = len(result.diagnostics)
     lines.append(
         f"{n} finding{'s' if n != 1 else ''} "

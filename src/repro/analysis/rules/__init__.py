@@ -1,8 +1,8 @@
 """Built-in rule families. Importing this package registers every rule.
 
 Third-party/experiment rules can register the same way: subclass
-:class:`repro.analysis.Rule` and decorate with
-:func:`repro.analysis.register` before constructing the engine.
+:class:`repro.analysis.registry.Rule` and decorate with
+:func:`repro.analysis.registry.register` before constructing the engine.
 """
 
 from repro.analysis.rules import (

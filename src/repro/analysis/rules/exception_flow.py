@@ -16,7 +16,9 @@ Entry points and their vocabularies:
   absorb exactly those.
 * the ``repro.parallel`` public API — ``DECODE_ERRORS`` members plus the
   module's own error types (``ParallelJobError``,
-  ``DeadlineExceededError``) and ``TypeError`` for contract violations.
+  ``DeadlineExceededError``), ``TypeError`` for contract violations,
+  ``TimeoutError``, and the injected faults strict mode re-raises in
+  their own class (``FaultInjectedError``, ``InjectedKillError``).
 * codec entry points (public ``compress*``/``decompress*`` in
   ``repro.core`` / ``repro.baselines``, same definition as OBS-001) —
   ``DECODE_ERRORS`` members plus ``TypeError``.
@@ -32,7 +34,10 @@ still requires them).
 
 Raises whose type cannot be resolved statically (``raise type(e)(...)``,
 re-raising a parameter) poison the summary with a ``<dynamic>`` marker
-that only a broad ``except Exception`` absorbs. A dynamic escape at an
+that only a broad ``except Exception`` absorbs. ``raise type(e)(...)``
+is proven when ``e`` is bounded: inside ``except T as e`` it escapes as
+whatever that handler absorbed (like ``raise e``), and inside
+``if isinstance(e, T):`` as the types of ``T``. A dynamic escape at an
 entry point is EXC-002 — an *unproven* edge, eligible for the committed
 baseline file (see ``repro.analysis.baseline``), unlike EXC-001 findings
 which must be fixed.
@@ -66,7 +71,9 @@ DECODE_ERRORS_TUPLE = ("repro.encoding.container", "DECODE_ERRORS")
 PARALLEL_MODULE = "repro.parallel"
 PARALLEL_API = ("compress_chunked", "decompress_chunked",
                 "compress_many", "decompress_many")
-PARALLEL_EXTRA_VOCAB = ("TypeError", "TimeoutError")
+PARALLEL_EXTRA_VOCAB = ("TypeError", "TimeoutError",
+                        "repro.faults.FaultInjectedError",
+                        "repro.runtime.durable.InjectedKillError")
 CODEC_MODULE_PREFIXES = ("repro.core", "repro.baselines")
 CODEC_EXTRA_VOCAB = ("TypeError",)
 #: Cluster infrastructure handlers (router forwarding, supervisor
@@ -131,9 +138,9 @@ class EscapeAnalyzer:
                            bound_name=None)
 
     def _local_exception_assigns(self, fn: FunctionInfo,
-                                 mod: ModuleInfo) -> dict[str, str]:
-        """``name -> type`` for ``x = SomeError(...)`` assigns in ``fn``."""
-        out: dict[str, str] = {}
+                                 mod: ModuleInfo) -> dict[str, list[str]]:
+        """``name -> [type]`` for ``x = SomeError(...)`` assigns in ``fn``."""
+        out: dict[str, list[str]] = {}
         for node in ast.walk(fn.node):
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
@@ -143,8 +150,22 @@ class EscapeAnalyzer:
                     continue
                 typ = self._resolve_type(mod, name)
                 if typ is not None:
-                    out[node.targets[0].id] = typ
+                    out[node.targets[0].id] = [typ]
         return out
+
+    def _isinstance_bound(self, mod: ModuleInfo,
+                          test: ast.expr) -> dict[str, list[str]]:
+        """``name -> types`` when ``test`` is ``isinstance(name, T)`` with
+        every entry of ``T`` resolvable; ``{}`` otherwise."""
+        if not (isinstance(test, ast.Call)
+                and isinstance(test.func, ast.Name)
+                and test.func.id == "isinstance" and len(test.args) == 2
+                and isinstance(test.args[0], ast.Name)):
+            return {}
+        types = self._type_list(mod, test.args[1])
+        if "<unresolved>" in types:
+            return {}
+        return {test.args[0].id: types}
 
     def _block(self, fn, mod, stmts, local_exc,
                absorbed, bound_name) -> dict[str, str]:
@@ -168,7 +189,9 @@ class EscapeAnalyzer:
             return esc
         if isinstance(stmt, ast.If):
             esc = self._expr_escapes(fn, stmt.test)
-            esc.update(self._block(fn, mod, stmt.body, local_exc,
+            bound = self._isinstance_bound(mod, stmt.test)
+            esc.update(self._block(fn, mod, stmt.body,
+                                   {**local_exc, **bound},
                                    absorbed, bound_name))
             esc.update(self._block(fn, mod, stmt.orelse, local_exc,
                                    absorbed, bound_name))
@@ -239,6 +262,8 @@ class EscapeAnalyzer:
             for elt in expr.elts:
                 out.extend(self._type_list(mod, elt, _depth + 1))
             return out
+        if isinstance(expr, ast.Starred):          # (*DECODE_ERRORS, ...)
+            return self._type_list(mod, expr.value, _depth + 1)
         name = dotted_name(expr)
         if name is None:
             return ["<unresolved>"]
@@ -296,6 +321,16 @@ class EscapeAnalyzer:
             return {}
         exc = node.exc
         if isinstance(exc, ast.Call):
+            func = exc.func
+            if (isinstance(func, ast.Call) and dotted_name(func.func) == "type"
+                    and len(func.args) == 1
+                    and isinstance(func.args[0], ast.Name)):
+                # raise type(e)(...): e's own class, when e is bounded
+                arg = func.args[0].id
+                if arg == bound_name:
+                    return dict(absorbed or {})
+                if arg in local_exc:
+                    return {t: origin for t in local_exc[arg]}
             name = dotted_name(exc.func)
             if name is not None:
                 typ = self._resolve_type(mod, name)
@@ -312,7 +347,7 @@ class EscapeAnalyzer:
                 # possibly nothing, matching the optimism about externals
                 return dict(absorbed or {})
             if name in local_exc:                  # e = Err(...); raise e
-                return {local_exc[name]: origin}
+                return {t: origin for t in local_exc[name]}
             typ = self._resolve_type(mod, name)
             if typ is not None:                    # raise ValueError
                 return {typ: origin}

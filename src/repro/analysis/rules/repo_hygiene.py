@@ -48,7 +48,7 @@ class NoTrackedBytecode(ProjectRule):
             if "__pycache__" in parts or path.endswith((".pyc", ".pyo")):
                 yield Diagnostic(
                     rule_id=self.id, family=self.family, path=path,
-                    line=1, col=0, severity=self.severity,
+                    line=1, col=0,
                     message="compiled bytecode is tracked by git; "
                             "`git rm --cached` it (covered by .gitignore)",
                 )

@@ -77,6 +77,7 @@ from repro.encoding.container import (
     SalvageReport,
 )
 from repro.faults import FaultInjectedError, FaultInjector, JobFaults, parse_fault_spec
+from repro.runtime.durable import InjectedKillError
 from repro.utils.validation import check_array, check_mask
 
 __all__ = [
@@ -562,20 +563,25 @@ def _run_jobs(fn, payloads, *, workers, policy: RetryPolicy,
     return results  # type: ignore[return-value]
 
 
+#: The failures strict mode re-raises in the job's own class: the decode
+#: vocabulary, contract violations, timeouts (deadlines included) and
+#: injected faults. Any other failure surfaces as ``ParallelJobError``.
+_RERAISED = (*DECODE_ERRORS, TypeError, TimeoutError,
+             FaultInjectedError, InjectedKillError)
+
+
 def _finalize(results: list[JobResult], strict: bool, what: str):
-    """Strict mode: re-raise the first failure's original cause; otherwise
-    hand the structured results back to the caller."""
+    """Strict mode: raise the first failure, chained to its original cause;
+    otherwise hand the structured results back to the caller."""
     if not strict:
         return results
     for r in results:
         if not r.ok:
-            if r.exception is not None:
-                raise type(r.exception)(
-                    f"{what} job {r.index} failed after {r.attempts} attempt(s): "
-                    f"{r.exception}") from r.exception
-            raise ParallelJobError(
-                f"{what} job {r.index} failed after {r.attempts} attempt(s): "
-                f"{r.error}", results)
+            exc = r.exception
+            failed = f"{what} job {r.index} failed after {r.attempts} attempt(s)"
+            if isinstance(exc, _RERAISED):
+                raise type(exc)(f"{failed}: {exc}") from exc
+            raise ParallelJobError(f"{failed}: {r.error}", results) from exc
     return [r.value for r in results]
 
 

@@ -23,13 +23,10 @@ from repro import compressor_for
 from repro.encoding.container import DECODE_ERRORS
 from repro.faults import FaultInjector
 from repro.obs import add_bytes, inc_counter, observe, span
-from repro.parallel import (
-    DeadlineExceededError,
-    compress_chunked,
-    decompress_chunked,
-)
+from repro.parallel import compress_chunked, decompress_chunked
 from repro.service.blobstore import BlobStore
 from repro.service.schemas import (
+    BlobCorruptError,
     CodecFailureError,
     CompressRequest,
     DeadlineError,
@@ -44,13 +41,15 @@ __all__ = ["do_compress", "do_decompress", "do_estimate"]
 def _run_codec(fn, codec: str, *args, **kwargs):
     """Run codec work, translating failures into the service vocabulary.
 
-    ``DeadlineExceededError`` becomes a 504; anything else the codec
-    throws (worker crash, exhausted retries, bad numerics) becomes a 500
-    ``codec_failure`` that the app layer feeds to the codec's breaker.
+    A timeout becomes a 504: ``DeadlineExceededError``, or a plain
+    attempt ``TimeoutError``, since the request deadline clamps every
+    attempt. Anything else the codec throws (worker crash, exhausted
+    retries, bad numerics) becomes a 500 ``codec_failure`` that the app
+    layer feeds to the codec's breaker.
     """
     try:
         return fn(*args, **kwargs)
-    except DeadlineExceededError as exc:
+    except TimeoutError as exc:
         raise DeadlineError(f"codec {codec}: {exc}") from exc
     except DECODE_ERRORS as exc:
         raise CodecFailureError(
@@ -95,8 +94,6 @@ def do_decompress(req: DecompressRequest, store: BlobStore, *,
     section-level report — and the response is flagged ``salvaged`` (the
     app layer sends 206). ``salvage=false`` surfaces the 502 instead.
     """
-    from repro.service.schemas import BlobCorruptError
-
     salvaged = False
     report = None
     try:

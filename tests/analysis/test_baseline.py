@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineEntry, LintConfig, LintEngine
+from repro.analysis import Baseline, BaselineEntry, LintEngine
 from repro.analysis.baseline import stale_diagnostics
 from repro.analysis.diagnostics import Diagnostic
 
@@ -92,18 +92,17 @@ def test_does_not_absorb_different_rule_or_path():
         _diag(message="repro.x.other: KeyError can escape"))
 
 
-def test_stale_entries_become_warnings():
+def test_stale_entries_become_errors():
     baseline = Baseline(entries=[BaselineEntry(
         rule="EXC-001", path="src/repro/x.py", symbol="repro.x.gone",
-        reason="why")], source="lint-baseline.json")
+        reason="why")])
     diags = stale_diagnostics(baseline)
     assert len(diags) == 1
     assert diags[0].rule_id == "BAS-001"
-    assert diags[0].severity == "warning"
     assert "repro.x.gone" in diags[0].message
-    # warnings do not flip the exit code
+    # a stale entry fails the run like any other finding
     from repro.analysis import LintResult
-    assert LintResult(diagnostics=diags).exit_code == 0
+    assert LintResult(diagnostics=diags).exit_code == 1
 
 
 # -- engine integration -----------------------------------------------------
@@ -114,7 +113,7 @@ def test_baseline_absorbs_whole_program_finding(tmp_path):
         rule="EXC-002", path="src/repro/service/handlers.py",
         symbol="repro.service.handlers.do_echo",
         contains="repro.service.handlers._mirror", reason="fixture")])
-    engine = LintEngine(config=LintConfig(), root=FIXTURES / "exc_bad")
+    engine = LintEngine(root=FIXTURES / "exc_bad")
     result = engine.run([], whole_program=True, baseline=baseline)
     assert not any(d.rule_id == "EXC-002" for d in result.diagnostics)
     assert any(d.rule_id == "EXC-002" for d in result.suppressed)
@@ -127,8 +126,8 @@ def test_stale_baseline_entry_surfaces_in_run(tmp_path):
     baseline = Baseline(entries=[BaselineEntry(
         rule="RES-001", path="src/repro/io/gone.py",
         symbol="repro.io.gone.nothing", reason="obsolete")])
-    engine = LintEngine(config=LintConfig(), root=FIXTURES / "res_good")
+    engine = LintEngine(root=FIXTURES / "res_good")
     result = engine.run([], whole_program=True, baseline=baseline)
     stale = [d for d in result.diagnostics if d.rule_id == "BAS-001"]
     assert len(stale) == 1
-    assert result.exit_code == 0
+    assert result.exit_code == 1

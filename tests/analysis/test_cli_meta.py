@@ -2,12 +2,17 @@
 so CI greenness and the lint baseline can never drift apart."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import LintEngine, all_rules, load_config
-from repro.analysis.cli import main as lint_main
+import pytest
+
+from repro.analysis import LintEngine, all_rules
+from repro.analysis.cli import build_parser, main as lint_main
+
+from tests.analysis.test_fixture_corpus import plant_fixture
 
 ROOT = Path(__file__).parents[2]
 FIXTURES = ROOT / "tests/analysis/fixtures"
@@ -15,7 +20,7 @@ FIXTURES = ROOT / "tests/analysis/fixtures"
 
 def test_repo_tree_is_lint_clean():
     """`repro-lint src tests` on the current tree must exit 0."""
-    engine = LintEngine(config=load_config(ROOT / "pyproject.toml"), root=ROOT)
+    engine = LintEngine(root=ROOT)
     result = engine.run([ROOT / "src", ROOT / "tests"])
     assert result.diagnostics == [], "\n".join(
         d.format_text() for d in result.diagnostics)
@@ -28,12 +33,12 @@ def test_repo_tree_is_whole_program_clean():
 
     Every finding must be either fixed in source or carried in
     ``lint-baseline.json`` with a reason; a stale baseline entry shows up
-    here as a BAS-001 warning diagnostic and fails the assertion too.
+    here as a BAS-001 diagnostic and fails the assertion too.
     """
     from repro.analysis import Baseline
 
     baseline = Baseline.load(ROOT / "lint-baseline.json")
-    engine = LintEngine(config=load_config(ROOT / "pyproject.toml"), root=ROOT)
+    engine = LintEngine(root=ROOT)
     result = engine.run([], whole_program=True, baseline=baseline)
     assert result.diagnostics == [], "\n".join(
         d.format_text() for d in result.diagnostics)
@@ -45,16 +50,17 @@ def test_repo_tree_is_whole_program_clean():
 
 
 def test_cli_whole_program_json_smoke(tmp_path):
-    """The CI invocation end-to-end: --whole-program --json, baseline from
-    pyproject, machine-readable artifact written."""
+    """The CI invocation end-to-end: --whole-program --output, the root's
+    lint-baseline.json applied, machine-readable artifact written."""
     out = tmp_path / "whole-program.json"
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "src", "tests",
-         "--whole-program", "--json", "--output", str(out)],
+         "--whole-program", "--output", str(out)],
         cwd=ROOT, capture_output=True, text=True,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("0 findings")
     payload = json.loads(out.read_text())
     assert payload["summary"]["total"] == 0
     wp_rules = {"EXC-001", "EXC-002", "RES-001",
@@ -78,8 +84,7 @@ def test_hyg001_fires_on_tracked_bytecode(tmp_path):
     (tmp_path / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
     (tmp_path / "stale.pyc").write_bytes(b"\0")
     git("add", "-f", ".")
-    from repro.analysis import LintConfig
-    result = LintEngine(config=LintConfig(), root=tmp_path).run([tmp_path])
+    result = LintEngine(root=tmp_path).run([tmp_path])
     hits = [d for d in result.diagnostics if d.rule_id == "HYG-001"]
     assert len(hits) == 2
     assert result.exit_code == 1
@@ -98,56 +103,63 @@ def test_no_bytecode_tracked_by_git():
 def test_module_entry_point_runs():
     """`python -m repro.analysis` is the CI invocation; smoke it end-to-end."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "src", "tests",
-         "--format", "json"],
+        [sys.executable, "-m", "repro.analysis", "src", "tests"],
         cwd=ROOT, capture_output=True, text=True,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["summary"]["total"] == 0
+    assert proc.stdout.splitlines()[-1].startswith("0 findings")
 
 
-def test_list_rules_covers_catalogue(capsys):
-    assert lint_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in all_rules():
-        assert rule.id in out
-    for family in ("DET-", "DEC-", "NPY-", "OBS-", "API-", "HYG-", "DUR-"):
-        assert family in out
+def test_help_lists_three_options():
+    options = {opt for action in build_parser()._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    assert options == {"--whole-program", "--output"}
+    with pytest.raises(SystemExit) as exc:      # removed flags are usage errors
+        lint_main(["--select", "DET", "src"])
+    assert exc.value.code == 2
 
 
-def test_unknown_rule_exits_2(capsys):
-    assert lint_main(["--select", "NOPE-999", str(FIXTURES)]) == 2
-    assert "unknown rule" in capsys.readouterr().err
+def test_doc_rule_table_matches_registry():
+    """docs/STATIC_ANALYSIS.md's rule tables list exactly the registered
+    rule ids plus the engine's SYNTAX and BAS-001."""
+    doc = (ROOT / "docs/STATIC_ANALYSIS.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\| (SYNTAX|[A-Z]+-\d{3}) \|", doc, re.MULTILINE)
+    assert len(listed) == len(set(listed)), "a rule id is listed twice"
+    assert set(listed) == {r.id for r in all_rules()} | {"SYNTAX", "BAS-001"}
 
 
 def test_missing_path_exits_2(capsys):
     assert lint_main(["definitely/not/here.py"]) == 2
 
 
-def test_lint_as_requires_single_file(capsys):
-    assert lint_main([str(FIXTURES / "determinism"),
-                      "--lint-as", "src/repro/core/x.py", "--no-config"]) == 2
+def test_lint_as_requires_single_file():
+    with pytest.raises(ValueError, match="exactly one input file"):
+        LintEngine(root=ROOT).run([FIXTURES / "determinism"],
+                                  lint_as="src/repro/core/x.py")
 
 
-def test_json_output_file(tmp_path, capsys):
+def test_json_output_file(tmp_path, monkeypatch, capsys):
+    """A bad file at an in-scope path of a scratch repo: exit 1, the text
+    report on stdout, the JSON report in --output."""
+    plant_fixture(tmp_path, "determinism/bad_wallclock.py",
+                  "src/repro/core/stamp.py")
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "report.json"
-    code = lint_main([
-        str(FIXTURES / "determinism/bad_wallclock.py"),
-        "--lint-as", "src/repro/core/stamp.py", "--no-config",
-        "--disable", "HYG",
-        "--format", "json", "--output", str(out),
-    ])
-    assert code == 1
+    assert lint_main(["src", "--output", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "src/repro/core/stamp.py:" in text and "DET-001" in text
     payload = json.loads(out.read_text())
     assert payload["summary"]["by_rule"] == {"DET-001": 2}
+    assert payload["exit_code"] == 1
 
 
-def test_select_narrows_rules(capsys):
-    code = lint_main([
-        str(FIXTURES / "determinism/bad_wallclock.py"),
-        "--lint-as", "src/repro/core/stamp.py", "--no-config",
-        "--select", "NPY",
-    ])
-    assert code == 0  # DET rules deselected, nothing else fires
+def test_run_from_subdirectory_scopes_to_repo_root(tmp_path, monkeypatch,
+                                                   capsys):
+    """Paths are scoped to the nearest pyproject.toml's directory, so a run
+    from inside the tree applies the same rule scopes."""
+    stamp = plant_fixture(tmp_path, "determinism/bad_wallclock.py",
+                          "src/repro/core/stamp.py")
+    monkeypatch.chdir(stamp.parent)
+    assert lint_main(["stamp.py"]) == 1
+    assert "src/repro/core/stamp.py:" in capsys.readouterr().out

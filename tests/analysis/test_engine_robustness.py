@@ -1,19 +1,14 @@
-"""Engine robustness: unparseable inputs, the --jobs fan-out, registry
+"""Engine robustness: unparseable inputs, path scoping, registry
 invariants. A broken file must cost one SYNTAX finding, never a crash."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, LintEngine
-from repro.analysis.cli import main as lint_main
-from repro.analysis.registry import _RULES, Rule, register
+from repro.analysis import LintEngine
+from repro.analysis.registry import _RULES, Rule, match_path, register
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _engine(root: Path) -> LintEngine:
-    return LintEngine(config=LintConfig(), root=root)
+ROOT = Path(__file__).parents[2]
 
 
 # -- unparseable / unreadable files ---------------------------------------
@@ -22,7 +17,7 @@ def _engine(root: Path) -> LintEngine:
 def test_syntax_error_yields_one_diagnostic(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n    pass\n", encoding="utf-8")
-    result = _engine(tmp_path).run([bad])
+    result = LintEngine(root=tmp_path).run([bad])
     assert [d.rule_id for d in result.diagnostics] == ["SYNTAX"]
     assert result.diagnostics[0].line == 1
     assert result.exit_code == 1
@@ -31,7 +26,7 @@ def test_syntax_error_yields_one_diagnostic(tmp_path):
 def test_null_bytes_yield_syntax_not_crash(tmp_path):
     bad = tmp_path / "nul.py"
     bad.write_bytes(b"x = 1\x00\n")
-    result = _engine(tmp_path).run([bad])
+    result = LintEngine(root=tmp_path).run([bad])
     assert [d.rule_id for d in result.diagnostics] == ["SYNTAX"]
     # 3.12+ parses null bytes into a SyntaxError; older ast raised ValueError
     assert "null bytes" in result.diagnostics[0].message
@@ -40,7 +35,7 @@ def test_null_bytes_yield_syntax_not_crash(tmp_path):
 def test_non_utf8_yields_syntax_not_crash(tmp_path):
     bad = tmp_path / "latin.py"
     bad.write_bytes(b"# caf\xe9\nx = 1\n")
-    result = _engine(tmp_path).run([bad])
+    result = LintEngine(root=tmp_path).run([bad])
     assert [d.rule_id for d in result.diagnostics] == ["SYNTAX"]
     assert "unreadable" in result.diagnostics[0].message
 
@@ -48,56 +43,29 @@ def test_non_utf8_yields_syntax_not_crash(tmp_path):
 def test_linting_continues_past_broken_files(tmp_path):
     (tmp_path / "a_broken.py").write_text("def f(:\n", encoding="utf-8")
     (tmp_path / "b_fine.py").write_text("x = 1\n", encoding="utf-8")
-    result = _engine(tmp_path).run([tmp_path])
+    result = LintEngine(root=tmp_path).run([tmp_path])
     assert result.files_checked == 2
     assert [d.rule_id for d in result.diagnostics] == ["SYNTAX"]
     assert result.diagnostics[0].path.endswith("a_broken.py")
 
 
-# -- --jobs fan-out --------------------------------------------------------
+# -- path scoping ----------------------------------------------------------
 
 
-def _comparable(result):
-    return ([(d.path, d.line, d.rule_id, d.message) for d in result.diagnostics],
-            [(d.path, d.line, d.rule_id) for d in result.suppressed],
-            result.files_checked)
+def test_match_path_double_star():
+    assert match_path("src/repro/core/x.py", "src/repro/core/**")
+    assert match_path("src/repro/core/deep/x.py", "src/repro/core/**")
+    assert not match_path("src/repro/obs/x.py", "src/repro/core/**")
+    assert match_path("src/repro/__init__.py", "src/repro/__init__.py")
 
 
-def test_parallel_jobs_match_serial_run():
-    root = Path(__file__).parents[2]
-    paths = [root / "src" / "repro" / "analysis"]
-    serial = _engine(root).run(paths, jobs=1)
-    fanned = _engine(root).run(paths, jobs=2)
-    assert _comparable(serial) == _comparable(fanned)
-
-
-def test_parallel_jobs_match_on_fixture_corpus(tmp_path):
-    """Same diagnostics, same order, with broken files in the mix."""
-    for i in range(6):
-        (tmp_path / f"mod_{i}.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8")
-    (tmp_path / "broken.py").write_text("def f(:\n", encoding="utf-8")
-    serial = _engine(tmp_path).run([tmp_path], jobs=1)
-    fanned = _engine(tmp_path).run([tmp_path], jobs=3)
-    assert _comparable(serial) == _comparable(fanned)
-    assert serial.files_checked == 7
-
-
-def test_cli_rejects_bad_jobs(capsys):
-    code = lint_main([str(FIXTURES / "determinism/bad_wallclock.py"),
-                      "--no-config", "--jobs", "0"])
-    assert code == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
-def test_cli_ignore_is_an_alias_for_disable(capsys):
-    fixture = str(FIXTURES / "determinism/bad_wallclock.py")
-    args = [fixture, "--lint-as", "src/repro/core/stamp.py",
-            "--no-config", "--disable", "HYG"]
-    assert lint_main(args) == 1
-    capsys.readouterr()
-    assert lint_main(args + ["--ignore", "DET"]) == 0
+def test_engine_honours_exclude():
+    """The known-bad fixture corpus is skipped by a tree walk, whether
+    named as a file or reached through its directory."""
+    engine = LintEngine(root=ROOT)
+    fixture = ROOT / "tests/analysis/fixtures/determinism/bad_wallclock.py"
+    assert engine.run([fixture]).files_checked == 0
+    assert engine.run([ROOT / "tests/analysis/fixtures"]).files_checked == 0
 
 
 # -- registry invariants ---------------------------------------------------

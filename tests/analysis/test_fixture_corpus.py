@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, LintEngine
+from repro.analysis import LintEngine
 from repro.analysis.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,9 +66,19 @@ GOOD_CORPUS = [
 ]
 
 
+def plant_fixture(root: Path, fixture: str, lint_as: str) -> Path:
+    """Copy a fixture to its ``lint_as`` path in a scratch repo at ``root``."""
+    (root / "pyproject.toml").write_text("", encoding="utf-8")
+    dest = root / lint_as
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_bytes((FIXTURES / fixture).read_bytes())
+    return dest
+
+
 def _engine() -> LintEngine:
-    # no pyproject config: the fixtures dir is excluded there on purpose
-    return LintEngine(config=LintConfig(), root=Path(__file__).parents[2])
+    # each fixture is linted under its lint_as path, so the tree walk's
+    # skip of the fixture corpus does not apply
+    return LintEngine(root=Path(__file__).parents[2])
 
 
 @pytest.mark.parametrize("relpath,lint_as,expected_ids,count",
@@ -93,9 +103,13 @@ def test_good_fixture_clean(relpath, lint_as):
 @pytest.mark.parametrize("relpath,lint_as,expected_ids,count",
                          BAD_CORPUS, ids=[c[0] for c in BAD_CORPUS])
 def test_cli_exits_nonzero_on_bad_fixture(relpath, lint_as, expected_ids,
-                                          count, capsys):
-    code = lint_main([str(FIXTURES / relpath), "--lint-as", lint_as,
-                      "--no-config", "--disable", "HYG"])
+                                          count, tmp_path, monkeypatch,
+                                          capsys):
+    """The fixture planted at its lint_as path in a scratch repo fails the
+    CLI run there."""
+    plant_fixture(tmp_path, relpath, lint_as)
+    monkeypatch.chdir(tmp_path)
+    code = lint_main([lint_as])
     out = capsys.readouterr().out
     assert code == 1
     assert any(rid in out for rid in expected_ids)

@@ -4,7 +4,7 @@ format humans read."""
 import json
 from pathlib import Path
 
-from repro.analysis import LintConfig, LintEngine
+from repro.analysis import LintEngine
 from repro.analysis.reporters import JSON_REPORT_VERSION, render_json, render_text
 
 ROOT = Path(__file__).parents[2]
@@ -12,7 +12,7 @@ FIXTURES = ROOT / "tests/analysis/fixtures"
 
 
 def _result():
-    engine = LintEngine(config=LintConfig(), root=ROOT)
+    engine = LintEngine(root=ROOT)
     return engine.run([FIXTURES / "determinism/bad_wallclock.py"],
                       lint_as="src/repro/core/stamp.py")
 
@@ -27,10 +27,8 @@ def test_json_schema():
     assert payload["summary"]["total"] == len(payload["diagnostics"])
     assert payload["summary"]["by_rule"].get("DET-001") == 2
     diag = payload["diagnostics"][0]
-    assert set(diag) == {"rule", "family", "path", "line", "col",
-                         "message", "severity"}
+    assert set(diag) == {"rule", "family", "path", "line", "col", "message"}
     assert diag["path"] == "src/repro/core/stamp.py"
-    assert diag["severity"] == "error"
 
 
 def test_text_format():
@@ -42,7 +40,7 @@ def test_text_format():
 
 
 def test_text_clean_run_summary():
-    engine = LintEngine(config=LintConfig(), root=ROOT)
+    engine = LintEngine(root=ROOT)
     result = engine.run([FIXTURES / "determinism/good_seeded.py"],
                         lint_as="src/repro/core/sampling.py")
     text = render_text(result)

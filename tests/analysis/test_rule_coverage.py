@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, LintEngine, all_rules
+from repro.analysis import LintEngine, all_rules
 from repro.analysis.registry import ProjectRule, WholeProgramRule
 from repro.analysis.rules.repo_hygiene import NoTrackedBytecode
 

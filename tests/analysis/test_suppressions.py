@@ -3,14 +3,14 @@ reasons, and the requires-reason escalation for DEC-002."""
 
 from pathlib import Path
 
-from repro.analysis import LintConfig, LintEngine
+from repro.analysis import LintEngine
 from repro.analysis.suppressions import scan_suppressions
 
 ROOT = Path(__file__).parents[2]
 
 
 def _lint(source: str, relpath: str):
-    return LintEngine(config=LintConfig(), root=ROOT).lint_source(source, relpath)
+    return LintEngine(root=ROOT).lint_source(source, relpath)
 
 
 WALLCLOCK = "import time\n\ndef f():\n    return time.time()%s\n"

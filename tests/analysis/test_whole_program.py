@@ -12,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, LintEngine
+from repro.analysis import LintEngine
 
 FIXTURES = Path(__file__).parent / "fixtures" / "whole_program"
 
 #: (tree, expected rule-id -> finding count)
 WP_BAD = [
     ("exc_bad", {"EXC-001": 4, "EXC-002": 1}),
+    ("exc_bound_bad", {"EXC-001": 1}),
     ("res_bad", {"RES-001": 2}),
     ("conc_bad", {"CONC-001": 2, "CONC-002": 1, "CONC-003": 1}),
 ]
@@ -29,7 +30,7 @@ WP_FAMILIES = ("EXC", "RES", "CONC")
 
 
 def _run(tree: str):
-    engine = LintEngine(config=LintConfig(), root=FIXTURES / tree)
+    engine = LintEngine(root=FIXTURES / tree)
     return engine.run([], whole_program=True)
 
 
@@ -81,6 +82,16 @@ def test_exc_dynamic_finding_names_the_unprovable_function():
     assert "do_echo" in msgs[0] and "_mirror" in msgs[0]
 
 
+def test_exc_bounded_type_reraise_is_proven():
+    """``raise type(e)(...)`` under ``isinstance(e, T)`` escapes as ``T``:
+    the undeclared member is named, and nothing is left unprovable."""
+    result = _run("exc_bound_bad")
+    msgs = [d.message for d in _wp_diags(result)]
+    assert len(msgs) == 1
+    assert "OSError can escape" in msgs[0]
+    assert "repro.parallel._finalize" in msgs[0]
+
+
 def test_res_findings_point_at_the_acquisition():
     result = _run("res_bad")
     diags = sorted(_wp_diags(result), key=lambda d: d.line)
@@ -124,7 +135,7 @@ def test_whole_program_findings_honour_suppressions(tmp_path):
     (root / "src/repro/__init__.py").write_text("", encoding="utf-8")
     (dest / "__init__.py").write_text("", encoding="utf-8")
     (dest / "scratch.py").write_text(patched, encoding="utf-8")
-    result = LintEngine(config=LintConfig(), root=root).run(
+    result = LintEngine(root=root).run(
         [], whole_program=True)
     fired = [d for d in _wp_diags(result)]
     assert [d.rule_id for d in fired] == ["RES-001"]        # only the pool
@@ -134,7 +145,6 @@ def test_whole_program_findings_honour_suppressions(tmp_path):
 
 
 def test_whole_program_rules_skipped_without_flag():
-    result = LintEngine(config=LintConfig(),
-                        root=FIXTURES / "exc_bad").run([])
+    result = LintEngine(root=FIXTURES / "exc_bad").run([])
     assert _wp_diags(result) == []
     assert not any(r.startswith(WP_FAMILIES) for r in result.rules_run)

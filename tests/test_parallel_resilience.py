@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.encoding.container import DECODE_ERRORS, CorruptStreamError
 from repro.faults import FaultInjectedError, parse_fault_spec
 from repro.parallel import (
+    DeadlineExceededError,
     JobResult,
     ParallelJobError,
     RetryPolicy,
+    _finalize,
     compress_many,
     decompress_many,
 )
+from repro.runtime.durable import InjectedKillError
 
 
 def arrays(n=3, shape=(12, 10), seed=0):
@@ -177,3 +181,40 @@ class TestInputValidation:
     def test_bad_spec_string_rejected(self):
         with pytest.raises(ValueError):
             compress_many(arrays(n=1), "sz3", abs_eb=1e-2, faults="frobnicate")
+
+
+def _failed(exc):
+    return [JobResult(index=0, ok=True, value=b"ok"),
+            JobResult(index=1, ok=False, error=f"{type(exc).__name__}: {exc}",
+                      error_type=type(exc).__name__, attempts=2,
+                      exception=exc)]
+
+
+#: Every failure class that reaches strict mode from a job.
+ARRIVING = [cls("boom") for cls in DECODE_ERRORS] + [
+    CorruptStreamError("bad section"), TypeError("not an array"),
+    TimeoutError("attempt timed out"),
+    DeadlineExceededError("dispatch deadline exceeded"),
+    FaultInjectedError("injected crash"), InjectedKillError("mid_write"),
+]
+
+
+class TestStrictReraise:
+    @pytest.mark.parametrize("exc", ARRIVING,
+                             ids=[type(e).__name__ for e in ARRIVING])
+    def test_job_class_and_message_kept(self, exc):
+        with pytest.raises(type(exc)) as err:
+            _finalize(_failed(exc), True, "compress_many")
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(type(exc)(
+            f"compress_many job 1 failed after 2 attempt(s): {exc}"))
+        assert err.value.__cause__ is exc
+
+    def test_other_classes_become_parallel_job_error(self):
+        exc = ZeroDivisionError("division by zero")
+        with pytest.raises(ParallelJobError) as err:
+            _finalize(_failed(exc), True, "compress_many")
+        assert str(err.value) == ("compress_many job 1 failed after 2 "
+                                  "attempt(s): ZeroDivisionError: division by zero")
+        assert err.value.__cause__ is exc
+        assert [r.ok for r in err.value.results] == [True, False]
