@@ -190,13 +190,13 @@ def bench_codebook(reps: int, smoke: bool) -> list[dict]:
     writer = BitWriter()
     code.encode(symbols, writer)
     payload = writer.getvalue()
-    decoded, _ = HuffmanCode.deserialize(table)[0].decode_vectorized(payload, symbols.size)
+    decoded, _ = HuffmanCode.deserialize(table)[0].decode(payload, symbols.size)
     assert np.array_equal(decoded, symbols)
     calls = 10 if smoke else 100
     t_build = _per_call(lambda: HuffmanCode.from_symbols(symbols), calls, reps)
     t_ser = _per_call(code.serialize, calls, reps)
     t_table = _per_call(
-        lambda: HuffmanCode.deserialize(table)[0].decode_vectorized(payload, 1), calls, reps)
+        lambda: HuffmanCode.deserialize(table)[0].decode(payload, 1), calls, reps)
     return [{
         "kernel": "codebook",
         "stream": "quant-codes",

@@ -25,6 +25,16 @@ Examples
     python -m repro decompress ssh.rz ssh_out.npy
     python -m repro assess ssh.npy ssh_out.npy --mask ssh_mask.npy
     python -m repro experiment headline
+
+Telemetry
+---------
+``compress``, ``decompress`` and ``experiment`` take ``--profile``,
+``--trace-out``, ``--metrics-out``, ``--chrome-out`` and
+``--serve-metrics``; ``sweep`` takes ``--trace-out``, ``--metrics-out``
+and ``--serve-metrics``. Any of them makes :func:`repro.obs.session`
+start an obs run for the command (without one, no run starts), and the
+session closes it on every exit: a command that raises still writes its
+files, so a failed run leaves its trace.
 """
 
 from __future__ import annotations
@@ -53,57 +63,6 @@ def _eb_kwargs(args) -> dict:
 
 
 # ------------------------------------------------------------------- #
-def _obs_begin(args):
-    """Start an observability run if --profile / any telemetry sink is set.
-
-    ``--serve-metrics PORT`` additionally starts the live HTTP exporter
-    (Prometheus ``/metrics`` + ``/health`` + ``/snapshot``) for the
-    duration of the command; it is stopped in :func:`_obs_end`.
-    """
-    serve = getattr(args, "serve_metrics", None) is not None
-    wanted = (serve or getattr(args, "profile", False)
-              or getattr(args, "trace_out", None)
-              or getattr(args, "metrics_out", None)
-              or getattr(args, "chrome_out", None))
-    if not wanted:
-        return None
-    from repro import obs
-
-    run = obs.start_run(tags={"command": args.command})
-    if serve:
-        from repro.obs.server import serve_from_args
-
-        args._metrics_server = serve_from_args(args)
-    return run
-
-
-def _obs_end(args, run) -> None:
-    """Print the profile and export the requested telemetry files."""
-    if run is None:
-        return
-    from repro import obs
-
-    server = getattr(args, "_metrics_server", None)
-    if server is not None:
-        server.stop()
-    obs.end_run()
-    if getattr(args, "profile", False):
-        from repro.obs.report import print_stage_table, stage_table
-
-        print("\nper-stage profile:", file=sys.stderr)
-        print_stage_table(stage_table(run.span_records()), file=sys.stderr)
-    if getattr(args, "trace_out", None):
-        n = obs.write_trace_jsonl(run, args.trace_out)
-        print(f"trace    : {n} spans -> {args.trace_out}", file=sys.stderr)
-    if getattr(args, "metrics_out", None):
-        n = obs.write_metrics_jsonl(run, args.metrics_out)
-        print(f"metrics  : {n} series -> {args.metrics_out}", file=sys.stderr)
-    if getattr(args, "chrome_out", None):
-        obs.write_chrome_trace(run, args.chrome_out)
-        print(f"chrome   : trace -> {args.chrome_out} "
-              "(open in chrome://tracing or ui.perfetto.dev)", file=sys.stderr)
-
-
 def _faults_from(args):
     """Parse --inject-faults into a FaultInjector (None when unset)."""
     spec = getattr(args, "inject_faults", None)
@@ -115,30 +74,29 @@ def _faults_from(args):
 
 
 def cmd_compress(args) -> int:
-    from repro import compressor_for
+    from repro import compressor_for, obs
 
     data = np.load(args.input)
     mask = _load_mask(args.mask)
     kwargs = _eb_kwargs(args)
     faults = _faults_from(args)
-    run = _obs_begin(args)
-    if args.chunks:
-        from repro.parallel import compress_chunked
+    with obs.session({"command": args.command}, args):
+        if args.chunks:
+            from repro.parallel import compress_chunked
 
-        blob = compress_chunked(
-            data, args.codec, axis=args.chunk_axis, n_chunks=args.chunks,
-            workers=args.workers, mask=mask, retries=args.retries,
-            retry_backoff=args.retry_backoff, timeout=args.timeout,
-            faults=faults, **kwargs)
-    else:
-        if faults is not None:
-            raise SystemExit("--inject-faults on compress requires --chunks "
-                             "(faults target the chunked pipeline)")
-        comp = compressor_for(args.codec)
-        if mask is not None:
-            kwargs["mask"] = mask
-        blob = comp.compress(data, **kwargs)
-    _obs_end(args, run)
+            blob = compress_chunked(
+                data, args.codec, axis=args.chunk_axis, n_chunks=args.chunks,
+                workers=args.workers, mask=mask, retries=args.retries,
+                retry_backoff=args.retry_backoff, timeout=args.timeout,
+                faults=faults, **kwargs)
+        else:
+            if faults is not None:
+                raise SystemExit("--inject-faults on compress requires --chunks "
+                                 "(faults target the chunked pipeline)")
+            comp = compressor_for(args.codec)
+            if mask is not None:
+                kwargs["mask"] = mask
+            blob = comp.compress(data, **kwargs)
     from repro.runtime import atomic_write
 
     atomic_write(args.output, blob)
@@ -149,7 +107,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    from repro import decompress
+    from repro import decompress, obs
 
     with open(args.input, "rb") as fh:
         blob = fh.read()
@@ -160,32 +118,31 @@ def cmd_decompress(args) -> int:
         blob, events = faults.corrupt_blob(blob, "cli.decompress")
         for event in events:
             print(f"injected: {event}", file=sys.stderr)
-    run = _obs_begin(args)
     from repro.encoding.container import Container
 
-    codec = Container.peek_codec(blob)
-    if args.salvage and codec != "chunked":
-        raise SystemExit(
-            f"--salvage needs a chunked blob (got codec {codec!r}); "
-            "for RCDF datasets use repro.io.rcdf.read_rcdf(salvage=True)")
-    if codec == "chunked":
-        from repro.parallel import decompress_chunked
+    with obs.session({"command": args.command}, args):
+        codec = Container.peek_codec(blob)
+        if args.salvage and codec != "chunked":
+            raise SystemExit(
+                f"--salvage needs a chunked blob (got codec {codec!r}); "
+                "for RCDF datasets use repro.io.rcdf.read_rcdf(salvage=True)")
+        if codec == "chunked":
+            from repro.parallel import decompress_chunked
 
-        data = decompress_chunked(
-            blob, workers=args.workers, salvage=args.salvage, retries=args.retries,
-            retry_backoff=args.retry_backoff)
-    else:
-        data = decompress(blob)
-    if args.salvage:
-        data, report = data
-        print(report.summary(), file=sys.stderr)
-        if args.salvage_report:
-            from repro.runtime import atomic_write
+            data = decompress_chunked(
+                blob, workers=args.workers, salvage=args.salvage, retries=args.retries,
+                retry_backoff=args.retry_backoff)
+        else:
+            data = decompress(blob)
+        if args.salvage:
+            data, report = data
+            print(report.summary(), file=sys.stderr)
+            if args.salvage_report:
+                from repro.runtime import atomic_write
 
-            atomic_write(args.salvage_report,
-                         json.dumps(report.to_dict(), indent=2))
-            print(f"salvage report -> {args.salvage_report}", file=sys.stderr)
-    _obs_end(args, run)
+                atomic_write(args.salvage_report,
+                             json.dumps(report.to_dict(), indent=2))
+                print(f"salvage report -> {args.salvage_report}", file=sys.stderr)
     np.save(args.output, data)
     print(f"{args.input} -> {args.output}: shape {data.shape}, dtype {data.dtype}")
     return 0
@@ -265,6 +222,7 @@ def cmd_dataset(args) -> int:
 def cmd_experiment(args) -> int:
     import importlib
 
+    from repro import obs
     from repro.experiments import ALL_EXPERIMENTS
 
     if args.name not in ALL_EXPERIMENTS:
@@ -273,9 +231,8 @@ def cmd_experiment(args) -> int:
             print(f"  {name:26s} {desc}")
         return 1
     module = importlib.import_module(f"repro.experiments.{args.name}")
-    run = _obs_begin(args)
-    module.run().print()
-    _obs_end(args, run)
+    with obs.session({"command": args.command}, args):
+        module.run().print()
     return 0
 
 
@@ -312,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="CliZ reproduction toolkit (IPDPS 2024)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from repro.obs import add_session_arguments
 
     def add_eb(p):
         p.add_argument("--rel-eb", type=float, default=None,
@@ -330,20 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic fault spec, e.g. "
                             "'seed=7;crash:p=0.5;bitflip:only=2' (see docs/ROBUSTNESS.md)")
 
-    def add_obs(p):
-        p.add_argument("--profile", action="store_true",
-                       help="print a per-stage time/bytes table to stderr")
-        p.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write trace spans as JSONL (one span per line)")
-        p.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the metrics snapshot as JSONL (one metric per line)")
-        p.add_argument("--chrome-out", default=None, metavar="FILE",
-                       help="write a Chrome-trace JSON file "
-                            "(chrome://tracing / ui.perfetto.dev)")
-        p.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
-                       help="serve live telemetry over HTTP while the command "
-                            "runs (Prometheus /metrics; 0 = ephemeral port)")
-
     p = sub.add_parser("compress", help="compress a .npy array")
     p.add_argument("input"), p.add_argument("output")
     p.add_argument("--codec", default="cliz")
@@ -355,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None,
                    help="per-chunk timeout in seconds (with --chunks)")
     add_resilience(p)
-    add_obs(p)
+    add_session_arguments(p)
     add_eb(p)
     p.set_defaults(func=cmd_compress)
 
@@ -367,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--salvage-report", default=None, metavar="FILE",
                    help="write the machine-readable salvage report JSON here")
     add_resilience(p)
-    add_obs(p)
+    add_session_arguments(p)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("info", help="inspect a compressed blob")
@@ -400,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a paper experiment harness")
     p.add_argument("name")
-    add_obs(p)
+    add_session_arguments(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

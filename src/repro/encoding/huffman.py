@@ -14,7 +14,7 @@ Implementation highlights:
 * Encoding is fully vectorized (gather codes/lengths per symbol, one bulk
   word-plane pack in :class:`~repro.encoding.bitstream.BitWriter`).
 * Decoding is a byte-wise state machine
-  (:meth:`HuffmanCode.decode_vectorized`). Its states are the code tree's
+  (:meth:`HuffmanCode.decode`). Its states are the code tree's
   internal nodes; a nibble table gives each (state, nibble) its next state
   and the bits where codewords end, and composing it with itself gives a
   (state, byte) next-state table. Many speculative chains walk the stream a
@@ -457,16 +457,6 @@ class HuffmanCode:
         len_t[:n] = np.repeat(self._order_len, widths)
         return sym_t, len_t
 
-    def decode(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
-        """Decode ``n_symbols`` codewords from the start of ``data``.
-
-        Returns ``(symbols, end_bit)``. This is the byte-wise state machine
-        (:meth:`decode_vectorized`) at every length: on a freshly read
-        codebook it beats the scalar loop even at 16 symbols, because the
-        scalar loop's 65536-entry window table costs ~2.5 ms to build.
-        """
-        return self.decode_vectorized(data, n_symbols)
-
     def decode_scalar(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
         """Scalar reference decoder (one table lookup per symbol).
 
@@ -498,10 +488,14 @@ class HuffmanCode:
             pos += ln
         return np.array(out, dtype=np.int64), pos
 
-    def decode_vectorized(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
-        """Byte-wise state-machine decoder (speculative chains + repair).
+    def decode(self, data: bytes, n_symbols: int) -> tuple[np.ndarray, int]:
+        """Decode ``n_symbols`` codewords from the start of ``data``.
 
-        The states are the code tree's internal nodes (:class:`_Machine`).
+        Returns ``(symbols, end_bit)``. This is a byte-wise state machine
+        (speculative chains + repair) whose states are the code tree's
+        internal nodes (:class:`_Machine`). On a freshly read codebook it
+        beats :meth:`decode_scalar` even at 16 symbols, because the scalar
+        loop's 65536-entry window table costs ~2.5 ms to build.
 
         1. Equal-length codebooks finish in closed form (codeword ``k``
            starts at bit ``k * L``).

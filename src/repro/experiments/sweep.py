@@ -36,6 +36,10 @@ Scheduling features:
   in: ``crash``/``slow`` clauses apply per cell (serial semantics), and
   the ``kill`` clause crashes the process at a chosen stage of a cell's
   artifact commit — the drill the crash/resume CI job runs.
+* **Telemetry** — ``--trace-out``, ``--metrics-out`` and
+  ``--serve-metrics`` open one :func:`repro.obs.session` around the
+  sweep: the exporter serves the live progress gauges while cells run,
+  and the files are written on every exit, a sweep that raises included.
 
 Run it standalone (``python -m repro.experiments.sweep``) or through the
 CLI (``python -m repro sweep``)::
@@ -449,6 +453,8 @@ def _csv(value: str) -> list[str]:
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
+    from repro.obs import add_session_arguments
+
     p.add_argument("--out", required=True, metavar="DIR",
                    help="sweep directory (ledger.jsonl, cells/, results.json)")
     p.add_argument("--resume", action="store_true",
@@ -485,14 +491,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                         "(see docs/ROBUSTNESS.md)")
     p.add_argument("--no-fsync", action="store_true",
                    help="skip fsyncs (tests only: durability not guaranteed)")
-    p.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="write sweep trace spans as JSONL")
-    p.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="write sweep metrics (ledger/breaker counters) as JSONL")
-    p.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
-                   help="serve live telemetry over HTTP while the sweep runs "
-                        "(Prometheus /metrics plus /health and /snapshot; "
-                        "0 binds an ephemeral port)")
+    add_session_arguments(p, ("--trace-out", "--metrics-out", "--serve-metrics"))
 
 
 def run_from_args(args) -> int:
@@ -508,29 +507,12 @@ def run_from_args(args) -> int:
         cells += plan_experiments(_csv(args.experiments), seed=args.seed,
                                   priority_base=len(cells))
     faults = parse_fault_spec(args.inject_faults) if args.inject_faults else None
-    serve = getattr(args, "serve_metrics", None) is not None
-    run = obs.start_run(tags={"command": "sweep"}) \
-        if (args.trace_out or args.metrics_out or serve) else None
-    server = None
-    if serve:
-        from repro.obs.server import serve_from_args
-
-        server = serve_from_args(args)
-    try:
+    with obs.session({"command": "sweep"}, args):
         report = run_sweep(args.out, cells, resume=args.resume, faults=faults,
                            retries=args.retries, retry_backoff=args.retry_backoff,
                            deadline=args.deadline,
                            breaker_threshold=args.breaker_threshold,
                            fsync=not args.no_fsync)
-    finally:
-        if server is not None:
-            server.stop()
-    if run is not None:
-        obs.end_run()
-        if args.trace_out:
-            obs.write_trace_jsonl(run, args.trace_out)
-        if args.metrics_out:
-            obs.write_metrics_jsonl(run, args.metrics_out)
     report.print()
     return 1 if report.failed else 0
 

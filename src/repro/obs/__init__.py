@@ -10,7 +10,8 @@ every span also lands in a ``span.<name>.seconds`` latency histogram.
 :mod:`repro.obs.prom` renders it as Prometheus text, the asyncio
 ``/metrics`` exporter in :mod:`repro.obs.server` serves it, and the
 offline analysis CLI in :mod:`repro.obs.report` (``python -m repro obs
-...``) reads the exported files.
+...``) reads the exported files. Every entry point opens and closes its
+run, exporter and files through one :func:`session`.
 """
 
 from repro.obs.instrument import (
@@ -29,8 +30,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.prom import render_registry, render_run
 from repro.obs.sinks import (
+    SESSION_FLAGS,
     JsonlSink,
+    add_session_arguments,
     load_jsonl,
+    session,
     validate_metrics_line,
     validate_trace_line,
     write_chrome_trace,
@@ -85,6 +89,9 @@ __all__ = [
     "write_trace_jsonl",
     "write_metrics_jsonl",
     "write_chrome_trace",
+    "SESSION_FLAGS",
+    "add_session_arguments",
+    "session",
     "traced_compress",
     "traced_decompress",
     "record_codec_metrics",

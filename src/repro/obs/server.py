@@ -16,9 +16,9 @@ active observability run while it works:
 The server runs its event loop on a daemon thread so synchronous
 workloads (the sweep driver, experiment harnesses) stay untouched; all
 shared state it reads is lock-protected (see :mod:`repro.obs.metrics`).
-Long-running CLI subcommands start one with ``--serve-metrics PORT``;
-``python -m repro.obs.server`` runs a standalone exporter (mostly useful
-for poking at the endpoints).
+Commands start one with ``--serve-metrics PORT`` through
+:func:`repro.obs.session`, which also stops it on every exit, so the
+exporter always serves the run the command records into.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.obs import trace
 from repro.obs.prom import CONTENT_TYPE, render_run
 from repro.runtime.http import HttpServer, Request, Response, json_response
 
-__all__ = ["MetricsServer", "serve_from_args", "main"]
+__all__ = ["MetricsServer"]
 
 #: stop(): seconds in-flight scrapes get to finish before they are cut.
 _DRAIN_SECONDS = 1.0
@@ -87,54 +87,3 @@ class MetricsServer(HttpServer):
             })
         return 404, _TEXT, (f"unknown path {path!r}; try /metrics, "
                             "/health, /snapshot\n").encode("utf-8")
-
-
-# ---------------------------------------------------------------------- #
-def serve_from_args(args) -> MetricsServer | None:
-    """Start a server when ``--serve-metrics PORT`` was given (else None).
-
-    Shared by the CLI subcommands: ensures an obs run is active (the
-    exporter is pointless without a collector), binds, and announces the
-    scrape URL on stderr. The caller owns ``stop()``.
-    """
-    port = getattr(args, "serve_metrics", None)
-    if port is None:
-        return None
-    import sys
-
-    if trace.get_run() is None:
-        trace.start_run(tags={"command": getattr(args, "command", "serve")})
-    server = MetricsServer(port=port).start()
-    print(f"serving live telemetry on {server.url}/metrics "
-          f"(/health, /snapshot)", file=sys.stderr)
-    return server
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone exporter: ``python -m repro.obs.server [--port N]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-obs-server",
-        description="standalone Prometheus /metrics exporter for repro.obs")
-    parser.add_argument("--port", type=int, default=9464,
-                        help="port to bind (default 9464; 0 = ephemeral)")
-    parser.add_argument("--host", default="127.0.0.1")
-    args = parser.parse_args(argv)
-
-    if trace.get_run() is None:
-        trace.start_run(tags={"command": "obs.server"})
-    server = MetricsServer(port=args.port, host=args.host).start()
-    print(f"serving on {server.url}/metrics (Ctrl-C to stop)")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Telemetry sinks: JSONL files and Chrome trace.
+"""Telemetry sinks: JSONL files, Chrome trace, and the session that writes them.
 
 Two JSONL line schemas, shared by live pipeline telemetry and the
 benchmark trajectories:
@@ -18,16 +18,23 @@ they accept lines *without* the field (files written before versioning)
 and reject versions newer than this reader understands. The Chrome-trace
 export is the ``traceEvents`` JSON-array format understood by
 ``chrome://tracing`` and Perfetto.
+
+:func:`session` is every command's telemetry lifecycle: it opens the
+obs run and the ``/metrics`` exporter, and on every exit ends the run
+it started, stops the exporter and writes the files the command's flags
+(:data:`SESSION_FLAGS`) asked for.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import Run
@@ -38,6 +45,9 @@ __all__ = [
     "write_metrics_jsonl",
     "write_chrome_trace",
     "chrome_trace_events",
+    "SESSION_FLAGS",
+    "add_session_arguments",
+    "session",
     "load_jsonl",
     "validate_trace_line",
     "validate_metrics_line",
@@ -139,6 +149,103 @@ def write_chrome_trace(run: "Run", path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(path, json.dumps({"traceEvents": chrome_trace_events(run)}))
+
+
+# ---------------------------------------------------------------------- #
+#: Every telemetry flag and its argparse options, written once. A command
+#: adds the subset it supports with :func:`add_session_arguments`.
+SESSION_FLAGS = {
+    "--profile": {"action": "store_true",
+                  "help": "print a per-stage time/bytes table to stderr"},
+    "--trace-out": {"default": None, "metavar": "FILE",
+                    "help": "write trace spans as JSONL (one span per line)"},
+    "--metrics-out": {"default": None, "metavar": "FILE",
+                      "help": "write the metrics snapshot as JSONL "
+                              "(one metric per line)"},
+    "--chrome-out": {"default": None, "metavar": "FILE",
+                     "help": "write a Chrome-trace JSON file "
+                             "(chrome://tracing / ui.perfetto.dev)"},
+    "--serve-metrics": {"type": int, "default": None, "metavar": "PORT",
+                        "help": "serve live telemetry over HTTP while the "
+                                "command runs (Prometheus /metrics plus "
+                                "/health and /snapshot; 0 = ephemeral port)"},
+}
+
+
+def add_session_arguments(parser, flags=tuple(SESSION_FLAGS)) -> None:
+    """Add ``flags`` (keys of :data:`SESSION_FLAGS`, in that order)."""
+    for flag in flags:
+        parser.add_argument(flag, **SESSION_FLAGS[flag])
+
+
+def _write_output(flag: str, run: "Run", value) -> None:
+    """Print or write ``flag``'s output from ``run`` (``--serve-metrics`` has none)."""
+    if flag == "--profile":
+        from repro.obs.report import print_stage_table, stage_table
+
+        print("\nper-stage profile:", file=sys.stderr)
+        print_stage_table(stage_table(run.span_records()), file=sys.stderr)
+    elif flag == "--trace-out":
+        n = write_trace_jsonl(run, value)
+        print(f"trace    : {n} spans -> {value}", file=sys.stderr)
+    elif flag == "--metrics-out":
+        n = write_metrics_jsonl(run, value)
+        print(f"metrics  : {n} series -> {value}", file=sys.stderr)
+    elif flag == "--chrome-out":
+        write_chrome_trace(run, value)
+        print(f"chrome   : trace -> {value} "
+              "(open in chrome://tracing or ui.perfetto.dev)", file=sys.stderr)
+
+
+@contextmanager
+def session(tags: dict, args=None, *, always: bool = False) -> Iterator["Run | None"]:
+    """One command's telemetry: ``with session(tags, args) as run: ...``.
+
+    Opening: the active run is reused; otherwise a run tagged ``tags``
+    starts when ``always`` is set or ``args`` carries any
+    :data:`SESSION_FLAGS` value. ``args.serve_metrics`` (a port) starts
+    the ``/metrics`` exporter and announces its URL on stderr.
+
+    Closing, on every exit (return, exception, ``SystemExit``): a run
+    this session started ends, the exporter stops, and ``--profile``,
+    ``--trace-out``, ``--metrics-out`` and ``--chrome-out`` are printed
+    or written from the run. When the body raised, a failing sink is
+    reported on stderr and the body's exception propagates unchanged.
+    """
+    from repro.obs import trace
+
+    wanted = {flag: getattr(args, flag[2:].replace("-", "_"), None)
+              for flag in SESSION_FLAGS}
+    started = None
+    if trace.get_run() is None and (always or any(
+            v is not None and v is not False for v in wanted.values())):
+        started = trace.start_run(tags=tags)
+    run = trace.get_run()
+    exporter = None
+    completed = False
+    try:
+        if wanted["--serve-metrics"] is not None:
+            from repro.obs.server import MetricsServer
+
+            exporter = MetricsServer(port=wanted["--serve-metrics"]).start()
+            print(f"serving live telemetry on {exporter.url}/metrics "
+                  "(/health, /snapshot)", file=sys.stderr)
+        yield run
+        completed = True
+    finally:
+        if started is not None and trace.get_run() is started:
+            trace.end_run()
+        if exporter is not None:
+            exporter.stop()
+        for flag, value in wanted.items():
+            if run is None or not value:
+                continue
+            try:
+                _write_output(flag, run, value)
+            except Exception as exc:
+                if completed:
+                    raise
+                print(f"telemetry: {flag} not written: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------- #

@@ -34,6 +34,7 @@ import sys
 import threading
 
 from repro.faults import parse_fault_spec
+from repro.obs import add_session_arguments
 from repro.service.app import ServiceConfig, ServiceServer
 from repro.service.cluster import ClusterConfig, ClusterServer
 
@@ -52,36 +53,24 @@ _SERVE_FLAGS = (  # flag, the ServiceConfig field it sets, help
 )
 
 
-def _run_until_stopped(start, tags: dict, metrics_port: int | None = None) -> int:
+def _run_until_stopped(start, tags: dict, args=None) -> int:
     """Run ``start()``'s server until SIGTERM/SIGINT, then drain it."""
-    from repro.obs import trace
+    from repro import obs
 
     # install the drain handlers before anything is listening, so a
     # signal racing startup still takes the graceful path
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
-    if trace.get_run() is None:
-        trace.start_run(tags=tags)
-    exporter = None
-    if metrics_port is not None:
-        from repro.obs.server import MetricsServer
-
-        exporter = MetricsServer(port=metrics_port).start()
-        print(f"metrics on {exporter.url}/metrics", file=sys.stderr)
-    server = start()
-
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # SIGINT delivered before the handler took
-        pass
-    print("draining: completing in-flight requests and flushing telemetry",
-          file=sys.stderr)
-    server.stop()
-    if exporter is not None:
-        exporter.stop()
-    if trace.get_run() is not None:
-        trace.end_run()
+    with obs.session(tags, args, always=True):
+        server = start()
+        try:
+            stop.wait()
+        except KeyboardInterrupt:  # SIGINT delivered before the handler took
+            pass
+        print("draining: completing in-flight requests and flushing telemetry",
+              file=sys.stderr)
+        server.stop()
     return 0
 
 
@@ -109,7 +98,7 @@ def _serve(args) -> int:
               file=sys.stderr)
         return server
 
-    return _run_until_stopped(start, {"command": "service.serve"}, args.serve_metrics)
+    return _run_until_stopped(start, {"command": "service.serve"}, args)
 
 
 def _shard(args) -> int:
@@ -145,8 +134,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="shard processes behind one router port "
                         "(default 1 = single-process service)")
-    p.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
-                   help="also start the Prometheus /metrics exporter")
+    add_session_arguments(p, ("--serve-metrics",))
 
     s = sub.add_parser(
         "shard", help="one cluster shard (internal: run via serve --shards)")

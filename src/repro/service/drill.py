@@ -53,8 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.faults import FaultInjector, parse_fault_spec
-from repro.obs import trace
 from repro.obs.server import MetricsServer
 from repro.service.app import ServiceConfig, ServiceServer
 from repro.service.blobstore import BlobStore, shard_for_key
@@ -660,25 +660,22 @@ def run_drill(seed: int = 9, report_path: str | None = None,
     if unknown or not selected:
         raise ValueError(
             f"unknown drill phases {unknown}; known: {list(_PHASE_FNS)}")
-    own_run = trace.get_run() is None
-    if own_run:
-        trace.start_run(tags={"command": "service.drill", "seed": str(seed)})
     check = _Check()
     events: list[dict] = []
     t0 = time.monotonic()
-    with tempfile.TemporaryDirectory(prefix="repro-drill-") as tmp:
-        root = Path(tmp)
-        phase_reports = {
-            name: fn(seed, root, events, check)
-            for name, fn in _PHASE_FNS.items() if name in selected
-        }
-    if all(p in selected for p in _DEFAULT_PHASES):
-        # the gauge families the scrape asserts are spread across the
-        # in-process phases (shed/429 come from overload, breaker state
-        # from breaker, ...), so only a full default run can satisfy it
-        phase_reports["metrics"] = _metrics_exposition(check)
-    if own_run:
-        trace.end_run()
+    with obs.session({"command": "service.drill", "seed": str(seed)},
+                     always=True):
+        with tempfile.TemporaryDirectory(prefix="repro-drill-") as tmp:
+            root = Path(tmp)
+            phase_reports = {
+                name: fn(seed, root, events, check)
+                for name, fn in _PHASE_FNS.items() if name in selected
+            }
+        if all(p in selected for p in _DEFAULT_PHASES):
+            # the gauge families the scrape asserts are spread across the
+            # in-process phases (shed/429 come from overload, breaker state
+            # from breaker, ...), so only a full default run can satisfy it
+            phase_reports["metrics"] = _metrics_exposition(check)
     event_digest = hashlib.sha256(
         json.dumps(events, sort_keys=True).encode("utf-8")).hexdigest()
     report = {

@@ -1,6 +1,6 @@
 """The byte-wise state-machine decoder against the scalar oracle.
 
-``decode_vectorized`` must match ``decode_scalar`` on every input: the
+``decode`` must match ``decode_scalar`` on every input: the
 same symbols, the same end bit, and ``EOFError`` on the same inputs.
 Codebooks here are drawn directly as code lengths, so they include
 single-symbol, Kraft-deficient and never-resynchronising codes that a
@@ -44,7 +44,7 @@ def _outcome(decode, data, n):
 
 def assert_same(code: HuffmanCode, data: bytes, n: int):
     ref = _outcome(code.decode_scalar, data, n)
-    assert _outcome(code.decode_vectorized, data, n) == ref
+    assert _outcome(code.decode, data, n) == ref
     return ref
 
 
@@ -139,7 +139,7 @@ class TestRepair:
         ref = HuffmanCode.decode_scalar(code, data, symbols.size)
         calls = []
         _spy(monkeypatch, code, "decode_scalar", calls)
-        out, end = code.decode_vectorized(data, symbols.size)
+        out, end = code.decode(data, symbols.size)
         assert calls == ["decode_scalar"]
         assert np.array_equal(out, symbols) and end == ref[1]
         assert_same(code, data[:-5], symbols.size)
@@ -158,7 +158,7 @@ class TestRepair:
         calls = []
         _no_fallback(code, monkeypatch)
         _spy(monkeypatch, huffman, "_run", calls)
-        out, end = code.decode_vectorized(writer.getvalue(), symbols.size)
+        out, end = code.decode(writer.getvalue(), symbols.size)
         assert np.array_equal(out, symbols) and end == writer.bit_length
         assert len(calls) >= 3  # the first walk, then two or more rounds
 
@@ -171,5 +171,5 @@ class TestRepair:
         monkeypatch.setattr(huffman, "_MAX_ROUNDS", 0)
         calls = []
         _spy(monkeypatch, code, "decode_scalar", calls)
-        out, _ = code.decode_vectorized(writer.getvalue(), symbols.size)
+        out, _ = code.decode(writer.getvalue(), symbols.size)
         assert calls == ["decode_scalar"] and np.array_equal(out, symbols)

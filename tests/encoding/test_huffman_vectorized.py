@@ -1,6 +1,6 @@
 """Differential tests: vectorized Huffman decoder vs the scalar oracle.
 
-The batched NumPy kernel (``decode_vectorized``) must be bit-identical to
+The batched NumPy kernel (``decode``) must be bit-identical to
 the scalar loop (``decode_scalar``) on every stream — same symbols, same
 final bit position, and the same ``EOFError`` on corrupt/truncated input.
 """
@@ -24,7 +24,7 @@ def _assert_differential(symbols, alphabet=None):
     symbols = np.asarray(symbols, dtype=np.int64)
     code, data = _encode(symbols, alphabet)
     ref, end_ref = code.decode_scalar(data, symbols.size)
-    vec, end_vec = code.decode_vectorized(data, symbols.size)
+    vec, end_vec = code.decode(data, symbols.size)
     assert np.array_equal(ref, symbols)
     assert np.array_equal(vec, ref)
     assert end_vec == end_ref
@@ -90,7 +90,7 @@ class TestTruncation:
             with pytest.raises(EOFError):
                 code.decode_scalar(data[:cut], n)
             with pytest.raises(EOFError):
-                code.decode_vectorized(data[:cut], n)
+                code.decode(data[:cut], n)
 
     def test_truncated_skewed(self):
         rng = np.random.default_rng(29)
@@ -110,7 +110,7 @@ class TestTruncation:
         syms = rng.integers(0, 16, 5000)
         code, data = _encode(syms)
         with pytest.raises(EOFError):
-            code.decode_vectorized(data, syms.size + 1000)
+            code.decode(data, syms.size + 1000)
         with pytest.raises(EOFError):
             code.decode_scalar(data, syms.size + 1000)
 
@@ -118,7 +118,7 @@ class TestTruncation:
         rng = np.random.default_rng(41)
         syms = rng.integers(0, 16, 5000)
         code, data = _encode(syms)
-        out, end = code.decode_vectorized(data, 0)
+        out, end = code.decode(data, 0)
         assert out.size == 0 and end == 0
 
     def test_garbage_bytes(self):
@@ -133,8 +133,8 @@ class TestTruncation:
                 ref, end_ref = code.decode_scalar(blob, 8000)
             except EOFError:
                 with pytest.raises(EOFError):
-                    code.decode_vectorized(blob, 8000)
+                    code.decode(blob, 8000)
             else:
-                vec, end_vec = code.decode_vectorized(blob, 8000)
+                vec, end_vec = code.decode(blob, 8000)
                 assert np.array_equal(vec, ref)
                 assert end_vec == end_ref

@@ -198,6 +198,126 @@ class TestTelemetryFlags:
             assert any(p.startswith(f"{root}/") for p in paths)
 
 
+def _exporter_threads():
+    import threading
+
+    return [t for t in threading.enumerate()
+            if t.name == "repro-metrics-server" and t.is_alive()]
+
+
+_FAILING_CHUNK = "seed=7;crash:only=1:attempts=5"
+
+
+class TestTelemetrySession:
+    """Every exit of a command closes its telemetry: files, exporter, run."""
+
+    def test_failed_compress_leaves_its_trace(self, tmp_path, field_files):
+        from repro import obs
+        from repro.faults import FaultInjectedError
+        from repro.obs.sinks import load_jsonl, validate_metrics_line, validate_trace_line
+
+        dpath, _, _, _ = field_files
+        trace = tmp_path / "failed.trace.jsonl"
+        metrics = tmp_path / "failed.metrics.jsonl"
+        with pytest.raises(FaultInjectedError):
+            main(["compress", str(dpath), str(tmp_path / "f.rz"),
+                  "--codec", "sz3", "--abs-eb", "1e-3", "--chunks", "4",
+                  "--inject-faults", _FAILING_CHUNK,
+                  "--trace-out", str(trace), "--metrics-out", str(metrics),
+                  "--serve-metrics", "0"])
+        trace_recs = load_jsonl(trace)
+        assert trace_recs
+        for rec in trace_recs:
+            validate_trace_line(rec)
+        metric_recs = load_jsonl(metrics)
+        for rec in metric_recs:
+            validate_metrics_line(rec)
+        failures = [r["value"] for r in metric_recs
+                    if r["name"] == "parallel.job_failures"]
+        assert failures == [1]
+        assert not _exporter_threads()
+        assert obs.get_run() is None
+        assert not (tmp_path / "f.rz").exists()
+
+    def test_failed_sweep_leaves_no_run_or_exporter(self, tmp_path):
+        from repro import obs
+
+        with pytest.raises(ValueError):
+            main(["sweep", "--out", str(tmp_path / "sweep"), "--datasets", "SSH",
+                  "--shape", "12,10,48", "--compressors", "SZ3",
+                  "--rel-ebs", "1e-2", "--no-fsync",
+                  "--retries", "-1", "--serve-metrics", "0"])
+        assert not _exporter_threads()
+        assert obs.get_run() is None
+
+    def test_sink_error_does_not_replace_the_command_error(
+            self, tmp_path, field_files, capsys):
+        from repro.faults import FaultInjectedError
+
+        dpath, _, _, _ = field_files
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        metrics = tmp_path / "m.jsonl"
+        with pytest.raises(FaultInjectedError):
+            main(["compress", str(dpath), str(tmp_path / "f.rz"),
+                  "--codec", "sz3", "--abs-eb", "1e-3", "--chunks", "4",
+                  "--inject-faults", _FAILING_CHUNK,
+                  "--trace-out", str(blocker / "t.jsonl"),
+                  "--metrics-out", str(metrics)])
+        assert "--trace-out not written" in capsys.readouterr().err
+        assert metrics.exists()  # one failing sink does not skip the others
+
+    def test_sink_error_on_success_is_raised(self, tmp_path, field_files):
+        dpath, _, _, _ = field_files
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(OSError):
+            main(["compress", str(dpath), str(tmp_path / "f.rz"),
+                  "--abs-eb", "1e-3", "--trace-out", str(blocker / "t.jsonl")])
+
+    def test_active_run_is_reused_and_left_running(self, tmp_path, field_files):
+        from repro import obs
+        from repro.obs.sinks import load_jsonl
+
+        dpath, _, _, _ = field_files
+        trace = tmp_path / "t.jsonl"
+        with obs.run(tags={"outer": "yes"}) as outer:
+            assert main(["compress", str(dpath), str(tmp_path / "f.rz"),
+                         "--abs-eb", "1e-3", "--trace-out", str(trace)]) == 0
+            assert obs.get_run() is outer
+        assert {r["run"] for r in load_jsonl(trace)} == {outer.run_id}
+
+    def test_no_flag_starts_no_run(self, tmp_path, field_files, monkeypatch):
+        from repro.obs import trace
+
+        started = []
+        monkeypatch.setattr(trace, "start_run",
+                            lambda *a, **k: started.append(1))
+        dpath, _, _, _ = field_files
+        assert main(["compress", str(dpath), str(tmp_path / "f.rz"),
+                     "--abs-eb", "1e-3"]) == 0
+        assert started == []
+
+    def test_each_command_keeps_its_telemetry_flags(self):
+        from repro.cli import build_parser
+        from repro.obs import SESSION_FLAGS
+        from repro.service.__main__ import _parser
+
+        def flags(parser, argv):
+            given = vars(parser.parse_args(argv))
+            return [f for f in SESSION_FLAGS if f[2:].replace("-", "_") in given]
+
+        cli, service = build_parser(), _parser()
+        for argv in (["compress", "a", "b"], ["decompress", "a", "b"],
+                     ["experiment", "headline"]):
+            assert flags(cli, argv) == list(SESSION_FLAGS)
+        assert flags(cli, ["sweep", "--out", "d"]) == [
+            "--trace-out", "--metrics-out", "--serve-metrics"]
+        assert flags(service, ["serve"]) == ["--serve-metrics"]
+        assert flags(service, ["shard", "--index", "0", "--shards", "1",
+                               "--config", "{}"]) == []
+
+
 class TestTune:
     def test_tune_and_save_config(self, tmp_path, field_files, capsys):
         dpath, mpath, _, _ = field_files
