@@ -24,19 +24,24 @@ Workflow (see ``docs/BENCHMARKS.md``):
       PYTHONPATH=src python benchmarks/bench_codec.py --smoke \
           --out /tmp/bench_codec_smoke.json --baseline BENCH_codec.json
 
-The regression gate normalizes for machine speed: every (codec, dataset,
-direction) row is compared as a current/baseline ratio, the median ratio
-is taken as the machine-speed factor, and only rows slower than
-``(1 - tolerance) * median`` fail. A uniformly slower CI runner therefore
-passes; a single codec path that regressed does not. The verdict is
-``repro.obs.report.diff_files`` run on the file just written, the same
-function ``python -m repro obs diff`` calls.
+The regression gate normalizes for machine speed with a reference job
+timed next to every row: a fixed mix of NumPy and interpreter work that
+calls no repro code, so no code change can move it. Each row stores the
+job's best time (``reference_ms``) from the same rounds as its own
+timings, and the gate compares ``MB/s * reference_ms`` (megabytes per
+reference job) with the baseline's, pooled over the datasets of each
+codec and direction (geometric mean): only a codec path below
+``1 - tolerance`` of its baseline fails. A uniformly slower CI runner
+therefore passes, and so does a change that speeds up other paths. The
+verdict is ``repro.obs.report.diff_files`` run on the file just
+written, the same function ``python -m repro obs diff`` calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,10 +57,17 @@ from repro.obs.report import diff_files, stage_table  # noqa: E402
 
 REL_EB = 1e-3
 DEFAULT_CODECS = ("cliz", "sz3", "zfp", "bitgroom")
+# Every row runs for at least this long: enough rounds of a few-ms smoke
+# row to reach its floor; a full-size row's minimum rounds take longer.
+ROW_SECONDS = 0.5
+# --set-smoke-baseline stores each row's median over this many smoke runs:
+# one run made in a fast or slow stretch of a shared host would otherwise
+# shift the floor of every later gate run.
+BASELINE_RUNS = 5
 
 # (registry name, full-run generator kwargs, smoke generator kwargs).
 # Shapes are scaled-down stand-ins for the paper's Table III dims, sized so
-# a full run finishes in ~1 minute on a laptop and smoke in a few seconds.
+# a full run finishes in ~1 minute on a laptop and smoke in ~10 s.
 DATASET_SPECS = [
     ("SSH", {"shape": (48, 40, 252)}, {"shape": (16, 16, 48)}),
     ("CESM-T", {"shape": (26, 120, 240)}, {"shape": (13, 45, 90)}),
@@ -63,13 +75,31 @@ DATASET_SPECS = [
 ]
 
 
-def _best(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+def _best(reps: int, *fns) -> list[float]:
+    """Best time of each of ``fns``, run in turn for at least ``reps``
+    rounds and at least ``ROW_SECONDS``: a short row gets enough rounds
+    to reach its floor between other tenants' bursts."""
+    best = [float("inf")] * len(fns)
+    start = time.perf_counter()
+    rounds = 0
+    while rounds < reps or time.perf_counter() - start < ROW_SECONDS:
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+        rounds += 1
     return best
+
+
+_REF_DATA = np.random.default_rng(0).standard_normal(200_000)
+
+
+def _reference_job() -> None:
+    """Sort 200k floats, then 40k interpreter steps: the codecs' mix of work."""
+    np.sort(_REF_DATA)
+    acc = 0
+    for i in range(40_000):
+        acc += i * i
 
 
 def _stage_breakdown(fn) -> dict[str, float]:
@@ -92,8 +122,8 @@ def bench_one(codec: str, ds_name: str, field, reps: int) -> dict:
     out = decompress(blob)
     assert out.shape == data.shape, f"{codec}/{ds_name}: bad roundtrip shape"
 
-    t_c = _best(lambda: comp.compress(data, **kwargs), reps)
-    t_d = _best(lambda: decompress(blob), reps)
+    t_ref, t_c, t_d = _best(reps, _reference_job, lambda: comp.compress(data, **kwargs),
+                            lambda: decompress(blob))
     return {
         "codec": codec,
         "dataset": ds_name,
@@ -104,6 +134,7 @@ def bench_one(codec: str, ds_name: str, field, reps: int) -> dict:
         "compress_mb_s": round(nbytes / t_c / 1e6, 2),
         "decompress_ms": round(t_d * 1e3, 1),
         "decompress_mb_s": round(nbytes / t_d / 1e6, 2),
+        "reference_ms": round(t_ref * 1e3, 3),
         "stages": {
             "compress": _stage_breakdown(lambda: comp.compress(data, **kwargs)),
             "decompress": _stage_breakdown(lambda: decompress(blob)),
@@ -119,8 +150,20 @@ def run_bench(codecs: list[str], smoke: bool, reps: int) -> list[dict]:
             row = bench_one(codec, ds_name, field, reps)
             print(f"{codec:10s} {ds_name:12s} ratio {row['ratio']:6.2f}  "
                   f"compress {row['compress_mb_s']:7.2f} MB/s  "
-                  f"decompress {row['decompress_mb_s']:7.2f} MB/s")
+                  f"decompress {row['decompress_mb_s']:7.2f} MB/s  "
+                  f"reference {row['reference_ms']:6.2f} ms")
             rows.append(row)
+    return rows
+
+
+def _median_rows(runs: list[list[dict]]) -> list[dict]:
+    """The rows of ``runs[0]`` with each speed the median over ``runs``."""
+    rows = runs[0]
+    for i, row in enumerate(rows):
+        for key in ("compress_mb_s", "decompress_mb_s", "reference_ms"):
+            row[key] = statistics.median(run[i][key] for run in runs)
+        for direction in ("compress", "decompress"):
+            row[f"{direction}_ms"] = round(row["nbytes"] / row[f"{direction}_mb_s"] / 1e3, 1)
     return rows
 
 
@@ -132,7 +175,7 @@ def write_metrics_jsonl(rows: list[dict], path) -> int:
     for row in rows:
         base = f"bench.codec.{row['codec']}.{row['dataset']}"
         for key in ("ratio", "compress_ms", "compress_mb_s",
-                    "decompress_ms", "decompress_mb_s"):
+                    "decompress_ms", "decompress_mb_s", "reference_ms"):
             registry.gauge(f"{base}.{key}").set(row[key])
     return JsonlSink(path).write(registry.records())
 
@@ -144,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--codecs", default=",".join(DEFAULT_CODECS),
                     help=f"comma-separated codec list (default: {','.join(DEFAULT_CODECS)})")
     ap.add_argument("--reps", type=int, default=None,
-                    help="timing repetitions, best-of (default: 3)")
+                    help="minimum timing rounds per row, best-of (default: 3; "
+                         "each row also runs for at least 0.5 s)")
     ap.add_argument("--out", default=None,
                     help="output JSON path (default: BENCH_codec.json at the "
                          "repository root)")
@@ -152,14 +196,15 @@ def main(argv: list[str] | None = None) -> int:
                     help="gate against this committed baseline JSON; exits "
                          "non-zero on regression beyond --tolerance")
     ap.add_argument("--tolerance", type=float, default=0.20,
-                    help="allowed per-row slowdown vs the machine-normalized "
-                         "baseline (default 0.20)")
+                    help="allowed slowdown of a codec path's reference-"
+                         "normalized throughput vs the baseline (default 0.20)")
     ap.add_argument("--append-trajectory", default=None, metavar="LABEL",
                     help="merge into an existing --out file: append this "
                          "labeled result set to its 'trajectory' list")
     ap.add_argument("--set-smoke-baseline", action="store_true",
-                    help="store this run under 'smoke_baseline' in the --out "
-                         "file (for the CI gate); implies --smoke")
+                    help="store the per-row median of several smoke runs under "
+                         "'smoke_baseline' in the --out file (for the CI gate); "
+                         "implies --smoke")
     ap.add_argument("--metrics-out", default=None, metavar="FILE",
                     help="also write the rows as metrics JSONL")
     args = ap.parse_args(argv)
@@ -173,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     config = {"codecs": codecs, "rel_eb": REL_EB, "reps": reps, "smoke": smoke}
 
     rows = run_bench(codecs, smoke, reps)
+    if args.set_smoke_baseline:
+        rows = _median_rows([rows] + [run_bench(codecs, smoke, reps)
+                                      for _ in range(BASELINE_RUNS - 1)])
 
     out_path = Path(args.out) if args.out else (
         Path(__file__).resolve().parent.parent / "BENCH_codec.json")

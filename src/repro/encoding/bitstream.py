@@ -3,16 +3,13 @@
 Every entropy coder in this repository (Huffman, ZFP's embedded coder,
 SPERR's set-partitioning coder) serializes through these two classes.
 
-Design notes (per the HPC-Python guides: vectorize the hot paths, keep
-scalar paths allocation-free):
-
-* ``BitWriter`` buffers scalar writes in plain Python lists and turns bulk
-  variable-width writes (the Huffman encode path) into a word-plane pack:
-  each codeword is shifted to its bit offset inside two 32-bit words, and
-  each of the two planes is summed into the output with one
-  ``np.bincount`` (codewords never overlap, so the sums are exact bitwise
-  ORs). Encoding a million codewords costs a handful of array operations
-  over the codewords, none over the individual output bits.
+* ``BitWriter`` keeps every write as items of at most 64 bits (codes and
+  their widths) and turns them into bytes in one kernel, never holding a
+  byte per bit. A bulk write merges adjacent items in pairs while the
+  widest is at most 32 bits (:func:`_merge`), so 16-bit Huffman codes
+  reach :func:`_pack` as 64-bit groups, a quarter as many. The pack
+  places every item in 64-bit words from a prefix sum of the widths and
+  ORs each word's items with one ``np.bitwise_or.reduceat``.
 * ``BitReader`` unpacks the buffer to a byte-per-bit representation once and
   serves scalar reads from a plain ``bytes`` object (O(1) C-level indexing,
   no per-read NumPy dispatch) and bulk raw-bit reads from the NumPy bit
@@ -26,7 +23,6 @@ import numpy as np
 __all__ = ["BitWriter", "BitReader"]
 
 _MAX_WRITE_BITS = 64
-_PACK_BLOCK = 1 << 15  # codewords per pack block: keeps the block's arrays in cache
 
 
 class BitWriter:
@@ -37,18 +33,20 @@ class BitWriter:
     """
 
     def __init__(self) -> None:
-        # Finished boolean segments (one uint8 0/1 array per bulk write).
-        self._segments: list[np.ndarray] = []
+        # Items of at most 64 bits: codes (unsigned) and their widths (uint8).
+        self._codes: list[np.ndarray] = []
+        self._lens: list[np.ndarray] = []
         # Pending scalar writes (value, nbits) awaiting conversion.
         self._pend_vals: list[int] = []
         self._pend_lens: list[int] = []
-        self._nbits = 0
+        self._pend_bits = 0
+        self._nbits = 0  # bits of the stored items
 
     # ------------------------------------------------------------------ #
     @property
     def bit_length(self) -> int:
         """Total number of bits written so far."""
-        return self._nbits
+        return self._nbits + self._pend_bits
 
     def write(self, value: int, nbits: int) -> None:
         """Append the ``nbits`` least-significant bits of ``value``, MSB first.
@@ -64,124 +62,126 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self._pend_vals.append(value)
         self._pend_lens.append(nbits)
-        self._nbits += nbits
+        self._pend_bits += nbits
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         self.write(1 if bit else 0, 1)
 
     def write_varwidth(self, codes: np.ndarray, lengths: np.ndarray) -> None:
-        """Append ``codes[i]`` using ``lengths[i]`` bits each (bulk path).
+        """Append the low ``lengths[i]`` bits of ``codes[i]`` each (bulk path).
 
-        This is the Huffman encoder's hot path; see :func:`_pack_words`.
-        Widths above 32 bits are split into a high and a low part first, so
-        one kernel serves every width 1..64. Equal-length batches instead
-        expand into an (n, width) bit matrix and flatten row-major: its
-        cost is per output bit, the pack's per codeword, and the matrix is
-        ~10x faster on the 1-bit codes of a two-symbol Huffman book.
+        Codes are cut to their widths in the narrowest unsigned dtype that
+        holds the widest, so Huffman's 16-bit code table is never widened.
         """
-        codes = np.asarray(codes, dtype=np.uint64).ravel()
+        codes = np.asarray(codes).ravel()
+        if codes.dtype.kind != "u":
+            codes = codes.astype(np.uint64)
         lengths = np.asarray(lengths, dtype=np.uint8).ravel()
         if codes.shape != lengths.shape:
             raise ValueError("codes and lengths must have the same shape")
-        if codes.size == 0:
+        width = int(lengths.max()) if lengths.size else 0
+        if width > _MAX_WRITE_BITS:
+            raise ValueError(f"code length {width} exceeds {_MAX_WRITE_BITS}")
+        if width == 0:
             return
-        self._flush_pending()
-        max_len = int(lengths.max())
-        if max_len == 0:
-            return
-        if max_len > _MAX_WRITE_BITS:
-            raise ValueError(f"code length {max_len} exceeds {_MAX_WRITE_BITS}")
-        if int(lengths.min()) == max_len:
-            shifts = np.arange(max_len - 1, -1, -1, dtype=np.uint64)
-            bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1))
-            self._segments.append(bits.astype(np.uint8).ravel())
-            self._nbits += codes.size * max_len
-            return
-        if max_len > 32:
-            codes, lengths = _split_wide(codes, lengths)
-        bits, total = _pack_words(codes, lengths)
-        self._segments.append(bits)
-        self._nbits += total
+        one = np.min_scalar_type((1 << width) - 1).type(1)
+        cut = codes.astype(one.dtype)
+        cut &= (one << lengths) - one
+        if width == 1 == int(lengths.min()):
+            self._append(*_words_of_bits(cut))
+        else:
+            self._append(cut, lengths, width)
 
     def write_bool_array(self, bits: np.ndarray) -> None:
         """Append a raw array of bits (0/1 values, one bit each)."""
         arr = np.asarray(bits).astype(np.uint8).ravel()
-        if arr.size == 0:
-            return
-        self._flush_pending()
-        self._segments.append(arr)
-        self._nbits += arr.size
+        if arr.size:
+            self._append(*_words_of_bits(arr))
 
     # ------------------------------------------------------------------ #
     def _flush_pending(self) -> None:
-        if not self._pend_vals:
-            return
-        vals = np.array(self._pend_vals, dtype=np.uint64)
-        lens = np.array(self._pend_lens, dtype=np.uint8)
-        self._pend_vals = []
-        self._pend_lens = []
-        # write_varwidth counts bits again, so subtract the pending count.
-        self._nbits -= int(lens.sum(dtype=np.int64))
-        self.write_varwidth(vals, lens)
+        if self._pend_vals:
+            lens = np.array(self._pend_lens, dtype=np.uint8)
+            vals = np.array(self._pend_vals, dtype=np.uint64)
+            self._pend_vals, self._pend_lens, self._pend_bits = [], [], 0
+            self._append(vals, lens, int(lens.max()))
+
+    def _append(self, codes: np.ndarray, lengths: np.ndarray, width: int) -> None:
+        """Store items already cut to their widths, after any pending scalars."""
+        self._flush_pending()
+        codes, lengths = _merge(codes, lengths, width)
+        self._codes.append(codes)
+        self._lens.append(lengths)
+        self._nbits += int(lengths.sum(dtype=np.int64))
 
     def getvalue(self) -> bytes:
         """Pack all written bits into bytes (right-padded with zero bits)."""
         self._flush_pending()
-        if not self._segments:
+        if not self._codes:
             return b""
-        allbits = np.concatenate(self._segments) if len(self._segments) > 1 else self._segments[0]
-        self._segments = [allbits]
-        return np.packbits(allbits).tobytes()
+        if len(self._codes) > 1:
+            self._codes = [np.concatenate(self._codes)]
+            self._lens = [np.concatenate(self._lens)]
+        return _pack(self._codes[0], self._lens[0])
 
 
-def _pack_words(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pack codewords of 0..32 bits MSB-first; returns ``(bits, total)``.
+def _words_of_bits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(codes, lengths, 64)``: one-bit items 64 to an item, by ``np.packbits``."""
+    buf = np.zeros(-(-bits.size // 64) * 8, dtype=np.uint8)
+    packed = np.packbits(bits)
+    buf[: packed.size] = packed
+    codes = buf.view(">u8").astype(np.uint64)
+    lengths = np.full(codes.size, 64, dtype=np.uint8)
+    tail = bits.size % 64
+    if tail:
+        codes[-1] >>= np.uint64(64 - tail)
+        lengths[-1] = tail
+    return codes, lengths, 64
 
-    ``bits`` holds one uint8 0/1 per output bit. Codeword ``i`` starts at
-    bit ``s`` of the batch. Shifted to ``(code << (64 - L)) >> (s & 31)``,
-    it sits MSB-first at bit ``s & 31`` of a 64-bit value (the left shift
-    also drops any bits above ``L``), whose high half adds into 32-bit
-    word ``s >> 5`` and low half into the next word, each plane with one
-    ``np.bincount``. Codewords never share a bit, so every word sums to
-    less than 2**32 and the float64 sums are exact. The codewords go
-    through in blocks of ``_PACK_BLOCK``, so each pass stays in cache.
+
+def _merge(codes: np.ndarray, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Join adjacent items in pairs while the widest (``width``) is <= 32 bits.
+
+    Each round writes item ``2i`` above item ``2i + 1`` as one item of
+    their summed width; an odd last item joins the next round as it is.
     """
-    ln = lengths.astype(np.int64)
-    ends = np.cumsum(ln)
-    total = int(ends[-1])
-    n_words = (total + 31) // 32
-    # Two spare words: the low plane of the last codeword (or an empty
-    # codeword at the very end) may land past the last output word.
-    words = np.zeros(n_words + 2, dtype=np.float64)
-    for b in range(0, codes.size, _PACK_BLOCK):
-        blk_len = ln[b : b + _PACK_BLOCK]
-        starts = ends[b : b + _PACK_BLOCK] - blk_len
-        v = (codes[b : b + _PACK_BLOCK] << (64 - blk_len).astype(np.uint64)) \
-            >> (starts & 31).astype(np.uint64)
-        word = starts >> 5
-        w0 = int(word[0])
-        word -= w0
-        m = int(word[-1]) + 2
-        part = np.bincount(word, weights=v >> np.uint64(32), minlength=m)
-        part[1:] += np.bincount(word, weights=v & np.uint64(0xFFFFFFFF), minlength=m - 1)
-        words[w0 : w0 + m] += part
-    packed = words[:n_words].astype(">u4").view(np.uint8)
-    return np.unpackbits(packed)[:total], total
-
-
-def _split_wide(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write each code wider than 32 bits as its high part, then its low 32 bits."""
-    wide = lengths > 32
-    reps = 1 + wide.astype(np.int64)
-    codes = np.repeat(codes, reps)
-    lengths = np.repeat(lengths, reps)
-    hi = (np.cumsum(reps) - reps)[wide]
-    codes[hi] >>= np.uint64(32)
-    lengths[hi] -= np.uint8(32)
-    codes[hi + 1] &= np.uint64(0xFFFFFFFF)
-    lengths[hi + 1] = 32
+    while width <= 32 and codes.size > 1:
+        pairs = codes.size // 2
+        right = lengths[1::2]
+        merged = codes[0::2].astype(np.min_scalar_type((1 << 2 * width) - 1))
+        merged[:pairs] <<= right
+        merged[:pairs] |= codes[1::2]
+        widths = lengths[0::2].copy()
+        widths[:pairs] += right
+        codes, lengths, width = merged, widths, int(widths.max())
     return codes, lengths
+
+
+def _pack(codes: np.ndarray, lengths: np.ndarray) -> bytes:
+    """MSB-first bytes of items of 0..64 bits, right-padded with zero bits.
+
+    Item ``i`` starts at bit ``s`` of the stream: bit ``s & 63`` of
+    64-bit word ``s >> 6``. Shifted to the top of a 64-bit value, its
+    high part ``top >> (s & 63)`` goes into that word and its spill
+    ``top << (64 - (s & 63))`` into the next (NumPy shifts by 64 give 0).
+    Items never share a bit, so each word is the OR of the high parts of
+    the items that start in it (one ``reduceat``) and the spill of the
+    last item of the word before; only a word's last item can spill.
+    """
+    ends = np.cumsum(lengths, dtype=np.int64)
+    total = int(ends[-1])
+    starts = ends - lengths
+    shift = (starts & 63).astype(np.uint64)
+    top = codes.astype(np.uint64, copy=False) << (64 - lengths)
+    word = starts >> 6
+    tails = np.flatnonzero(word[1:] != word[:-1])
+    heads = np.concatenate(([0], tails + 1))
+    tails = np.append(tails, codes.size - 1)
+    words = np.zeros(int(word[-1]) + 2, dtype=np.uint64)
+    words[word[heads]] = np.bitwise_or.reduceat(top >> shift, heads)
+    words[word[tails] + 1] |= top[tails] << (64 - shift[tails])
+    return words.astype(">u8").tobytes()[: (total + 7) // 8]
 
 
 class BitReader:

@@ -11,8 +11,9 @@ Implementation highlights:
   lengths of the least-frequent overlong symbols until the Kraft inequality
   holds, then greedily shorten where slack remains). A 16-bit ceiling lets
   the scalar decoder use a single flat 65536-entry window table.
-* Encoding is fully vectorized (gather codes/lengths per symbol, one bulk
-  word-plane pack in :class:`~repro.encoding.bitstream.BitWriter`).
+* Encoding is fully vectorized (gather 16-bit codes and 8-bit lengths per
+  symbol, one merge-and-pack kernel in
+  :class:`~repro.encoding.bitstream.BitWriter`).
 * Decoding is a byte-wise state machine
   (:meth:`HuffmanCode.decode`). Its states are the code tree's
   internal nodes; a nibble table gives each (state, nibble) its next state
@@ -386,9 +387,9 @@ class HuffmanCode:
 
     @property
     def codes(self) -> np.ndarray:
-        """Canonical code of every symbol id (``uint32``), built on first use."""
+        """Canonical code of every symbol id (``uint16``), built on first use."""
         if self._codes is None:
-            self._codes = np.zeros(self._alphabet_size, dtype=np.uint32)
+            self._codes = np.zeros(self._alphabet_size, dtype=np.uint16)
             self._codes[self._order] = self._order_codes
         return self._codes
 
@@ -438,7 +439,7 @@ class HuffmanCode:
         if (lens == 0).any():
             bad = symbols[lens == 0][0]
             raise ValueError(f"symbol {bad} has no codeword (zero frequency at build time)")
-        writer.write_varwidth(self.codes[symbols].astype(np.uint64), lens)
+        writer.write_varwidth(self.codes[symbols], lens)
 
     def _decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat tables of the symbol and code length for each 16-bit window.

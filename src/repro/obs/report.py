@@ -13,10 +13,11 @@ questions offline:
 * ``top FILE``            — the N slowest spans.
 * ``critical-path FILE``  — the heaviest root-to-leaf span chain of a
   run: where the wall-clock actually went.
-* ``diff BASELINE CURRENT`` — machine-speed-normalized regression diff
-  between two benchmark/telemetry files. The ``bench_codec`` CI gate
-  calls the same :func:`diff_files`, so ``repro obs diff
-  BENCH_codec.json new.json`` reproduces the gate's pass/fail exactly.
+* ``diff BASELINE CURRENT`` — regression diff between two
+  benchmark/telemetry files, normalized by the reference job both ran.
+  The ``bench_codec`` CI gate calls the same :func:`diff_files`, so
+  ``repro obs diff BENCH_codec.json new.json`` reproduces the gate's
+  pass/fail exactly.
 
 File kinds are sniffed from content, not extension, so a sweep directory
 (``ledger.jsonl`` inside), a bench JSON, and JSONL telemetry can be
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
+import math
 import sys
 from pathlib import Path
 
@@ -231,53 +232,57 @@ def critical_path(spans: list[dict]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------- #
-# Machine-normalized regression diff (also the bench_codec gate).
+# Reference-normalized regression diff (also the bench_codec gate).
 
 def normalized_regressions(ratios: list[tuple[str, float]],
                            tolerance: float) -> list[str]:
-    """Failure messages for rows regressing beyond the normalized floor.
+    """Failure messages for paths regressing beyond the gate floor.
 
-    ``ratios`` are ``(label, current/baseline)`` throughput ratios. The
-    median ratio is taken as the machine-speed factor — a uniformly
-    faster or slower machine moves every ratio together and passes; a
-    single path slower than ``(1 - tolerance) * median`` is a genuine
-    regression and fails.
+    ``ratios`` are ``(label, current/baseline)`` ratios of throughput
+    normalized by the reference job timed next to each row, so machine
+    speed cancels out: a path below ``1 - tolerance`` is a genuine
+    regression and fails, and speed-ups of other paths cannot move the
+    floor.
     """
     if not ratios:
         return ["regression gate: no comparable rows between current run "
                 "and baseline (codec/dataset sets disjoint?)"]
-    median = statistics.median(r for _, r in ratios)
-    floor = (1.0 - tolerance) * median
+    floor = 1.0 - tolerance
     return [
-        f"{label}: {ratio:.2f}x vs baseline is below the gate floor "
-        f"{floor:.2f}x (median machine factor {median:.2f}x, "
-        f"tolerance {tolerance:.0%})"
+        f"{label}: {ratio:.2f}x vs baseline (reference-normalized) is below "
+        f"the gate floor {floor:.2f}x (tolerance {tolerance:.0%})"
         for label, ratio in ratios if ratio < floor
     ]
 
 
-def throughput_series(path, smoke: bool | None) -> dict[str, float]:
-    """``{label: MB/s}`` throughput series from a bench or metrics file.
+def throughput_series(path, smoke: bool | None
+                      ) -> dict[tuple[str, str, str], tuple[float, float | None]]:
+    """``{(path, dataset, metric): (MB/s, reference_ms)}`` from a bench or metrics file.
 
-    Bench JSON rows contribute ``codec/dataset/compress_mb_s`` (and
+    Bench JSON rows contribute ``(codec, dataset, compress_mb_s)`` (and
     decompress) from the section :func:`_bench_rows` picks for
-    ``smoke``; metrics JSONL contributes every gauge whose name ends in
-    ``_mb_s`` or ``.mb_s``.
+    ``smoke``; metrics JSONL contributes every gauge
+    ``<path>.<dataset>.<metric>`` whose metric ends in ``_mb_s`` or is
+    ``mb_s``. ``reference_ms`` is the row's reference-job time (the
+    ``<path>.<dataset>.reference_ms`` gauge in metrics JSONL), or None
+    where the file has none.
     """
     kind, payload = load_any(path)
-    series: dict[str, float] = {}
+    series: dict[tuple[str, str, str], tuple[float, float | None]] = {}
     if kind == "bench":
         for row in _bench_rows(payload, smoke):
             for metric in ("compress_mb_s", "decompress_mb_s"):
                 if row.get(metric):
-                    series[f"{row['codec']}/{row['dataset']}/{metric}"] = \
-                        float(row[metric])
+                    series[row["codec"], row["dataset"], metric] = \
+                        (float(row[metric]), row.get("reference_ms"))
     elif kind == "metrics":
-        for rec in payload:
-            name = rec["name"]
-            if rec["type"] == "gauge" and rec["value"] is not None and \
-                    (name.endswith("_mb_s") or name.endswith(".mb_s")):
-                series[name] = float(rec["value"])
+        gauges = {rec["name"]: rec["value"] for rec in payload
+                  if rec["type"] == "gauge" and rec["value"] is not None}
+        for name, value in gauges.items():
+            if name.endswith("_mb_s") or name.endswith(".mb_s"):
+                row, _, metric = name.rpartition(".")
+                prefix, _, dataset = row.rpartition(".")
+                series[prefix, dataset, metric] = (float(value), gauges.get(f"{row}.reference_ms"))
     else:
         raise ValueError(f"{path}: diff needs a bench JSON or metrics JSONL "
                          f"file, got {kind}")
@@ -303,16 +308,28 @@ def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], i
 
     A bench ``current`` is read at the section its own ``config.smoke``
     names, and a bench ``baseline`` at the same one: a smoke run is
-    compared with the committed ``smoke_baseline``.
+    compared with the committed ``smoke_baseline``. Each row present in
+    both is a current/baseline throughput ratio, times the ratio of its
+    reference-job times when both sides have one; the verdict is on the
+    geometric mean of each path's rows over its datasets (one codec and
+    direction), which averages out the ~8% a single few-ms row moves
+    between runs of a shared host.
     """
     kind, doc = load_any(current)
     smoke = bool(doc.get("config", {}).get("smoke")) if kind == "bench" else None
+    sep = "/" if kind == "bench" else "."
     cur_series = throughput_series(current, smoke)
     base_series = throughput_series(baseline, smoke)
-    ratios = [(label, cur_series[label] / base_series[label])
-              for label in sorted(cur_series)
-              if label in base_series and base_series[label] > 0]
-    return normalized_regressions(ratios, tolerance), len(ratios)
+    paths: dict[tuple[str, str], list[tuple[str, float]]] = {}
+    for key in sorted(cur_series.keys() & base_series.keys()):
+        (cur, cur_ref), (base, base_ref) = cur_series[key], base_series[key]
+        if base > 0:
+            scale = cur_ref / base_ref if cur_ref and base_ref else 1.0
+            paths.setdefault((key[0], key[2]), []).append((key[1], cur / base * scale))
+    ratios = [(sep.join([path, "+".join(d for d, _ in rows), metric]),
+               math.prod(r for _, r in rows) ** (1 / len(rows)))
+              for (path, metric), rows in paths.items()]
+    return normalized_regressions(ratios, tolerance), sum(map(len, paths.values()))
 
 
 # ---------------------------------------------------------------------- #
@@ -458,8 +475,8 @@ def cmd_diff(args) -> int:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)
         return 1
-    print(f"no regression: {compared} row(s) within "
-          f"{args.tolerance:.0%} of the machine-normalized baseline")
+    print(f"no regression: {compared} row(s) compared, every path within "
+          f"{args.tolerance:.0%} of the baseline's reference-normalized throughput")
     return 0
 
 
@@ -482,7 +499,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.set_defaults(obs_func=cmd_critical_path)
 
-    p = sub.add_parser("diff", help="machine-normalized regression diff "
+    p = sub.add_parser("diff", help="reference-normalized regression diff "
                                     "(same verdict as the bench CI gate)")
     p.add_argument("baseline")
     p.add_argument("current")

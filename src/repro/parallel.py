@@ -802,7 +802,7 @@ def compress_chunked(data: np.ndarray, codec: str = "cliz", *, axis: int = 0,
                                 workers=workers if use_pool else None,
                                 policy=policy, faults=faults, scope="chunk",
                                 dispatch=dispatch, deadline_at=deadline_at)
-        blobs = _finalize(results, True, "compress_chunked")
+            blobs = _finalize(results, True, "compress_chunked")
     finally:
         arena.close()
     blobs = _inject_storage_faults(blobs, faults, "chunk")
@@ -931,12 +931,12 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
                                 workers=workers if use_pool else None,
                                 policy=policy, faults=faults, scope="unchunk",
                                 dispatch=dispatch, deadline_at=deadline_at)
-        for (i, _), result in zip(present, results):
-            if not result.ok:
-                if not salvage:
-                    _finalize([result], True, "decompress_chunked")
-                lost.append(i)
-                report.add(f"chunk{i}", "decode", result.error or "decode failed")
+            for (i, _), result in zip(present, results):
+                if not result.ok:
+                    if not salvage:
+                        _finalize([result], True, "decompress_chunked")
+                    lost.append(i)
+                    report.add(f"chunk{i}", "decode", result.error or "decode failed")
         if use_pool:
             out = arena.read(ref)
     finally:
@@ -993,7 +993,7 @@ def compress_many(arrays: list[np.ndarray], codec: str = "cliz", *,
         results = _run_jobs(_compress_one, jobs, workers=workers, policy=policy,
                             faults=faults, scope="many", dispatch=dispatch,
                             deadline_at=deadline_at)
-    out = _finalize(results, strict, "compress_many")
+        out = _finalize(results, strict, "compress_many")
     if strict:
         return _inject_storage_faults(out, faults, "many")
     ok = [r for r in out if r.ok]
@@ -1019,4 +1019,4 @@ def decompress_many(blobs: list[bytes], workers: int | None = None, *,
         results = _run_jobs(_decompress_one, list(blobs), workers=workers,
                             policy=policy, faults=faults, scope="unmany",
                             dispatch=dispatch, deadline_at=deadline_at)
-    return _finalize(results, strict, "decompress_many")
+        return _finalize(results, strict, "decompress_many")

@@ -1,12 +1,12 @@
 """Reference implementations of the compress-side entropy kernels.
 
 Straightforward forms of the LZ match index (a stable argsort) and greedy
-parse (one loop step per input byte or match), of the ``BitWriter`` bulk
-write (one array entry per output bit) and of the Huffman codebook build
+parse (one loop step per input byte or match), of the ``BitWriter``
+(one array entry per output bit) and of the Huffman codebook build
 (a binary heap for the code lengths, a per-symbol loop for the canonical
 codes and for the decode table). They are the differential oracles for
 the packed-key sort and the array parse in ``repro.encoding.lz``, the
-word-plane pack in ``repro.encoding.bitstream`` and the two-queue,
+merge-and-pack kernel in ``repro.encoding.bitstream`` and the two-queue,
 first-code-per-length and canonical-order ``np.repeat`` builds in
 ``repro.encoding.huffman``: those must return the same arrays and write
 the same bytes on every input.
@@ -18,7 +18,7 @@ import heapq
 
 import numpy as np
 
-from repro.encoding.bitstream import _MAX_WRITE_BITS, BitWriter
+from repro.encoding.bitstream import _MAX_WRITE_BITS
 from repro.encoding.varint import encode_uvarint
 
 
@@ -92,36 +92,50 @@ def lz_compress_reference(data: bytes) -> bytes:
     return bytes(header) + data
 
 
-class ReferenceBitWriter(BitWriter):
-    """``BitWriter`` whose bulk path expands every output bit explicitly."""
+class ReferenceBitWriter:
+    """``BitWriter`` that expands every output bit explicitly.
+
+    Each write becomes one uint8 0/1 per bit; ``getvalue`` packs them all.
+    """
+
+    def __init__(self) -> None:
+        self._bits: list[np.ndarray] = []
+        self.bit_length = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        if nbits < 0 or nbits > _MAX_WRITE_BITS:
+            raise ValueError(f"nbits must be in 0..{_MAX_WRITE_BITS}, got {nbits}")
+        if value < 0 or (nbits < 64 and value >> nbits):
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        self._append(np.array([(value >> (nbits - 1 - i)) & 1 for i in range(nbits)],
+                              dtype=np.uint8))
+
+    def write_bit(self, bit: int) -> None:
+        self.write(1 if bit else 0, 1)
 
     def write_varwidth(self, codes: np.ndarray, lengths: np.ndarray) -> None:
-        codes = np.asarray(codes, dtype=np.uint64).ravel()
+        codes = np.asarray(codes).ravel().astype(np.uint64)
         lengths = np.asarray(lengths, dtype=np.uint8).ravel()
         if codes.shape != lengths.shape:
             raise ValueError("codes and lengths must have the same shape")
-        if codes.size == 0:
-            return
-        self._flush_pending()
-        max_len = int(lengths.max())
-        if max_len == 0:
-            return
-        if max_len > _MAX_WRITE_BITS:
-            raise ValueError(f"code length {max_len} exceeds {_MAX_WRITE_BITS}")
-        if int(lengths.min()) == max_len:
-            shifts = np.arange(max_len - 1, -1, -1, dtype=np.uint64)
-            bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1))
-            self._segments.append(bits.astype(np.uint8).ravel())
-            self._nbits += codes.size * max_len
-            return
+        if lengths.size and int(lengths.max()) > _MAX_WRITE_BITS:
+            raise ValueError(f"code length {int(lengths.max())} exceeds {_MAX_WRITE_BITS}")
         ends = np.cumsum(lengths.astype(np.int64))
-        total = int(ends[-1])
+        total = int(ends[-1]) if ends.size else 0
         # Output bit t belongs to code i with starts[i] <= t < ends[i] and is
         # bit (ends[i] - 1 - t) of that code, counting from the LSB.
         shifts = (np.repeat(ends, lengths) - 1 - np.arange(total, dtype=np.int64)).astype(np.uint64)
-        bits_v = (np.repeat(codes, lengths) >> shifts) & np.uint64(1)
-        self._segments.append(bits_v.astype(np.uint8))
-        self._nbits += total
+        self._append(((np.repeat(codes, lengths) >> shifts) & np.uint64(1)).astype(np.uint8))
+
+    def write_bool_array(self, bits: np.ndarray) -> None:
+        self._append((np.asarray(bits).astype(np.uint8).ravel() != 0).astype(np.uint8))
+
+    def _append(self, bits: np.ndarray) -> None:
+        self._bits.append(bits)
+        self.bit_length += bits.size
+
+    def getvalue(self) -> bytes:
+        return np.packbits(np.concatenate(self._bits)).tobytes() if self._bits else b""
 
 
 def huffman_lengths_reference(freqs: np.ndarray) -> np.ndarray:

@@ -159,13 +159,21 @@ def test_scalar_roundtrip_property(pairs):
 
 
 def _replay(writer_cls, ops) -> tuple[bytes, int]:
+    """Bytes and bit length of ``ops``; the length is read before the bytes."""
     w = writer_cls()
     for op in ops:
         if op[0] == "write":
             w.write(op[1], op[2])
+        elif op[0] == "bit":
+            w.write_bit(op[1])
+        elif op[0] == "bools":
+            w.write_bool_array(op[1])
         else:
             w.write_varwidth(op[1], op[2])
-    return w.getvalue(), w.bit_length
+    bit_length = w.bit_length
+    data = w.getvalue()
+    assert w.bit_length == bit_length and len(data) == (bit_length + 7) // 8
+    return data, bit_length
 
 
 def _assert_same_as_oracle(ops) -> None:
@@ -180,7 +188,7 @@ def _batch(rng, n: int, lo: int, hi: int):
 
 
 class TestWriterOracle:
-    """The word-plane pack must write the bytes the bit-by-bit expansion wrote."""
+    """The merge-and-pack kernel must write the bytes the bit-by-bit expansion wrote."""
 
     @pytest.mark.parametrize("width", range(1, 65))
     def test_equal_length_batches_at_every_offset(self, width):
@@ -206,10 +214,61 @@ class TestWriterOracle:
         lengths = np.array([0, 3, 2, 33], dtype=np.uint8)
         _assert_same_as_oracle([("write", 1, 3), ("bulk", codes, lengths)])
 
-    def test_batches_span_several_pack_blocks(self, monkeypatch):
-        monkeypatch.setattr(bitstream, "_PACK_BLOCK", 64)
+    def test_long_batches_span_many_words(self):
         rng = np.random.default_rng(9)
-        _assert_same_as_oracle([("write", 5, 3), _batch(rng, 1000, 1, 64), _batch(rng, 300, 7, 7)])
+        _assert_same_as_oracle([("write", 5, 3), _batch(rng, 5000, 1, 64), _batch(rng, 3000, 7, 7)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13, 1001, 4099])
+    def test_random_widths_with_zero_lengths(self, n):
+        """Widths 0..64, about a fifth of them 0, and counts not divisible by 4."""
+        rng = np.random.default_rng(n)
+        codes, lengths = _batch(rng, n, 0, 64)[1:]
+        lengths[rng.random(n) < 0.2] = 0
+        codes[lengths == 0] = rng.integers(0, 2**64 - 1, int((lengths == 0).sum()),
+                                           dtype=np.uint64, endpoint=True)
+        _assert_same_as_oracle([("bulk", codes, lengths)])
+        _assert_same_as_oracle([("write", 3, 5), ("bulk", codes, lengths)])
+
+    @pytest.mark.parametrize("width", [1, 12, 64])
+    @pytest.mark.parametrize("n", [1, 4, 7, 1000])
+    def test_all_equal_widths(self, width, n):
+        rng = np.random.default_rng(width * n)
+        _assert_same_as_oracle([_batch(rng, n, width, width)])
+        _assert_same_as_oracle([("write", 1, 1), _batch(rng, n, width, width)])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.int64])
+    def test_single_item_and_empty_input(self, dtype):
+        one = (np.array([0b1011], dtype=dtype), np.array([4], dtype=np.uint8))
+        none = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.uint8))
+        _assert_same_as_oracle([("bulk", *one)])
+        _assert_same_as_oracle([("bulk", *none)])
+        _assert_same_as_oracle([("write", 1, 3), ("bulk", *none), ("bulk", *one)])
+        assert _replay(BitWriter, [("bulk", *none)]) == (b"", 0)
+
+    def test_narrow_code_dtypes_keep_their_low_bits(self):
+        rng = np.random.default_rng(4)
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            bits = 8 * np.dtype(dtype).itemsize
+            codes = rng.integers(0, 2**bits, 777, dtype=np.uint64).astype(dtype)
+            lengths = rng.integers(0, 64 + 1, 777).astype(np.uint8)
+            _assert_same_as_oracle([("write", 1, 1), ("bulk", codes, lengths)])
+
+    def test_interleaved_writes_at_odd_offsets(self):
+        """Every write kind after every other, each starting at an odd bit."""
+        rng = np.random.default_rng(11)
+        ops = []
+        for i in range(40):
+            ops.append(("write", int(rng.integers(0, 2**7)), 7))
+            kind = i % 4
+            if kind == 0:
+                ops.append(("bit", int(rng.integers(0, 2))))
+            elif kind == 1:
+                ops.append(("bools", rng.integers(0, 2, int(rng.integers(0, 70))).astype(np.uint8)))
+            elif kind == 2:
+                ops.append(_batch(rng, int(rng.integers(1, 300)), 0, 64))
+            else:
+                ops.append(_batch(rng, int(rng.integers(1, 300)), 1, 16))
+        _assert_same_as_oracle(ops)
 
     def test_pending_scalar_writes_flush_through_the_pack(self):
         ops = [("write", v % (1 << n), n) for v, n in zip(range(3, 3000, 7), [1, 5, 64, 33, 17, 2] * 100)]

@@ -198,17 +198,24 @@ class TestDiff:
          "compress_mb_s": 400.0, "decompress_mb_s": 800.0},
     ]
 
-    def _docs(self, tmp_path, scale=1.0, regress=None):
+    def _docs(self, tmp_path, scale=1.0, regress=None, speedup=1.0):
+        """Every row carries the reference job's time; ``scale`` is the machine's speed."""
         import copy
 
-        cur = copy.deepcopy(self.BASE_ROWS)
+        base_rows = copy.deepcopy(self.BASE_ROWS)
+        for row in base_rows:
+            row["reference_ms"] = 5.0
+        cur = copy.deepcopy(base_rows)
         for row in cur:
             row["compress_mb_s"] *= scale
             row["decompress_mb_s"] *= scale
+            row["reference_ms"] /= scale
         if regress:
             cur[0][regress] *= 0.25
+        cur[1]["compress_mb_s"] *= speedup
+        cur[1]["decompress_mb_s"] *= speedup
         base = tmp_path / "base.json"
-        base.write_text(json.dumps({"results": self.BASE_ROWS}, indent=1))
+        base.write_text(json.dumps({"results": base_rows}, indent=1))
         new = tmp_path / "new.json"
         new.write_text(json.dumps({"results": cur}, indent=1))
         return base, new
@@ -225,6 +232,19 @@ class TestDiff:
         assert report.main(["diff", str(base), str(new)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
 
+    def test_speedup_of_half_the_rows_passes_the_rest(self, tmp_path):
+        """A median-row factor would read 1.5x here and fail the cliz rows."""
+        base, new = self._docs(tmp_path, speedup=3.0)
+        failures, n = report.diff_files(base, new, 0.20)
+        assert failures == [] and n == 4
+
+    def test_slower_reference_scales_the_row(self, tmp_path):
+        """On a machine twice as slow, unchanged rows pass and 30% slower ones fail,
+        also when they are half the rows (a median-row factor would pass them)."""
+        base, new = self._docs(tmp_path, scale=0.5, speedup=0.7)
+        failures, _ = report.diff_files(base, new, 0.20)
+        assert len(failures) == 2 and all("zfp/SSH" in f for f in failures)
+
     def test_no_overlap_fails_loud(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps(
@@ -234,6 +254,20 @@ class TestDiff:
         new.write_text(json.dumps({"results": self.BASE_ROWS}, indent=1))
         failures, n = report.diff_files(base, new, 0.20)
         assert n == 0 and "no comparable rows" in failures[0]
+
+    def test_metrics_jsonl_row_reference(self, tmp_path):
+        """A row's ``reference_ms`` gauge normalizes its throughput gauges."""
+        def gauges(path, mb_s, ref_ms):
+            path.write_text("".join(json.dumps(
+                {"schema": 1, "type": "gauge", "name": f"bench.codec.cliz.SSH.{k}",
+                 "value": v}) + "\n" for k, v in (("compress_mb_s", mb_s),
+                                                  ("reference_ms", ref_ms))))
+            return path
+
+        base = gauges(tmp_path / "base.jsonl", 100.0, 5.0)
+        assert report.diff_files(base, gauges(tmp_path / "slow.jsonl", 50.0, 10.0), 0.20) == ([], 1)
+        failures, _ = report.diff_files(base, gauges(tmp_path / "bad.jsonl", 70.0, 5.0), 0.20)
+        assert len(failures) == 1
 
     def test_metrics_jsonl_diff(self, tmp_path):
         """Bench gauges in metrics JSONL diff the same way."""

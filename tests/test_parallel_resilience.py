@@ -12,7 +12,9 @@ from repro.parallel import (
     ParallelJobError,
     RetryPolicy,
     _finalize,
+    compress_chunked,
     compress_many,
+    decompress_chunked,
     decompress_many,
 )
 from repro.runtime.durable import InjectedKillError
@@ -37,6 +39,42 @@ class TestRetryPolicy:
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
+
+
+class TestFailedCallTrace:
+    """A call that raises leaves its dispatch span with status "error"."""
+
+    FAIL = "seed=1;crash:only=1:attempts=5"
+
+    @staticmethod
+    def _status(run, name):
+        return [r["status"] for r in run.span_records() if r["name"] == name]
+
+    def test_pooled_compress_chunked(self):
+        data = arrays(1, shape=(16, 12))[0]
+        with obs.run() as run:
+            with pytest.raises(ParallelJobError, match="compress_chunked job"):
+                compress_chunked(data, "sz3", n_chunks=4, workers=2, abs_eb=1e-2,
+                                 retry_backoff=0.0, faults=self.FAIL)
+        assert self._status(run, "compress_chunked") == ["error"]
+
+    def test_strict_many_calls(self):
+        blobs = compress_many(arrays(), "sz3", abs_eb=1e-2)
+        with obs.run() as run:
+            with pytest.raises(FaultInjectedError):
+                compress_many(arrays(), "sz3", abs_eb=1e-2, retry_backoff=0.0,
+                              faults=self.FAIL)
+            with pytest.raises(FaultInjectedError):
+                decompress_many(blobs, retry_backoff=0.0, faults=self.FAIL)
+        assert self._status(run, "compress_many") == ["error"]
+        assert self._status(run, "decompress_many") == ["error"]
+
+    def test_strict_decompress_chunked(self):
+        blob = compress_chunked(arrays(1, shape=(16, 12))[0], "sz3", n_chunks=4, abs_eb=1e-2)
+        with obs.run() as run:
+            with pytest.raises(FaultInjectedError):
+                decompress_chunked(blob, retry_backoff=0.0, faults=self.FAIL)
+        assert self._status(run, "decompress_chunked") == ["error"]
 
 
 class TestSerialResilience:
