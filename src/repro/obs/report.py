@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import warnings
 from pathlib import Path
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "load_any",
     "normalized_regressions",
     "throughput_series",
+    "bench_series",
+    "row_ratios",
     "stage_table",
     "print_stage_table",
     "critical_path",
@@ -236,21 +238,20 @@ def critical_path(spans: list[dict]) -> list[dict]:
 
 def normalized_regressions(ratios: list[tuple[str, float]],
                            tolerance: float) -> list[str]:
-    """Failure messages for paths regressing beyond the gate floor.
+    """Failure messages for rows regressing beyond the gate floor.
 
-    ``ratios`` are ``(label, current/baseline)`` ratios of throughput
-    normalized by the reference job timed next to each row, so machine
-    speed cancels out: a path below ``1 - tolerance`` is a genuine
-    regression and fails, and speed-ups of other paths cannot move the
-    floor.
+    ``ratios`` are ``(label, ratio)`` pairs from :func:`row_ratios`: with
+    machine speed cancelled out by the reference job, a row below
+    ``1 - tolerance`` is a genuine regression and fails, and speed-ups of
+    other rows cannot move the floor.
     """
     if not ratios:
         return ["regression gate: no comparable rows between current run "
                 "and baseline (codec/dataset sets disjoint?)"]
     floor = 1.0 - tolerance
     return [
-        f"{label}: {ratio:.2f}x vs baseline (reference-normalized) is below "
-        f"the gate floor {floor:.2f}x (tolerance {tolerance:.0%})"
+        f"{label}: {ratio:.2f}x vs baseline is below the gate floor "
+        f"{floor:.2f}x (tolerance {tolerance:.0%})"
         for label, ratio in ratios if ratio < floor
     ]
 
@@ -268,14 +269,10 @@ def throughput_series(path, smoke: bool | None
     where the file has none.
     """
     kind, payload = load_any(path)
-    series: dict[tuple[str, str, str], tuple[float, float | None]] = {}
     if kind == "bench":
-        for row in _bench_rows(payload, smoke):
-            for metric in ("compress_mb_s", "decompress_mb_s"):
-                if row.get(metric):
-                    series[row["codec"], row["dataset"], metric] = \
-                        (float(row[metric]), row.get("reference_ms"))
-    elif kind == "metrics":
+        return bench_series(_bench_rows(payload, smoke))
+    series: dict[tuple[str, str, str], tuple[float, float | None]] = {}
+    if kind == "metrics":
         gauges = {rec["name"]: rec["value"] for rec in payload
                   if rec["type"] == "gauge" and rec["value"] is not None}
         for name, value in gauges.items():
@@ -287,6 +284,34 @@ def throughput_series(path, smoke: bool | None
         raise ValueError(f"{path}: diff needs a bench JSON or metrics JSONL "
                          f"file, got {kind}")
     return series
+
+
+def bench_series(rows: list[dict]
+                 ) -> dict[tuple[str, str, str], tuple[float, float | None]]:
+    """The :func:`throughput_series` of bench result rows."""
+    return {(row["codec"], row["dataset"], metric):
+            (float(row[metric]), row.get("reference_ms"))
+            for row in rows for metric in ("compress_mb_s", "decompress_mb_s")
+            if row.get(metric)}
+
+
+def row_ratios(base_series: dict, cur_series: dict
+               ) -> dict[tuple[str, str, str], tuple[float, bool]]:
+    """``{key: (ratio, normalized)}`` for the rows of both series.
+
+    ``ratio`` is current over baseline throughput, times current over
+    baseline reference-job time where both sides have one
+    (``normalized``): a ratio of megabytes per reference job, in which
+    the speed of either machine cancels out.
+    """
+    ratios = {}
+    for key in sorted(cur_series.keys() & base_series.keys()):
+        (cur, cur_ref), (base, base_ref) = cur_series[key], base_series[key]
+        if base > 0:
+            normalized = bool(cur_ref and base_ref)
+            ratios[key] = (cur / base * (cur_ref / base_ref if normalized else 1.0),
+                           normalized)
+    return ratios
 
 
 def _bench_rows(doc: dict, smoke: bool | None) -> list[dict]:
@@ -308,28 +333,26 @@ def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], i
 
     A bench ``current`` is read at the section its own ``config.smoke``
     names, and a bench ``baseline`` at the same one: a smoke run is
-    compared with the committed ``smoke_baseline``. Each row present in
-    both is a current/baseline throughput ratio, times the ratio of its
-    reference-job times when both sides have one; the verdict is on the
-    geometric mean of each path's rows over its datasets (one codec and
-    direction), which averages out the ~8% a single few-ms row moves
-    between runs of a shared host.
+    compared with the committed ``smoke_baseline``. Every row present in
+    both gets its own verdict on its :func:`row_ratios` ratio. A row
+    that either file gives no reference time is compared unnormalized,
+    marked so in its message, and a ``RuntimeWarning`` says that a
+    faster or slower machine reads as a change in it.
     """
     kind, doc = load_any(current)
     smoke = bool(doc.get("config", {}).get("smoke")) if kind == "bench" else None
     sep = "/" if kind == "bench" else "."
-    cur_series = throughput_series(current, smoke)
-    base_series = throughput_series(baseline, smoke)
-    paths: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    for key in sorted(cur_series.keys() & base_series.keys()):
-        (cur, cur_ref), (base, base_ref) = cur_series[key], base_series[key]
-        if base > 0:
-            scale = cur_ref / base_ref if cur_ref and base_ref else 1.0
-            paths.setdefault((key[0], key[2]), []).append((key[1], cur / base * scale))
-    ratios = [(sep.join([path, "+".join(d for d, _ in rows), metric]),
-               math.prod(r for _, r in rows) ** (1 / len(rows)))
-              for (path, metric), rows in paths.items()]
-    return normalized_regressions(ratios, tolerance), sum(map(len, paths.values()))
+    ratios = row_ratios(throughput_series(baseline, smoke),
+                        throughput_series(current, smoke))
+    bare = sum(not normalized for _, normalized in ratios.values())
+    if bare:
+        warnings.warn(f"{bare} of {len(ratios)} compared rows have no reference_ms "
+                      f"in {baseline} or {current}: they are not machine-normalized, "
+                      f"so a faster or slower machine reads as a change in them",
+                      RuntimeWarning, stacklevel=2)
+    labeled = [(sep.join(key) + ("" if normalized else " (not machine-normalized)"), ratio)
+               for key, (ratio, normalized) in ratios.items()]
+    return normalized_regressions(labeled, tolerance), len(ratios)
 
 
 # ---------------------------------------------------------------------- #
@@ -475,8 +498,8 @@ def cmd_diff(args) -> int:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)
         return 1
-    print(f"no regression: {compared} row(s) compared, every path within "
-          f"{args.tolerance:.0%} of the baseline's reference-normalized throughput")
+    print(f"no regression: all {compared} compared row(s) within "
+          f"{args.tolerance:.0%} of the baseline")
     return 0
 
 

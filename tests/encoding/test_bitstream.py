@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding import bitstream
 from repro.encoding.bitstream import BitReader, BitWriter
 from tests.encoding.reference import ReferenceBitWriter
 

@@ -255,6 +255,32 @@ class TestDiff:
         failures, n = report.diff_files(base, new, 0.20)
         assert n == 0 and "no comparable rows" in failures[0]
 
+    def test_one_slow_dataset_fails_its_row(self, tmp_path):
+        """A path 30% slower on one of its three datasets fails on that row alone,
+        however fast the other two are."""
+        def doc(path, ssh_scale):
+            rows = [{"codec": "cliz", "dataset": ds, "reference_ms": 5.0,
+                     "compress_mb_s": 100.0 * (ssh_scale if ds == "SSH" else 1.3)}
+                    for ds in ("SSH", "CESM-T", "Hurricane-T")]
+            path.write_text(json.dumps({"results": rows}))
+            return path
+
+        base = doc(tmp_path / "base.json", 1 / 1.3)
+        failures, n = report.diff_files(base, doc(tmp_path / "new.json", 0.7 / 1.3), 0.20)
+        assert n == 3 and len(failures) == 1 and "cliz/SSH/compress_mb_s" in failures[0]
+
+    def test_rows_without_reference_are_marked(self, tmp_path):
+        """A baseline without reference times is compared unnormalized, and says so."""
+        base, new = self._docs(tmp_path, scale=0.5)
+        doc = json.loads(base.read_text())
+        for row in doc["results"]:
+            del row["reference_ms"]
+        base.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="4 of 4 compared rows have no reference_ms"):
+            failures, n = report.diff_files(base, new, 0.20)
+        assert n == 4 and len(failures) == 4
+        assert all("not machine-normalized" in f for f in failures)
+
     def test_metrics_jsonl_row_reference(self, tmp_path):
         """A row's ``reference_ms`` gauge normalizes its throughput gauges."""
         def gauges(path, mb_s, ref_ms):
@@ -281,7 +307,8 @@ class TestDiff:
             {"schema": 1, "type": "gauge",
              "name": "bench.codec.cliz.SSH.compress_mb_s",
              "value": 95.0}) + "\n")
-        failures, n = report.diff_files(base, new, 0.20)
+        with pytest.warns(RuntimeWarning, match="not machine-normalized"):
+            failures, n = report.diff_files(base, new, 0.20)
         assert failures == [] and n == 1
 
 
