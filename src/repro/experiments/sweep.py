@@ -299,7 +299,6 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
     ``ValueError`` before anything is written.
     """
     from repro import obs
-    from repro.faults import FaultInjectedError
     from repro.parallel import RetryPolicy
     from repro.service.breakers import BreakerBoard
 
@@ -381,12 +380,7 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                 ledger.running(cid, attempt)
                 try:
                     if directive is not None:
-                        if attempt <= directive.crash_attempts:
-                            raise FaultInjectedError(
-                                f"injected cell crash (attempt {attempt}"
-                                f"/{directive.crash_attempts})")
-                        if directive.delay > 0.0:
-                            time.sleep(directive.delay)
+                        directive.apply(attempt, in_worker=False)
                     with obs.span("sweep_cell", cell=cid, label=cell.label()):
                         payload = execute_cell(cell)
                     blob = (json.dumps(payload, sort_keys=True, indent=1)

@@ -10,51 +10,10 @@ exercised deterministically: every decision is a pure function of
 faults — and therefore byte-identical telemetry counts — regardless of
 worker scheduling, process ids, or wall-clock time.
 
-Fault spec grammar (the CLI's ``--inject-faults`` argument)::
-
-    spec    := clause (';' clause)*
-    clause  := 'seed=' INT
-             | KIND (':' key '=' value)*
-    KIND    := 'crash' | 'slow' | 'bitflip' | 'truncate' | 'outage'
-             | 'drop' | 'kill' | 'stall' | 'bloberr' | 'abort'
-             | 'shardkill'
-
-Clauses and their parameters (all optional, with defaults):
-
-========  =======================================================
-crash     ``p`` (prob/job, 1.0), ``attempts`` (leading attempts
-          that crash, 1) — pool workers die hard (``os._exit``),
-          serial jobs raise :class:`FaultInjectedError`.
-slow      ``p`` (1.0), ``delay`` (seconds, 0.1) — worker sleeps
-          before doing its work.
-bitflip   ``p`` (1.0), ``n`` (bits per blob, 1) — storage bit rot.
-truncate  ``p`` (1.0), ``frac`` (fraction kept, 0.5).
-outage    ``at`` (start, s), ``dur`` (length, s) — WAN link dead
-          window; repeat the clause for multiple windows.
-drop      ``p`` (per-delivery drop prob, 0.1), ``max`` (transmit
-          attempts, 4), ``backoff`` (base retransmit delay, 0.5).
-kill      ``p`` (1.0), ``at`` (``pre_commit`` | ``post_commit`` |
-          ``mid_write``, default ``pre_commit``), ``hard`` (1),
-          ``only`` — the process dies (``SIGKILL``; ``hard=0``
-          raises instead) at that stage of the next guarded
-          :func:`repro.runtime.atomic_write`. Exercises
-          crash-consistency and ledger resume.
-stall     ``p`` (1.0), ``delay`` (seconds, 0.25) — a service
-          request handler sleeps ``delay`` seconds before doing
-          its work (exercises deadlines and queue backpressure).
-bloberr   ``p`` (1.0), ``op`` (``read`` | ``write`` | ``any``,
-          default ``any``) — a blob-store I/O operation raises
-          ``OSError`` (the service degrades it to 503).
-abort     ``p`` (1.0) — the client vanishes mid-request: the
-          service drops the connection without a response and
-          must clean up without corrupting anything.
-shardkill ``p`` (1.0), ``shard`` (target shard index; -1 =
-          derive from the hash, default -1), ``only`` — at drill
-          step ``index``, SIGKILL one shard of the service
-          cluster mid-request. The decision (fire? which shard?)
-          is a pure function of ``(seed, index)``, so the
-          shard-kill chaos drill replays byte-identically.
-========  =======================================================
+The spec grammar (the CLI's ``--inject-faults`` argument) and every
+fault kind's parameters, defaults and ranges are tabled once for readers,
+in ``docs/ROBUSTNESS.md``, and once for the parser, in :data:`_SCHEMA`;
+a test keeps the two equal.
 
 Example: ``seed=42;crash:p=0.3;bitflip:p=1:n=2;outage:at=5:dur=2``;
 a sweep crash drill: ``seed=7;kill:only=2:at=post_commit``; a service
@@ -64,6 +23,8 @@ chaos drill: ``seed=9;stall:p=0.2:delay=0.3;bloberr:p=0.1;abort:p=0.1``.
 from __future__ import annotations
 
 import hashlib
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,41 +41,30 @@ __all__ = [
     "parse_fault_spec",
 ]
 
-_KINDS = ("crash", "slow", "bitflip", "truncate", "outage", "drop", "kill",
-          "stall", "bloberr", "abort", "shardkill")
+_PROB = (float, 1.0, (0.0, 1.0))
+_ONLY = (int, None, (0, None))
 
-#: Allowed parameters (and their types) per fault kind. ``only`` (where
-#: accepted) pins the fault to a single subject index — job index, blob
-#: index, or WAN flow index — for precise scenario construction.
-_PARAMS: dict[str, dict[str, type]] = {
-    "crash": {"p": float, "attempts": int, "only": int},
-    "slow": {"p": float, "delay": float, "only": int},
-    "bitflip": {"p": float, "n": int, "only": int},
-    "truncate": {"p": float, "frac": float, "only": int},
-    "outage": {"at": float, "dur": float},
-    "drop": {"p": float, "max": int, "backoff": float, "only": int},
-    "kill": {"p": float, "at": str, "hard": int, "only": int},
-    "stall": {"p": float, "delay": float, "only": int},
-    "bloberr": {"p": float, "op": str, "only": int},
-    "abort": {"p": float, "only": int},
-    "shardkill": {"p": float, "shard": int, "only": int},
-}
-
-#: Valid values for bloberr's ``op`` parameter.
-_BLOB_OPS = ("read", "write", "any")
-
-_DEFAULTS: dict[str, dict] = {
-    "crash": {"p": 1.0, "attempts": 1},
-    "slow": {"p": 1.0, "delay": 0.1},
-    "bitflip": {"p": 1.0, "n": 1},
-    "truncate": {"p": 1.0, "frac": 0.5},
-    "outage": {"at": 0.0, "dur": 1.0},
-    "drop": {"p": 0.1, "max": 4, "backoff": 0.5},
-    "kill": {"p": 1.0, "at": "pre_commit", "hard": 1},
-    "stall": {"p": 1.0, "delay": 0.25},
-    "bloberr": {"p": 1.0, "op": "any"},
-    "abort": {"p": 1.0},
-    "shardkill": {"p": 1.0, "shard": -1},
+#: The one parameter table: ``kind -> {param: (type, default, allowed)}``.
+#: ``allowed`` is a closed range ``(lo, hi)`` (``hi`` None: unbounded) or,
+#: for a ``str`` parameter, the tuple of accepted values. A None default
+#: leaves the parameter unset unless given: ``only=<index>`` pins a fault
+#: to one subject (job, blob, request or WAN flow index).
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "crash": {"p": _PROB, "attempts": (int, 1, (0, None)), "only": _ONLY},
+    "slow": {"p": _PROB, "delay": (float, 0.1, (0.0, None)), "only": _ONLY},
+    "bitflip": {"p": _PROB, "n": (int, 1, (1, None)), "only": _ONLY},
+    "truncate": {"p": _PROB, "frac": (float, 0.5, (0.0, 1.0)), "only": _ONLY},
+    "outage": {"at": (float, 0.0, (0.0, None)),
+               "dur": (float, 1.0, (0.0, None))},
+    "drop": {"p": (float, 0.1, (0.0, 1.0)), "max": (int, 4, (1, None)),
+             "backoff": (float, 0.5, (0.0, None)), "only": _ONLY},
+    "kill": {"p": _PROB, "at": (str, "pre_commit", KILL_POINTS),
+             "hard": (int, 1, (0, 1)), "only": _ONLY},
+    "stall": {"p": _PROB, "delay": (float, 0.25, (0.0, None)), "only": _ONLY},
+    "bloberr": {"p": _PROB, "op": (str, "any", ("read", "write", "any")),
+                "only": _ONLY},
+    "abort": {"p": _PROB, "only": _ONLY},
+    "shardkill": {"p": _PROB, "shard": (int, -1, (-1, None)), "only": _ONLY},
 }
 
 
@@ -122,37 +72,47 @@ class FaultSpecError(ValueError):
     """A ``--inject-faults`` spec string failed to parse."""
 
 
+def _check(kind: str, key: str, value, where: str = "") -> None:
+    """Raise :class:`FaultSpecError` unless ``value`` is in the table's range."""
+    typ, _, allowed = _SCHEMA[kind][key]
+    if typ is str:
+        ok, want = value in allowed, f"one of {', '.join(allowed)}"
+    else:
+        lo, hi = allowed
+        ok = lo <= value and (hi is None or value <= hi)
+        want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    if not ok:
+        raise FaultSpecError(f"fault {kind!r}: parameter {key!r} must be "
+                             f"{want}, got {value!r}{where}")
+
+
 def _merge_clause(kind: str, params: dict, token: str | None = None) -> dict:
-    """Validate one ``(kind, params)`` clause against the grammar.
+    """Validate one ``(kind, params)`` clause against :data:`_SCHEMA`.
 
     ``token`` is the raw clause text from a spec string; every error
     message names it, so a bad clause inside a multi-fault spec like
     ``crash:p=0.5;slw:delay=1`` points at *its* token, not just the kind.
     """
     where = f" (offending token {token!r})" if token else ""
-    if kind not in _KINDS:
+    if kind not in _SCHEMA:
         raise FaultSpecError(f"unknown fault kind {kind!r}{where}; "
-                             f"valid kinds: {', '.join(_KINDS)}")
-    merged = dict(_DEFAULTS[kind])
+                             f"valid kinds: {', '.join(_SCHEMA)}")
+    schema = _SCHEMA[kind]
+    merged = {k: default for k, (_, default, _) in schema.items()
+              if default is not None}
     for key, value in params.items():
-        if key not in _PARAMS[kind]:
+        if key not in schema:
             raise FaultSpecError(
                 f"fault {kind!r} has no parameter {key!r}{where}; "
-                f"allowed: {', '.join(_PARAMS[kind])}")
+                f"allowed: {', '.join(schema)}")
+        typ = schema[key][0]
         try:
-            merged[key] = _PARAMS[kind][key](value)
+            merged[key] = typ(value)
         except (TypeError, ValueError):
             raise FaultSpecError(
                 f"fault {kind!r}: parameter {key!r} needs a "
-                f"{_PARAMS[kind][key].__name__}, got {value!r}{where}") from None
-    if kind == "kill" and merged["at"] not in KILL_POINTS:
-        raise FaultSpecError(
-            f"kill fault: at must be one of {', '.join(KILL_POINTS)}, "
-            f"got {merged['at']!r}{where}")
-    if kind == "bloberr" and merged["op"] not in _BLOB_OPS:
-        raise FaultSpecError(
-            f"bloberr fault: op must be one of {', '.join(_BLOB_OPS)}, "
-            f"got {merged['op']!r}{where}")
+                f"{typ.__name__}, got {value!r}{where}") from None
+        _check(kind, key, merged[key], where)
     return merged
 
 
@@ -184,6 +144,22 @@ class JobFaults:
     def any(self) -> bool:
         return self.crash_attempts > 0 or self.delay > 0.0
 
+    def apply(self, attempt: int, *, in_worker: bool) -> None:
+        """Crash or stall attempt ``attempt`` (1-based) as planned.
+
+        In a pool worker an injected crash is a *hard* death (``os._exit``)
+        so the dispatcher sees the real ``BrokenProcessPool`` recovery
+        path; inline it raises :class:`FaultInjectedError` (the caller
+        cannot be killed).
+        """
+        if attempt <= self.crash_attempts:
+            if in_worker:
+                os._exit(86)
+            raise FaultInjectedError(
+                f"injected crash (attempt {attempt}/{self.crash_attempts})")
+        if self.delay > 0.0:
+            time.sleep(self.delay)
+
 
 @dataclass(frozen=True)
 class LinkFaults:
@@ -191,17 +167,14 @@ class LinkFaults:
 
     outages: tuple[tuple[float, float], ...] = ()  # (start, end) windows
     drop_p: float = 0.0  # per-delivery corruption/drop probability
-    max_attempts: int = 4  # transmit attempts before giving up gracefully
-    backoff: float = 0.5  # base retransmit delay (doubles per attempt)
+    max_attempts: int = _SCHEMA["drop"]["max"][1]  # transmits before giving up
+    backoff: float = _SCHEMA["drop"]["backoff"][1]  # doubles per attempt
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_p <= 1.0:
-            raise ValueError("drop_p must be in [0, 1]")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff < 0:
-            raise ValueError("backoff must be non-negative")
+        _check("drop", "p", self.drop_p)
+        _check("drop", "max", self.max_attempts)
+        _check("drop", "backoff", self.backoff)
         for start, end in self.outages:
             if end < start or start < 0:
                 raise ValueError(f"bad outage window ({start}, {end})")
@@ -242,26 +215,27 @@ class FaultInjector:
                 return params
         return None
 
-    @staticmethod
-    def _applies(params: dict, index: int | None) -> bool:
-        """Honour the ``only`` parameter: fault pinned to one subject index."""
-        return "only" not in params or (index is not None and params["only"] == index)
+    def _fires(self, kind: str, *subject, index: int | None = None) -> dict | None:
+        """The one fault rule: the ``kind`` clause's params when it fires.
+
+        It fires when the clause is present, its ``only`` (if set) equals
+        ``index``, and ``_uniform(seed, kind, *subject) < p``.
+        """
+        params = self._clause(kind)
+        if params is None or params.get("only", index) != index:
+            return None
+        if _uniform(self.seed, kind, *subject) >= params["p"]:
+            return None
+        return params
 
     # ------------------------------------------------------------------ #
     # Worker faults (planned by the dispatcher in repro.parallel).
     def job_faults(self, scope: str, index: int) -> JobFaults:
         """Directives for job ``index`` under dispatch scope ``scope``."""
-        crash_attempts = 0
-        delay = 0.0
-        crash = self._clause("crash")
-        if (crash is not None and self._applies(crash, index)
-                and _uniform(self.seed, "crash", scope, index) < crash["p"]):
-            crash_attempts = crash["attempts"]
-        slow = self._clause("slow")
-        if (slow is not None and self._applies(slow, index)
-                and _uniform(self.seed, "slow", scope, index) < slow["p"]):
-            delay = slow["delay"]
-        return JobFaults(crash_attempts=crash_attempts, delay=delay)
+        crash = self._fires("crash", scope, index, index=index)
+        slow = self._fires("slow", scope, index, index=index)
+        return JobFaults(crash_attempts=crash["attempts"] if crash else 0,
+                         delay=slow["delay"] if slow else 0.0)
 
     # ------------------------------------------------------------------ #
     # Storage faults (bit rot on compressed blobs).
@@ -271,20 +245,20 @@ class FaultInjector:
         unchanged) bytes plus a machine-readable list of applied events."""
         events: list[dict] = []
         out = blob
-        flip = self._clause("bitflip")
-        if (flip is not None and self._applies(flip, index)
-                and _uniform(self.seed, "bitflip", key) < flip["p"] and out):
+        flip = self._fires("bitflip", key, index=index)
+        if flip is not None and out:
             rng = np.random.default_rng(_stable_u64(self.seed, "bitflip.rng", key))
             buf = bytearray(out)
-            bits = rng.integers(0, len(buf) * 8, size=max(1, flip["n"]))
+            # a position drawn twice is flipped once: XOR-ing it twice
+            # would undo the flip the event reports
+            bits = sorted({int(b) for b in
+                           rng.integers(0, len(buf) * 8, size=flip["n"])})
             for bit in bits:
-                buf[int(bit) // 8] ^= 1 << (int(bit) % 8)
+                buf[bit // 8] ^= 1 << (bit % 8)
             out = bytes(buf)
-            events.append({"fault": "bitflip", "key": key,
-                           "bits": sorted(int(b) for b in bits)})
-        trunc = self._clause("truncate")
-        if (trunc is not None and self._applies(trunc, index)
-                and _uniform(self.seed, "truncate", key) < trunc["p"] and out):
+            events.append({"fault": "bitflip", "key": key, "bits": bits})
+        trunc = self._fires("truncate", key, index=index)
+        if trunc is not None and out:
             keep = max(1, int(len(out) * trunc["frac"]))
             if keep < len(out):
                 out = out[:keep]
@@ -301,39 +275,26 @@ class FaultInjector:
         to one subject (e.g. the N-th sweep cell). Returns a
         :class:`~repro.runtime.durable.KillPoint` or None.
         """
-        clause = self._clause("kill")
-        if clause is None or not self._applies(clause, index):
-            return None
-        if _uniform(self.seed, "kill", key) >= clause["p"]:
-            return None
-        return KillPoint(at=clause["at"], hard=bool(clause["hard"]))
+        clause = self._fires("kill", key, index=index)
+        return None if clause is None else KillPoint(
+            at=clause["at"], hard=bool(clause["hard"]))
 
     # ------------------------------------------------------------------ #
     # Service faults (consumed by repro.service): handler stalls, blob
     # I/O errors, client aborts — all pure functions of (seed, subject).
     def handler_delay(self, index: int) -> float:
         """Injected seconds of slowness for service request ``index``."""
-        stall = self._clause("stall")
-        if (stall is not None and self._applies(stall, index)
-                and _uniform(self.seed, "stall", index) < stall["p"]):
-            return stall["delay"]
-        return 0.0
+        stall = self._fires("stall", index, index=index)
+        return 0.0 if stall is None else stall["delay"]
 
     def blob_error(self, op: str, index: int) -> bool:
         """Should blob-store operation ``index`` (``op`` = read|write) fail?"""
-        clause = self._clause("bloberr")
-        if clause is None or not self._applies(clause, index):
-            return False
-        if clause["op"] != "any" and clause["op"] != op:
-            return False
-        return _uniform(self.seed, "bloberr", index) < clause["p"]
+        clause = self._fires("bloberr", index, index=index)
+        return clause is not None and clause["op"] in ("any", op)
 
     def abort_request(self, index: int) -> bool:
         """Should the client of service request ``index`` vanish mid-flight?"""
-        clause = self._clause("abort")
-        if clause is None or not self._applies(clause, index):
-            return False
-        return _uniform(self.seed, "abort", index) < clause["p"]
+        return self._fires("abort", index, index=index) is not None
 
     def shard_kill(self, index: int, n_shards: int = 1) -> int | None:
         """SIGKILL a cluster shard at drill step ``index``? Which one?
@@ -344,13 +305,11 @@ class FaultInjector:
         always condemns the same shard — the drill and its expectation
         model agree on the victim without communicating.
         """
-        clause = self._clause("shardkill")
-        if clause is None or not self._applies(clause, index):
+        clause = self._fires("shardkill", index, index=index)
+        if clause is None:
             return None
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if _uniform(self.seed, "shardkill", index) >= clause["p"]:
-            return None
         if clause["shard"] >= 0:
             return int(clause["shard"]) % n_shards
         return int(_stable_u64(self.seed, "shardkill.target", index)
@@ -365,9 +324,8 @@ class FaultInjector:
             for kind, params in self.clauses if kind == "outage"
         ))
         drop = self._clause("drop")
-        if not outages and drop is None:
-            return None
-        drop = drop or {"p": 0.0, "max": 4, "backoff": 0.5}
+        if drop is None:
+            return LinkFaults(outages=outages, seed=self.seed) if outages else None
         return LinkFaults(outages=outages, drop_p=drop["p"],
                           max_attempts=drop["max"], backoff=drop["backoff"],
                           seed=self.seed, only=drop.get("only"))
@@ -387,7 +345,7 @@ class FaultInjector:
 
 
 def parse_fault_spec(spec: str) -> FaultInjector:
-    """Parse a fault spec string (grammar in the module docstring)."""
+    """Parse a fault spec string (grammar and parameters: docs/ROBUSTNESS.md)."""
     if not isinstance(spec, str) or not spec.strip():
         raise FaultSpecError("empty fault spec")
     seed = 0

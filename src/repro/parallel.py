@@ -55,7 +55,6 @@ from __future__ import annotations
 import contextvars
 import heapq
 import math
-import os
 import signal
 import threading
 import time
@@ -206,26 +205,6 @@ def _raise_job_timeout(signum, frame):  # pragma: no cover - async signal
     raise TimeoutError("per-job timeout exceeded")
 
 
-def _apply_job_faults(directive: JobFaults | None, attempt: int, *,
-                      in_worker: bool) -> None:
-    """Apply planned fault directives for this attempt.
-
-    In a pool worker an injected crash is a *hard* death (``os._exit``) so
-    the dispatcher sees the real ``BrokenProcessPool`` recovery path; in
-    serial execution it degrades to :class:`FaultInjectedError` (we cannot
-    kill the caller).
-    """
-    if directive is None:
-        return
-    if attempt <= directive.crash_attempts:
-        if in_worker:
-            os._exit(86)
-        raise FaultInjectedError(
-            f"injected crash (attempt {attempt}/{directive.crash_attempts})")
-    if directive.delay > 0.0:
-        time.sleep(directive.delay)
-
-
 _timeout_fallback_lock = threading.Lock()
 _timeout_fallback_warned = False
 
@@ -268,7 +247,8 @@ def _run_attempt(fn, payload, directive: JobFaults | None, attempt: int,
         old_handler = signal.signal(signal.SIGALRM, _raise_job_timeout)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        _apply_job_faults(directive, attempt, in_worker=in_worker)
+        if directive is not None:
+            directive.apply(attempt, in_worker=in_worker)
         result = fn(payload)
     finally:
         if use_alarm:

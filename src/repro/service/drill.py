@@ -103,6 +103,16 @@ def _request(port: int, method: str, path: str, doc: dict | None = None,
         conn.close()
 
 
+def _fetch_text(port: int, path: str) -> str:
+    """GET a plain-text endpoint (``/metrics`` is not JSON)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", path)
+        return conn.getresponse().read().decode("utf-8")
+    finally:
+        conn.close()
+
+
 def _field(step: int, shape=(6, 10, 20)) -> np.ndarray:
     """A small smooth climate-ish field, varied per step (distinct keys)."""
     z, y, x = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
@@ -139,6 +149,40 @@ class _Check:
                         f"got {(body or {}).get('error')!r}")
 
 
+class _Phase:
+    """One phase's request step: send, check the status, log the event.
+
+    Every event carries the phase name; :meth:`post` adds the standard
+    request event, :meth:`log` any other.
+    """
+
+    def __init__(self, name: str, port: int, events: list, check: _Check,
+                 client: str | None = None) -> None:
+        self.name, self.port, self.events, self.check = name, port, events, check
+        self.headers = {"X-Client": client} if client else None
+
+    def log(self, **event) -> None:
+        self.events.append({"phase": self.name, **event})
+
+    def send(self, path: str, doc: dict, expected, reason=None, *,
+             headers: dict | None = None, **tag):
+        """POST ``doc`` and check the status; returns (status, body, headers)."""
+        status, body, hdrs = _request(self.port, "POST", path, doc,
+                                      headers or self.headers)
+        what = " ".join(str(v) for v in (self.name, *tag.values(), path))
+        self.check.status(what, status, expected, reason, body)
+        return status, body, hdrs
+
+    def post(self, path: str, doc: dict, expected, reason=None, *,
+             headers: dict | None = None, **tag):
+        """:meth:`send`, then log ``tag`` with path, expected, status, reason."""
+        status, body, hdrs = self.send(path, doc, expected, reason,
+                                       headers=headers, **tag)
+        self.log(**tag, path=path, expected=expected, status=status,
+                 reason=body.get("error"))
+        return status, body, hdrs
+
+
 # ---------------------------------------------------------------------- #
 def _soup_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
     """Mixed fault soup: model-predicted status for every request."""
@@ -151,6 +195,7 @@ def _soup_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
         max_queue=4, rate=1000.0, burst=100000,
         breaker_threshold=10_000)).start()  # breakers tested in their own phase
     counts = {"aborted": 0, "codec_failure": 0, "blob_io": 0, "ok": 0}
+    phase = _Phase("soup", server.port, events, check, client="soup")
     try:
         keys: list[str] = []
         op_counter = 0  # mirrors the blob store's op index
@@ -192,20 +237,12 @@ def _soup_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
                 else:
                     expected, reason = 200, None
 
-            status, body, _ = _request(server.port, "POST", action, doc,
-                                       {"X-Client": "soup"})
-            if expected == "aborted":
-                check.status(f"soup[{index}] {action}", status, "aborted")
-            else:
-                check.status(f"soup[{index}] {action}", status, expected,
-                             reason, body)
+            status, body, _ = phase.post(action, doc, expected, reason,
+                                         index=index)
             if status == 200:
                 counts["ok"] += 1
                 if action == "/compress":
                     keys.append(body["key"])
-            events.append({"phase": "soup", "index": index, "path": action,
-                           "expected": expected, "status": status,
-                           "reason": (body or {}).get("error")})
             index += 1
 
         intact = server.store.verify_all()
@@ -234,28 +271,19 @@ def _breaker_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
         store_root=root / "breaker", faults=injector, clock=clock,
         max_queue=4, rate=1000.0, burst=100000, breaker_threshold=1,
         breaker_cooldown=_BREAKER_COOLDOWN)).start()
-
-    def post(label, path, doc, expected, reason=None, headers=None):
-        status, body, hdrs = _request(server.port, "POST", path, doc,
-                                      headers or {"X-Client": "breaker"})
-        check.status(label, status, expected, reason, body)
-        events.append({"phase": "breaker", "label": label, "path": path,
-                       "expected": expected, "status": status,
-                       "reason": (body or {}).get("error")})
-        return body, hdrs
-
+    phase = _Phase("breaker", server.port, events, check, client="breaker")
     try:
         # request 0: crash clause (only=0) kills the dispatch -> 500 + trip
-        post("breaker trip", "/compress", _compress_doc(0, "cliz"),
-             500, "codec_failure")
+        phase.post("/compress", _compress_doc(0, "cliz"), 500, "codec_failure",
+                   label="breaker trip")
         status, body, _ = _request(server.port, "GET", "/ready")
         check.status("breaker /ready while open", status, 503, "not_ready",
                      body)
         check.expect(body.get("breakers", {}).get("cliz", {}).get("state")
                      == "open", "breaker: /ready does not show cliz open")
         # request 1: shed at the gate, machine-readable + Retry-After
-        body, hdrs = post("breaker shed", "/compress",
-                          _compress_doc(1, "cliz"), 503, "breaker_open")
+        _, body, hdrs = phase.post("/compress", _compress_doc(1, "cliz"), 503,
+                                   "breaker_open", label="breaker shed")
         check.expect("retry-after" in hdrs,
                      "breaker: 503 is missing Retry-After")
         check.expect(0 < float(body.get("retry_after", -1))
@@ -263,14 +291,16 @@ def _breaker_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
                      f"breaker: retry_after {body.get('retry_after')} outside "
                      f"(0, {_BREAKER_COOLDOWN}]")
         # requests 2-3: degraded mode still serves estimate + healthy codecs
-        post("breaker degraded estimate", "/estimate",
-             _compress_doc(2, "cliz"), 200)
-        post("breaker healthy codec", "/compress", _compress_doc(3, "sz3"),
-             200)
+        phase.post("/estimate", _compress_doc(2, "cliz"), 200,
+                   label="breaker degraded estimate")
+        phase.post("/compress", _compress_doc(3, "sz3"), 200,
+                   label="breaker healthy codec")
         # recovery: advance past the cooldown; probe succeeds; closed again
         clock.advance(_BREAKER_COOLDOWN + 0.001)
-        post("breaker probe", "/compress", _compress_doc(4, "cliz"), 200)
-        post("breaker recovered", "/compress", _compress_doc(5, "cliz"), 200)
+        phase.post("/compress", _compress_doc(4, "cliz"), 200,
+                   label="breaker probe")
+        phase.post("/compress", _compress_doc(5, "cliz"), 200,
+                   label="breaker recovered")
         status, body, _ = _request(server.port, "GET", "/ready")
         check.status("breaker /ready recovered", status, 200)
         check.expect(body.get("breakers", {}).get("cliz", {}).get("state")
@@ -285,46 +315,30 @@ def _salvage_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
     server = ServiceServer(ServiceConfig(
         store_root=root / "salvage", faults=FaultInjector([], seed=seed),
         max_queue=4, rate=1000.0, burst=100000)).start()
-
-    def log(label, path, status, expected, body):
-        events.append({"phase": "salvage", "label": label, "path": path,
-                       "expected": expected, "status": status,
-                       "reason": (body or {}).get("error")})
-
+    phase = _Phase("salvage", server.port, events, check)
     try:
         doc = {"codec": "cliz", "array": encode_array(_field(7)),
                "rel_eb": 1e-3, "chunks": 4}
-        status, body, _ = _request(server.port, "POST", "/compress", doc)
-        check.status("salvage compress", status, 200)
-        log("salvage compress", "/compress", status, 200, body)
+        _, body, _ = phase.post("/compress", doc, 200, label="salvage compress")
         key = body["key"]
 
-        status, body, _ = _request(server.port, "POST", "/decompress",
-                                   {"key": key})
-        check.status("salvage clean decompress", status, 200)
+        _, body, _ = phase.post("/decompress", {"key": key}, 200,
+                                label="clean decompress")
         check.expect(body.get("salvaged") is False,
                      "salvage: clean blob flagged as salvaged")
-        log("clean decompress", "/decompress", status, 200, body)
 
         server.store.corrupt(key)  # one flipped bit, mid-blob, on disk
 
-        status, body, _ = _request(server.port, "POST", "/decompress",
-                                   {"key": key})
-        check.status("salvage degraded decompress", status, 206, None, body)
+        _, body, _ = phase.post("/decompress", {"key": key}, 206,
+                                label="salvaged decompress")
         check.expect(body.get("salvaged") is True
                      and body.get("salvage_report", {}).get("failures"),
                      "salvage: 206 response lacks a salvage report")
-        log("salvaged decompress", "/decompress", status, 206, body)
 
-        status, body, _ = _request(server.port, "POST", "/decompress",
-                                   {"key": key, "salvage": False})
-        check.status("salvage declined", status, 502, "blob_corrupt", body)
-        log("strict decompress", "/decompress", status, 502, body)
-
-        status, body, _ = _request(server.port, "POST", "/decompress",
-                                   {"key": "ab" * 20})
-        check.status("salvage unknown key", status, 404, "not_found", body)
-        log("unknown key", "/decompress", status, 404, body)
+        phase.post("/decompress", {"key": key, "salvage": False}, 502,
+                   "blob_corrupt", label="strict decompress")
+        phase.post("/decompress", {"key": "ab" * 20}, 404, "not_found",
+                   label="unknown key")
 
         intact = server.store.verify_all()
         damaged = sorted(k for k, ok in intact.items() if not ok)
@@ -343,6 +357,7 @@ def _overload_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
         store_root=root / "overload", faults=FaultInjector([], seed=seed),
         clock=clock, max_queue=2, rate=1.0, burst=4,
         default_deadline=30.0)).start()
+    phase = _Phase("overload", server.port, events, check)
     try:
         # fill the queue with two stalled requests, then shed the overflow
         stalled: list = [None, None]
@@ -362,22 +377,18 @@ def _overload_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
             if body.get("queue", {}).get("depth", 0) >= 2:
                 break
             time.sleep(0.02)
-        status, body, hdrs = _request(server.port, "POST", "/estimate",
-                                      _compress_doc(22, "cliz"),
-                                      {"X-Client": "overflow"})
-        check.status("overload queue_full", status, 429, "queue_full", body)
+        _, _, hdrs = phase.post("/estimate", _compress_doc(22, "cliz"), 429,
+                                "queue_full", headers={"X-Client": "overflow"},
+                                label="queue_full")
         check.expect("retry-after" in hdrs,
                      "overload: queue_full 429 missing Retry-After")
-        events.append({"phase": "overload", "label": "queue_full",
-                       "path": "/estimate", "expected": 429, "status": status,
-                       "reason": (body or {}).get("error")})
         for t in threads:
             t.join()
         for i, result in enumerate(stalled):
             check.status(f"overload stalled[{i}]", result[0], 200)
         # order-normalized: both stalled entries are identical by design
-        events.append({"phase": "overload", "label": "stalled-batch",
-                       "statuses": sorted(r[0] for r in stalled)})
+        phase.log(label="stalled-batch",
+                  statuses=sorted(r[0] for r in stalled))
 
         # frozen bucket: burst of 4 tokens, no refill -> requests 5+ shed
         statuses = []
@@ -392,44 +403,25 @@ def _overload_phase(seed: int, root: Path, events: list, check: _Check) -> dict:
                      "overload: final shed is not reason rate_limited")
         check.expect("retry-after" in hdrs,
                      "overload: rate_limited 429 missing Retry-After")
-        events.append({"phase": "overload", "label": "rate-limit",
-                       "statuses": statuses})
+        phase.log(label="rate-limit", statuses=statuses)
 
         # explicit deadline: stall past it -> 504, work never ran
-        status, body, _ = _request(server.port, "POST", "/compress",
-                                   _compress_doc(40, "cliz"),
-                                   {"X-Client": "deadline",
-                                    "X-Deadline": "0.01",
-                                    "X-Drill-Stall": "0.1"})
-        check.status("overload deadline", status, 504, "deadline_exceeded",
-                     body)
-        events.append({"phase": "overload", "label": "deadline",
-                       "path": "/compress", "expected": 504, "status": status,
-                       "reason": (body or {}).get("error")})
+        phase.post("/compress", _compress_doc(40, "cliz"), 504,
+                   "deadline_exceeded", headers={"X-Client": "deadline",
+                                                 "X-Deadline": "0.01",
+                                                 "X-Drill-Stall": "0.1"},
+                   label="deadline")
 
         # request hygiene: 400 / 404 / 405 are classified, not 500s
-        status, body, _ = _request(server.port, "POST", "/compress",
-                                   {"codec": "nope"}, {"X-Client": "bad"})
-        check.status("overload bad codec", status, 400, "bad_request", body)
-        status, body, _ = _request(server.port, "POST", "/nothing", {})
-        check.status("overload unknown path", status, 404, "not_found", body)
+        phase.send("/compress", {"codec": "nope"}, 400, "bad_request",
+                   headers={"X-Client": "bad"}, label="bad codec")
+        phase.send("/nothing", {}, 404, "not_found", label="unknown path")
         status, body, _ = _request(server.port, "GET", "/compress")
         check.status("overload wrong method", status, 405)
-        events.append({"phase": "overload", "label": "hygiene",
-                       "statuses": [400, 404, 405]})
+        phase.log(label="hygiene", statuses=[400, 404, 405])
     finally:
         server.stop()
     return {}
-
-
-def _fetch_text(port: int, path: str) -> str:
-    """GET a plain-text endpoint (``/metrics`` is not JSON)."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        conn.request("GET", path)
-        return conn.getresponse().read().decode("utf-8")
-    finally:
-        conn.close()
 
 
 def _shardkill_phase(seed: int, root: Path, events: list,
@@ -446,8 +438,6 @@ def _shardkill_phase(seed: int, root: Path, events: list,
     victim = injector.shard_kill(0, n_shards=_CLUSTER_SHARDS)
     check.expect(victim is not None, "shardkill: seeded clause did not fire")
     sibling = (victim + 1) % _CLUSTER_SHARDS
-    events.append({"phase": "shardkill", "label": "victim-chosen",
-                   "n_shards": _CLUSTER_SHARDS})
 
     cluster = ClusterServer(ClusterConfig(
         n_shards=_CLUSTER_SHARDS,
@@ -460,16 +450,8 @@ def _shardkill_phase(seed: int, root: Path, events: list,
         shard_fault_specs={
             victim: f"seed={seed};stall:p=1:delay={_VICTIM_STALL}"},
     )).start()
-
-    def post(label, path, doc, expected, reason=None):
-        status, body, hdrs = _request(cluster.port, "POST", path, doc,
-                                      {"X-Client": "shardkill"})
-        check.status(label, status, expected, reason, body)
-        events.append({"phase": "shardkill", "label": label, "path": path,
-                       "expected": expected, "status": status,
-                       "reason": (body or {}).get("error")})
-        return body, hdrs
-
+    phase = _Phase("shardkill", cluster.port, events, check, client="shardkill")
+    phase.log(label="victim-chosen", n_shards=_CLUSTER_SHARDS)
     try:
         # ---- seed the keyspace until both partitions own a key -------- #
         keys: list[str] = []
@@ -478,8 +460,8 @@ def _shardkill_phase(seed: int, root: Path, events: list,
                 not keys
                 or len({shard_for_key(k, _CLUSTER_SHARDS)
                         for k in keys}) < _CLUSTER_SHARDS):
-            body, _ = post(f"compress[{step}]", "/compress",
-                           _compress_doc(50 + step, "cliz"), 200)
+            _, body, _ = phase.post("/compress", _compress_doc(50 + step, "cliz"),
+                                    200, label=f"compress[{step}]")
             if body.get("key"):
                 keys.append(body["key"])
             step += 1
@@ -492,27 +474,24 @@ def _shardkill_phase(seed: int, root: Path, events: list,
 
         # ---- owner routing: everything reads back through the router -- #
         for i, key in enumerate(keys):
-            post(f"read[{i}]", "/decompress", {"key": key}, 200)
+            phase.post("/decompress", {"key": key}, 200, label=f"read[{i}]")
 
         # ---- hedging: a stalled owner is outrun by its sibling -------- #
-        status, body, hdrs = _request(cluster.port, "POST", "/decompress",
-                                      {"key": vkey},
-                                      {"X-Client": "shardkill"})
-        check.status("hedge", status, 200, None, body)
+        status, _, hdrs = phase.send("/decompress", {"key": vkey}, 200,
+                                     label="hedge")
         served = hdrs.get("x-repro-shard")
         check.expect(served == str(sibling),
                      f"hedge: served by shard {served!r}, expected the "
                      f"sibling (victim stalls {_VICTIM_STALL}s, budget "
                      f"{_HEDGE_BUDGET}s)")
-        events.append({"phase": "shardkill", "label": "hedge",
-                       "status": status,
-                       "served_by": "sibling" if served == str(sibling)
-                       else "other"})
+        phase.log(label="hedge", status=status,
+                  served_by="sibling" if served == str(sibling) else "other")
 
         # ---- steer round-robin so the next compress hits the victim --- #
         for attempt in range(_CLUSTER_SHARDS):
-            _, hdrs = post(f"steer[{attempt}]", "/compress",
-                           _compress_doc(70 + attempt, "cliz"), 200)
+            _, _, hdrs = phase.post("/compress",
+                                    _compress_doc(70 + attempt, "cliz"), 200,
+                                    label=f"steer[{attempt}]")
             if hdrs.get("x-repro-shard") == str(sibling):
                 break
 
@@ -538,13 +517,12 @@ def _shardkill_phase(seed: int, root: Path, events: list,
                      "reset instead of a classified 503")
         check.expect("retry-after" in hdrs,
                      "shardkill: in-flight 503 is missing Retry-After")
-        events.append({"phase": "shardkill", "label": "kill-inflight",
-                       "expected": 503, "status": status,
-                       "reason": (body or {}).get("error"),
-                       "retry_after_present": "retry-after" in hdrs})
+        phase.log(label="kill-inflight", expected=503, status=status,
+                  reason=body.get("error"),
+                  retry_after_present="retry-after" in hdrs)
 
         # ---- reads of victim-owned keys fail over to the sibling ------ #
-        post("failover-read", "/decompress", {"key": vkey}, 200)
+        phase.post("/decompress", {"key": vkey}, 200, label="failover-read")
 
         # ---- /ready reports the degraded keyspace --------------------- #
         saw_degraded = False
@@ -558,9 +536,8 @@ def _shardkill_phase(seed: int, root: Path, events: list,
         check.expect(saw_degraded,
                      "shardkill: /ready never reported the dead shard's "
                      "keyspace partition as degraded")
-        events.append({"phase": "shardkill", "label": "ready-degraded",
-                       "expected": 503, "status": 503 if saw_degraded
-                       else "never", "reason": "not_ready"})
+        phase.log(label="ready-degraded", expected=503,
+                  status=503 if saw_degraded else "never", reason="not_ready")
 
         # ---- supervisor restarts within the modeled backoff ----------- #
         bound = cluster.supervisor.max_recovery_seconds()
@@ -574,12 +551,12 @@ def _shardkill_phase(seed: int, root: Path, events: list,
         check.expect(recovered,
                      f"shardkill: victim not healthy again within the "
                      f"modeled {bound:.1f}s recovery bound")
-        events.append({"phase": "shardkill", "label": "restart",
-                       "recovered_within_model": recovered})
+        phase.log(label="restart", recovered_within_model=recovered)
 
         # ---- the reborn shard serves; the whole keyspace reads -------- #
         for i, key in enumerate(keys):
-            post(f"post-restart read[{i}]", "/decompress", {"key": key}, 200)
+            phase.post("/decompress", {"key": key}, 200,
+                       label=f"post-restart read[{i}]")
 
         # ---- zero collateral corruption ------------------------------- #
         intact = BlobStore(root / "cluster").verify_all()
@@ -588,8 +565,7 @@ def _shardkill_phase(seed: int, root: Path, events: list,
                      f"shardkill: collateral blob corruption: {damaged}")
         check.expect(set(keys) <= set(intact),
                      "shardkill: compressed keys missing from the store")
-        events.append({"phase": "shardkill", "label": "verify-all",
-                       "damaged": damaged, "keys_present": True})
+        phase.log(label="verify-all", damaged=damaged, keys_present=True)
 
         # ---- cluster telemetry: one scrape covers the fleet ----------- #
         text = _fetch_text(cluster.port, "/metrics")
@@ -605,8 +581,7 @@ def _shardkill_phase(seed: int, root: Path, events: list,
         check.expect(len(body.get("shards", [])) == _CLUSTER_SHARDS
                      and "backoff_model" in body,
                      "shardkill: /health lacks shard table or backoff model")
-        events.append({"phase": "shardkill", "label": "telemetry",
-                       "metrics_missing": missing})
+        phase.log(label="telemetry", metrics_missing=missing)
         restarts = sum(r["restarts"] for r in cluster.supervisor.table())
     finally:
         cluster.stop()
@@ -619,11 +594,7 @@ def _metrics_exposition(check: _Check) -> dict:
     """The live gauges must be visible on the existing /metrics exporter."""
     exporter = MetricsServer(port=0).start()
     try:
-        conn = http.client.HTTPConnection("127.0.0.1", exporter.port,
-                                          timeout=10)
-        conn.request("GET", "/metrics")
-        text = conn.getresponse().read().decode("utf-8")
-        conn.close()
+        text = _fetch_text(exporter.port, "/metrics")
     finally:
         exporter.stop()
     wanted = ["service_queue_depth", "service_breaker_cliz", "service_shed",

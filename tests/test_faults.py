@@ -1,8 +1,14 @@
 """Tests for the deterministic fault-injection framework (repro.faults)."""
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.faults import (
+    _SCHEMA,
     FaultInjector,
     FaultSpecError,
     JobFaults,
@@ -31,10 +37,21 @@ class TestSpecParsing:
     @pytest.mark.parametrize("bad", [
         "", "   ", "seed=abc", "frobnicate", "crash:wat=1",
         "bitflip:n", "slow:delay=fast",
+        # out of the parameter's range
+        "crash:p=1.5", "stall:p=-1", "slow:delay=-1", "truncate:frac=3",
+        "bitflip:n=0", "crash:attempts=-2", "outage:dur=-1", "drop:p=2",
+        "crash:p=nan", "kill:hard=2", "abort:only=-1", "shardkill:shard=-2",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(FaultSpecError):
             parse_fault_spec(bad)
+
+    @pytest.mark.parametrize("good", [
+        "shardkill:shard=-1", "crash:p=0:attempts=0", "truncate:frac=0",
+        "outage:at=0:dur=0", "drop:p=1:max=1:backoff=0", "kill:hard=0",
+    ])
+    def test_range_edges_accepted(self, good):
+        parse_fault_spec(good)
 
     def test_spec_error_is_value_error(self):
         with pytest.raises(ValueError):
@@ -116,6 +133,21 @@ class TestBlobCorruption:
         assert out == b""
 
 
+class TestBitflipRepeats:
+    """A bit position drawn twice is flipped once, and reported once."""
+
+    @pytest.mark.parametrize("spec, size", [
+        ("seed=1;bitflip:n=16", 2), ("seed=5;bitflip:n=2", 1),
+    ])
+    def test_reported_bits_are_the_flipped_bits(self, spec, size):
+        inj = parse_fault_spec(spec)
+        blob = bytes(size)
+        for i in range(200):
+            out, (event,) = inj.corrupt_blob(blob, f"k{i}")
+            flipped = [b for b in range(size * 8) if out[b // 8] >> (b % 8) & 1]
+            assert flipped == event["bits"]
+
+
 class TestLinkFaults:
     def test_collapse_from_spec(self):
         inj = parse_fault_spec("seed=4;outage:at=2:dur=3;outage:at=10:dur=1;drop:p=0.5")
@@ -161,6 +193,10 @@ class TestOffendingTokenErrors:
         ("bloberr:op=sideways", "'bloberr:op=sideways'"),
         ("abort:p=high", "'abort:p=high'"),
         ("crash:p", "'crash:p'"),
+        ("crash:p=1.5", "'crash:p=1.5'"),
+        ("seed=3;crash:p=0.5;drop:p=2", "'drop:p=2'"),
+        ("outage:at=1:dur=-1", "'outage:at=1:dur=-1'"),
+        ("bitflip:n=0", "'bitflip:n=0'"),
     ])
     def test_error_names_offending_token(self, spec, token):
         with pytest.raises(FaultSpecError, match="offending token") as exc:
@@ -241,3 +277,96 @@ class TestServiceFaults:
     def test_without_shardkill_clause_nothing_dies(self):
         inj = parse_fault_spec("seed=9;stall:p=1")
         assert inj.shard_kill(0, n_shards=2) is None
+
+
+# Every decision method on a fixed grid. The digest pins the exact
+# decisions (hash keys, defaults, `only` handling, bit positions), so a
+# refactor of the decision rule must leave it unchanged.
+_GRID_SPECS = (
+    "",
+    "crash:p=0.5:attempts=2;slow:p=0.4:delay=0.3",
+    "crash:only=5;slow:p=1:only=9",
+    "bitflip:p=0.6:n=2;truncate:p=0.5:frac=0.3",
+    "bitflip:only=3;truncate:only=4",
+    "kill:p=0.5:at=mid_write:hard=0",
+    "kill:only=2:at=post_commit",
+    "stall:p=0.3:delay=0.2;bloberr:p=0.4:op=read;abort:p=0.2",
+    "bloberr:p=0.5:op=write;abort:only=6;stall:only=1",
+    "bloberr:p=0.5",
+    "shardkill:p=0.5",
+    "shardkill:p=1:shard=2:only=4",
+    "drop:p=0.4:max=3:backoff=0.25;outage:at=1:dur=2",
+    "drop:p=0.9:only=2",
+    "outage:at=5:dur=1;outage:at=0:dur=0.5",
+)
+_GRID_BLOB = bytes(range(256)) * 2
+_GRID_DIGEST = "3d5dac6c87760169c746d4633837d169bc3589f22c807f1527e03366ab1f3c7e"
+
+
+def _decision_grid() -> list:
+    rows = []
+    for seed in range(4):
+        for spec in _GRID_SPECS:
+            inj = parse_fault_spec(f"seed={seed};{spec}")
+            link = inj.link_faults()
+            rows.append([seed, spec, None if link is None else [
+                link.outages, link.drop_p, link.max_attempts, link.backoff,
+                link.only,
+                [[link.dropped(flow, a) for a in range(5)]
+                 for flow in range(8)]]])
+            for i in range(64):
+                blob, events = inj.corrupt_blob(_GRID_BLOB, f"blob{i}", index=i)
+                for event in events:
+                    if event["fault"] == "bitflip":  # no repeated draw here
+                        assert len(set(event["bits"])) == len(event["bits"])
+                kill = inj.kill_directive(f"cell{i}", index=i)
+                rows.append([
+                    [[d.crash_attempts, d.delay] for d in
+                     (inj.job_faults(scope, i) for scope in
+                      ("chunk", "sweep", "service.request"))],
+                    hashlib.sha256(blob).hexdigest(), events,
+                    None if kill is None else [kill.at, kill.hard],
+                    inj.handler_delay(i),
+                    inj.blob_error("read", i), inj.blob_error("write", i),
+                    inj.abort_request(i),
+                    [inj.shard_kill(i, n_shards=n) for n in (1, 2, 3)],
+                ])
+    return rows
+
+
+def test_decision_fingerprint_is_pinned():
+    rows = _decision_grid()
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _GRID_DIGEST
+
+
+class TestGrammarDoc:
+    """docs/ROBUSTNESS.md's grammar table is the parser's table, in prose."""
+
+    DOC = Path(__file__).parents[1] / "docs" / "ROBUSTNESS.md"
+
+    @staticmethod
+    def _number(text: str):
+        return float(text) if "." in text else int(text)
+
+    def _param(self, default: str | None, allowed: str) -> tuple:
+        if allowed.startswith("{"):
+            return str, default, tuple(allowed[1:-1].split(", "))
+        lo, hi = allowed[1:-1].split(", ")
+        typ = type(self._number(default if default is not None else lo))
+        return (typ, None if default is None else typ(default),
+                (self._number(lo), None if hi == "∞" else self._number(hi)))
+
+    def test_doc_table_matches_schema(self):
+        text = self.DOC.read_text()
+        rows = text.split("\n| kind | parameters")[1].split("\n\n")[0]
+        table = {}
+        for row in re.finditer(r"^\| `(\w+)` \| (.*?) \| ", rows, re.M):
+            table[row[1]] = {
+                name: self._param(default or None, allowed)
+                for name, default, allowed in re.findall(
+                    r"`(\w+)(?:=([^`]+))?` (\[[^\]]*\]|\[[^)]*\)|\{[^}]*\})",
+                    row[2])}
+        assert table == _SCHEMA
+        grammar = re.search(r"KIND    := (.*?)\n```", text, re.S)[1]
+        assert tuple(re.findall(r"'(\w+)'", grammar)) == tuple(_SCHEMA)
