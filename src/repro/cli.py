@@ -63,23 +63,13 @@ def _eb_kwargs(args) -> dict:
 
 
 # ------------------------------------------------------------------- #
-def _faults_from(args):
-    """Parse --inject-faults into a FaultInjector (None when unset)."""
-    spec = getattr(args, "inject_faults", None)
-    if spec is None:
-        return None
-    from repro.faults import parse_fault_spec
-
-    return parse_fault_spec(spec)
-
-
 def cmd_compress(args) -> int:
     from repro import compressor_for, obs
 
     data = np.load(args.input)
     mask = _load_mask(args.mask)
     kwargs = _eb_kwargs(args)
-    faults = _faults_from(args)
+    faults = args.inject_faults
     with obs.session({"command": args.command}, args):
         if args.chunks:
             from repro.parallel import compress_chunked
@@ -93,10 +83,7 @@ def cmd_compress(args) -> int:
             if faults is not None:
                 raise SystemExit("--inject-faults on compress requires --chunks "
                                  "(faults target the chunked pipeline)")
-            comp = compressor_for(args.codec)
-            if mask is not None:
-                kwargs["mask"] = mask
-            blob = comp.compress(data, **kwargs)
+            blob = compressor_for(args.codec).compress(data, mask=mask, **kwargs)
     from repro.runtime import atomic_write
 
     atomic_write(args.output, blob)
@@ -111,7 +98,7 @@ def cmd_decompress(args) -> int:
 
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    faults = _faults_from(args)
+    faults = args.inject_faults
     if faults is not None:
         # corrupt the blob in memory — exercises salvage without touching
         # the file on disk (used by the CI robustness smoke job)
@@ -269,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="CliZ reproduction toolkit (IPDPS 2024)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from repro.faults import fault_spec_arg
     from repro.obs import add_session_arguments
 
     def add_eb(p):
@@ -284,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job retries with exponential backoff")
         p.add_argument("--retry-backoff", type=float, default=None,
                        help="base backoff seconds between retries (doubles each try)")
-        p.add_argument("--inject-faults", default=None, metavar="SPEC",
+        p.add_argument("--inject-faults", type=fault_spec_arg, default=None,
+                       metavar="SPEC",
                        help="deterministic fault spec, e.g. "
                             "'seed=7;crash:p=0.5;bitflip:only=2' (see docs/ROBUSTNESS.md)")
 

@@ -18,8 +18,12 @@ the per-section checksums let **salvage mode**
 (``Container.from_bytes(blob, salvage=True)``) isolate exactly which
 sections are damaged and hand the intact ones to the decoder — the basis
 for :func:`repro.parallel.decompress_chunked`'s NaN-filled partial reads
-and corruption-tolerant RCDF variable access. Version-1 blobs (no section
-CRCs) are still read transparently.
+and corruption-tolerant RCDF variable access. Both readers take their
+damage path from here: :meth:`Container.payloads` sorts the sections they
+expect into intact payloads and ``missing``/``crc`` failures,
+:meth:`SalvageReport.lost_fill` is the fill rule for lost data, and
+:meth:`SalvageReport.count` mirrors a finished read into the ``salvage.*``
+metrics. Version-1 blobs (no section CRCs) are still read transparently.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.encoding.varint import decode_uvarint, encode_uvarint
+from repro.obs import inc_counter
 
 __all__ = [
     "Container",
@@ -36,6 +41,7 @@ __all__ = [
     "SalvageReport",
     "SectionFailure",
     "DECODE_ERRORS",
+    "SALVAGE_STAGES",
     "MAGIC",
     "VERSION",
 ]
@@ -48,6 +54,11 @@ _READABLE_VERSIONS = (1, 2)
 #: outside this set escaping a decode is a bug (see the corruption fuzz
 #: suite in ``tests/test_corruption_fuzz.py``).
 DECODE_ERRORS = (ValueError, EOFError, KeyError, IndexError, OverflowError)
+
+#: Every stage a salvage failure is tagged with: the section is absent
+#: (a truncated container), it failed its CRC, or its decode raised.
+#: ``docs/ROBUSTNESS.md`` lists the same words (a test keeps them equal).
+SALVAGE_STAGES = ("missing", "crc", "decode")
 
 
 class CorruptStreamError(ValueError):
@@ -63,7 +74,7 @@ class SectionFailure:
     """One damaged section discovered during a salvage parse/decode."""
 
     name: str
-    stage: str  # 'crc' | 'missing' | 'truncated' | 'decode'
+    stage: str  # one of SALVAGE_STAGES
     error: str
 
     def to_dict(self) -> dict:
@@ -89,7 +100,27 @@ class SalvageReport:
         return [f.name for f in self.failures]
 
     def add(self, name: str, stage: str, error: str) -> None:
+        if stage not in SALVAGE_STAGES:
+            raise ValueError(f"unknown salvage stage {stage!r}; "
+                             f"known: {', '.join(SALVAGE_STAGES)}")
         self.failures.append(SectionFailure(name, stage, str(error)))
+
+    def lost_fill(self, dtype, unit: str) -> float:
+        """The value lost data of ``dtype`` is filled with: NaN, or 0 for
+        integer dtypes (which cannot hold NaN), noted once per dtype."""
+        if dtype.kind in "fc":
+            return float("nan")
+        note = f"integer dtype {dtype}: failed {unit} zero-filled"
+        if note not in self.notes:
+            self.notes.append(note)
+        return 0
+
+    def count(self, unit: str) -> None:
+        """Mirror a finished salvage read into the run metrics:
+        ``salvage.reads`` and ``salvage.<unit>_failed``/``_recovered``."""
+        inc_counter("salvage.reads")
+        inc_counter(f"salvage.{unit}_failed", len(self.failures))
+        inc_counter(f"salvage.{unit}_recovered", self.total - len(self.failures))
 
     def to_dict(self) -> dict:
         return {
@@ -186,6 +217,31 @@ class Container:
     def corrupt_sections(self) -> dict[str, str]:
         """Sections that failed their CRC in a salvage parse (name -> why)."""
         return dict(self._corrupt)
+
+    def payloads(self, sections: dict[str, str],
+                 report: SalvageReport | None = None) -> dict[str, bytes]:
+        """The intact payloads of ``sections`` (unit name -> section name).
+
+        Strict (``report`` None): an absent section raises
+        :class:`CorruptStreamError`. Salvage: an absent section is recorded
+        in ``report`` as ``missing`` and a CRC-failed one as ``crc``, under
+        its unit name, and both are left out of the result.
+        """
+        out: dict[str, bytes] = {}
+        for unit, name in sections.items():
+            if name not in self._sections:
+                if report is None:
+                    raise CorruptStreamError(
+                        f"{self.codec} stream is missing section {name!r}")
+                report.add(unit, "missing", "section absent (truncated container)")
+                continue
+            try:
+                out[unit] = self.section(name)
+            except CorruptStreamError as exc:
+                if report is None:
+                    raise
+                report.add(unit, "crc", str(exc))
+        return out
 
     # ------------------------------------------------------------------ #
     def to_bytes(self) -> bytes:

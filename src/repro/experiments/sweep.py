@@ -447,6 +447,7 @@ def _csv(value: str) -> list[str]:
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
+    from repro.faults import fault_spec_arg
     from repro.obs import add_session_arguments
 
     p.add_argument("--out", required=True, metavar="DIR",
@@ -479,7 +480,8 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                         "circuit breaker")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
                    help="wall-clock budget: shed remaining cells past this")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
+    p.add_argument("--inject-faults", type=fault_spec_arg, default=None,
+                   metavar="SPEC",
                    help="deterministic fault spec; the kill clause crashes "
                         "the process at an artifact commit stage "
                         "(see docs/ROBUSTNESS.md)")
@@ -490,7 +492,6 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 def run_from_args(args) -> int:
     from repro import obs
-    from repro.faults import parse_fault_spec
 
     shape = tuple(int(s) for s in _csv(args.shape)) if args.shape else None
     cells = plan_grid(_csv(args.datasets),
@@ -500,9 +501,9 @@ def run_from_args(args) -> int:
     if args.experiments:
         cells += plan_experiments(_csv(args.experiments), seed=args.seed,
                                   priority_base=len(cells))
-    faults = parse_fault_spec(args.inject_faults) if args.inject_faults else None
     with obs.session({"command": "sweep"}, args):
-        report = run_sweep(args.out, cells, resume=args.resume, faults=faults,
+        report = run_sweep(args.out, cells, resume=args.resume,
+                           faults=args.inject_faults,
                            retries=args.retries, retry_backoff=args.retry_backoff,
                            deadline=args.deadline,
                            breaker_threshold=args.breaker_threshold,

@@ -22,6 +22,7 @@ chaos drill: ``seed=9;stall:p=0.2:delay=0.3;bloberr:p=0.1;abort:p=0.1``.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import time
@@ -39,6 +40,7 @@ __all__ = [
     "KillPoint",
     "FaultInjector",
     "parse_fault_spec",
+    "fault_spec_arg",
 ]
 
 _PROB = (float, 1.0, (0.0, 1.0))
@@ -107,8 +109,10 @@ def _merge_clause(kind: str, params: dict, token: str | None = None) -> dict:
                 f"allowed: {', '.join(schema)}")
         typ = schema[key][0]
         try:
+            if typ is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError("not integral")  # int() would truncate it
             merged[key] = typ(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FaultSpecError(
                 f"fault {kind!r}: parameter {key!r} needs a "
                 f"{typ.__name__}, got {value!r}{where}") from None
@@ -380,3 +384,16 @@ def parse_fault_spec(spec: str) -> FaultInjector:
         # carry the raw clause token so validation errors can name it
         clauses.append((kind, params, clause))
     return FaultInjector(clauses, seed=seed)
+
+
+def fault_spec_arg(spec: str) -> FaultInjector:
+    """The argparse ``type=`` of every ``--inject-faults`` flag.
+
+    A bad spec is a usage error: argparse prints one
+    ``error: argument --inject-faults: ...`` line naming the offending
+    token and exits 2, before the command reads any input.
+    """
+    try:
+        return parse_fault_spec(spec)
+    except FaultSpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None

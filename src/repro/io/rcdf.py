@@ -115,7 +115,6 @@ class RcdfDataset:
         self.attrs: dict = _check_attrs(attrs or {})
         self._variables: dict[str, RcdfVariable] = {}
         self._pending: dict[str, tuple[dict, bytes]] = {}  # lazy payloads
-        self._salvage = False  # tolerate decode failures on get()?
         self.salvage_report: SalvageReport = SalvageReport(codec=_CODEC)
 
     # ------------------------------------------------------------------ #
@@ -152,25 +151,11 @@ class RcdfDataset:
         return sorted(set(self._variables) | set(self._pending))
 
     def get(self, name: str) -> RcdfVariable:
-        """Fetch a variable, decompressing it on first access.
-
-        In salvage mode a variable that fails to decode comes back
-        NaN-filled instead of raising, with the failure recorded in
-        :attr:`salvage_report`.
-        """
+        """Fetch a variable, decompressing it on first access."""
+        if name in self._pending:
+            self._variables[name] = _decode_variable(*self._pending.pop(name))
         if name in self._variables:
             return self._variables[name]
-        if name in self._pending:
-            meta, payload = self._pending.pop(name)
-            try:
-                var = _decode_variable(meta, payload)
-            except DECODE_ERRORS as exc:
-                if not self._salvage:
-                    raise
-                self.salvage_report.add(name, "decode", f"{type(exc).__name__}: {exc}")
-                var = _blank_variable(meta)
-            self._variables[name] = var
-            return var
         raise KeyError(f"no variable {name!r}")
 
     def __contains__(self, name: str) -> bool:
@@ -214,60 +199,37 @@ class RcdfDataset:
             raise CorruptStreamError("RCDF header is missing attrs/dimensions/variables")
         ds = cls(attrs=header["attrs"])
         ds.dimensions = dict(header["dimensions"])
+        metas = {meta.get("name"): meta for meta in header["variables"]}
         report = SalvageReport(codec=_CODEC, total=len(header["variables"]))
-        for meta in header["variables"]:
-            name = meta.get("name")
-            section = f"var:{name}"
-            if not container.has_section(section):
-                if not salvage:
-                    raise CorruptStreamError(
-                        f"RCDF stream is missing payload for variable {name!r}")
-                report.add(name, "missing", "payload section absent")
-                ds._variables[name] = _blank_variable(meta)
-                continue
-            try:
-                payload = container.section(section)
-            except CorruptStreamError as exc:
-                # only reachable in salvage mode (strict parse raised earlier)
-                report.add(name, "crc", str(exc))
-                ds._variables[name] = _blank_variable(meta)
-                continue
-            ds._pending[name] = (meta, payload)
+        payloads = container.payloads({name: f"var:{name}" for name in metas},
+                                      report if salvage else None)
+        ds._pending = {name: (metas[name], payloads[name]) for name in payloads}
         ds.salvage_report = report
-        if salvage:
-            ds._salvage = True
-            for name in list(ds._pending):
-                ds.get(name)  # eager decode so the report is complete
-            obs_counters(report)
+        if not salvage:
+            return ds
+        lost = [name for name in metas if name not in payloads]
+        for name in payloads:  # eager decode so the report is complete
+            try:
+                ds.get(name)
+            except DECODE_ERRORS as exc:
+                report.add(name, "decode", f"{type(exc).__name__}: {exc}")
+                lost.append(name)
+        for name in lost:
+            meta = metas[name]
+            dtype = np.dtype(meta["dtype"])
+            data = np.full(tuple(meta["shape"]), report.lost_fill(dtype, "vars"), dtype)
+            ds._variables[name] = _variable(meta, data)
+        report.count("vars")
         return ds
 
 
 # ---------------------------------------------------------------------- #
-def _blank_variable(meta: dict) -> RcdfVariable:
-    """A NaN-filled stand-in for a variable whose payload was lost.
-
-    Metadata (dims, attrs, codec, bounds) survives — only the data is
-    gone. Integer variables are zero-filled (NaN is unrepresentable).
-    """
-    dtype = np.dtype(meta["dtype"])
-    data = np.empty(tuple(meta["shape"]), dtype=dtype)
-    if np.issubdtype(dtype, np.inexact):
-        data.fill(np.nan)
-    else:
-        data.fill(0)
+def _variable(meta: dict, data: np.ndarray) -> RcdfVariable:
+    """``data`` under the variable metadata ``meta`` records."""
     return RcdfVariable(
         meta["name"], tuple(meta["dims"]), data, attrs=meta["attrs"],
         codec=meta["codec"], rel_eb=meta["rel_eb"], abs_eb=meta["abs_eb"],
     )
-
-
-def obs_counters(report: SalvageReport) -> None:
-    """Mirror a salvage outcome into the run metrics (no-op when off)."""
-    from repro import obs
-
-    obs.inc_counter("salvage.reads")
-    obs.inc_counter("salvage.vars_failed", len(report.failures))
-    obs.inc_counter("salvage.vars_recovered", report.total - len(report.failures))
 
 
 def _encode_variable(var: RcdfVariable) -> tuple[dict, bytes]:
@@ -287,17 +249,9 @@ def _encode_variable(var: RcdfVariable) -> tuple[dict, bytes]:
 
     comp = compressor_for(var.codec)
     mask = var.derive_mask()
-    kwargs: dict = {}
     if var.rel_eb is not None:
-        kwargs["rel_eb"] = var.rel_eb
-    else:
-        kwargs["abs_eb"] = var.abs_eb
-    if mask is not None:
-        try:
-            return meta, comp.compress(var.data, mask=mask, **kwargs)
-        except TypeError:
-            pass  # codec does not accept masks: fall through
-    return meta, comp.compress(var.data, **kwargs)
+        return meta, comp.compress(var.data, rel_eb=var.rel_eb, mask=mask)
+    return meta, comp.compress(var.data, abs_eb=var.abs_eb, mask=mask)
 
 
 def _decode_variable(meta: dict, payload: bytes) -> RcdfVariable:
@@ -312,10 +266,7 @@ def _decode_variable(meta: dict, payload: bytes) -> RcdfVariable:
         if data.shape != shape:
             raise ValueError(f"variable {meta['name']!r}: shape mismatch after decode")
         data = data.astype(dtype, copy=False)
-    return RcdfVariable(
-        meta["name"], tuple(meta["dims"]), data, attrs=meta["attrs"],
-        codec=meta["codec"], rel_eb=meta["rel_eb"], abs_eb=meta["abs_eb"],
-    )
+    return _variable(meta, data)
 
 
 def write_rcdf(path, dataset: RcdfDataset) -> None:

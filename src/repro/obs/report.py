@@ -94,17 +94,22 @@ def classify_file(path) -> str:
 
 
 def load_any(path) -> tuple[str, object]:
-    """``(kind, payload)``: records list for JSONL kinds, dict for bench.
+    """``(kind, payload)``: records list for trace/metrics JSONL, a
+    :class:`~repro.runtime.LedgerState` for a ledger, dict for bench.
 
     Trace and metrics lines are schema-validated on load — a malformed
     or future-versioned line raises ``ValueError`` (the CLI maps that to
-    a non-zero exit).
+    a non-zero exit). A ledger is folded by
+    :func:`repro.runtime.replay_ledger`, the reader ``--resume`` uses;
+    a line that fold skips as invalid (not a torn final line) raises
+    ``ValueError`` too.
     """
     from repro.obs.sinks import (
         load_jsonl,
         validate_metrics_line,
         validate_trace_line,
     )
+    from repro.runtime import replay_ledger
 
     kind = classify_file(path)
     path = Path(path)
@@ -119,8 +124,11 @@ def load_any(path) -> tuple[str, object]:
             validate_metrics_line(rec)
         return kind, records
     if kind == "ledger":
-        ledger = path / "ledger.jsonl" if path.is_dir() else path
-        return kind, load_jsonl(ledger)
+        state = replay_ledger(path / "ledger.jsonl" if path.is_dir() else path)
+        if state.invalid_lines:
+            raise ValueError(f"{path}: {state.invalid_lines} invalid ledger "
+                             "line(s)")
+        return kind, state
     if kind == "bench":
         return kind, json.loads(path.read_text())
     raise ValueError(f"{path}: unrecognized telemetry file "
@@ -403,28 +411,21 @@ def _report_one(path) -> None:
                   f"decompress {row.get('decompress_mb_s', 0):8.2f} MB/s")
 
 
-def _report_ledger(records: list[dict]) -> None:
-    status: dict[str, str] = {}
-    attempts: dict[str, int] = {}
-    events: dict[str, int] = {}
-    for rec in records:
-        if rec.get("rec") == "cell":
-            status[rec["cell"]] = rec["status"]
-            if "attempt" in rec:
-                attempts[rec["cell"]] = max(
-                    attempts.get(rec["cell"], 0), int(rec["attempt"]))
-        elif rec.get("rec") == "event":
-            events[rec["kind"]] = events.get(rec["kind"], 0) + 1
+def _report_ledger(state) -> None:
+    """Print a :class:`~repro.runtime.LedgerState`: cells by status,
+    retried cells and event kinds."""
     counts: dict[str, int] = {}
-    for st in status.values():
-        counts[st] = counts.get(st, 0) + 1
-    total = len(status)
-    print(f"  cells: {total} "
+    for rec in state.cells.values():
+        counts[rec["status"]] = counts.get(rec["status"], 0) + 1
+    print(f"  cells: {len(state.cells)} "
           f"({', '.join(f'{v} {k}' for k, v in sorted(counts.items()))})")
-    retried = sum(1 for a in attempts.values() if a > 1)
+    retried = sum(1 for a in state.max_attempt.values() if a > 1)
     if retried:
         print(f"  retried cells: {retried} "
-              f"(max attempt {max(attempts.values())})")
+              f"(max attempt {max(state.max_attempt.values())})")
+    events: dict[str, int] = {}
+    for rec in state.events:
+        events[rec["kind"]] = events.get(rec["kind"], 0) + 1
     if events:
         print("  events: " + ", ".join(f"{k} x{v}"
                                        for k, v in sorted(events.items())))

@@ -28,9 +28,7 @@ it started, stops the exporter and writes the files the command's flags
 from __future__ import annotations
 
 import json
-import os
 import sys
-import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -54,61 +52,29 @@ __all__ = [
 ]
 
 
-# Per-path locks serializing concurrent JsonlSink appends within this
-# process: healing the tail while another thread is mid-append would
-# truncate that thread's half-written batch, and interleaved buffered
-# writes could split a record across another batch's lines.
-_sink_locks: dict[str, threading.Lock] = {}
-_sink_locks_guard = threading.Lock()
-
-
-def _lock_for(path: Path) -> threading.Lock:
-    key = str(path)
-    with _sink_locks_guard:
-        return _sink_locks.setdefault(key, threading.Lock())
-
-
 class JsonlSink:
     """Append JSON records, one per line, to a file.
 
-    Crash-consistent appends: a previous process dying mid-append leaves
-    an unterminated final line, which would fuse with the next record
-    into one unparseable line. The sink heals that torn tail (truncating
-    the partial record) before appending, so every *complete* line in the
-    file is always valid JSON.
-
-    Contention-safe appends: concurrent ``write`` calls from multiple
-    threads (service handlers, the metrics exporter, a sweep) serialize
-    on a per-path lock, and each batch is flushed as one ``O_APPEND``
-    write, so batches never interleave line-by-line and healing never
-    truncates another thread's in-flight append.
+    Every ``write`` goes through :func:`repro.runtime.append_jsonl`:
+    a torn tail left by a writer that died mid-append is healed first
+    (with a ``RuntimeWarning``), so every complete line stays valid JSON,
+    and concurrent writes from several threads (service handlers, the
+    metrics exporter, a sweep) serialize on a per-path lock and land as
+    one ``O_APPEND`` write each, so batches never interleave.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
 
     def write(self, records: Iterable[dict]) -> int:
-        from repro.runtime import heal_jsonl_tail
+        from repro.runtime import append_jsonl
 
-        payload = b""
-        n = 0
-        for rec in records:
-            payload += (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
-            n += 1
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _lock_for(self.path):
-            healed = heal_jsonl_tail(self.path)
-            if healed:
-                warnings.warn(f"{self.path}: healed {healed} torn tail byte(s) "
-                              "before appending", RuntimeWarning, stacklevel=2)
-            if payload:
-                fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                             0o644)
-                try:
-                    os.write(fd, payload)
-                finally:
-                    os.close(fd)
-        return n
+        records = list(records)
+        healed = append_jsonl(self.path, records)
+        if healed:
+            warnings.warn(f"{self.path}: healed {healed} torn tail byte(s) "
+                          "before appending", RuntimeWarning, stacklevel=2)
+        return len(records)
 
 
 # ---------------------------------------------------------------------- #

@@ -162,11 +162,8 @@ def _compress_one(args) -> bytes:
     codec, payload, kwargs, mask_payload = args
     from repro import compressor_for
 
-    comp = compressor_for(codec)
-    arr = _chunk_array(payload)
-    if mask_payload is not None:
-        return comp.compress(arr, mask=_chunk_array(mask_payload), **kwargs)
-    return comp.compress(arr, **kwargs)
+    mask = None if mask_payload is None else _chunk_array(mask_payload)
+    return compressor_for(codec).compress(_chunk_array(payload), mask=mask, **kwargs)
 
 
 def _decompress_one(blob: bytes) -> np.ndarray:
@@ -876,23 +873,11 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
         raise CorruptStreamError(
             f"chunked header: n_chunks {n_chunks} inconsistent with shape {shape}")
     report = SalvageReport(codec=_CODEC, total=n_chunks)
-
-    present: list[tuple[int, bytes]] = []
-    lost: list[int] = []
-    for i in range(n_chunks):
-        name = f"chunk{i}"
-        if not container.has_section(name):
-            if not salvage:
-                raise CorruptStreamError(f"chunked stream is missing section {name!r}")
-            lost.append(i)
-            report.add(name, "missing", "section absent (truncated container)")
-            continue
-        try:
-            present.append((i, container.section(name)))
-        except CorruptStreamError as exc:
-            # only reachable in salvage mode (strict parse raised earlier)
-            lost.append(i)
-            report.add(name, "crc", str(exc))
+    names = [f"chunk{i}" for i in range(n_chunks)]
+    payloads = container.payloads(dict(zip(names, names)),
+                                  report if salvage else None)
+    present = [(i, payloads[name]) for i, name in enumerate(names) if name in payloads]
+    lost = [i for i, name in enumerate(names) if name not in payloads]
 
     dtype = _output_dtype([b for _, b in present])
     use_pool = bool(workers) and len(present) > 1
@@ -922,15 +907,12 @@ def decompress_chunked(blob: bytes, workers: int | None = None, *,
     finally:
         arena.close()
 
-    fill = np.nan if np.issubdtype(dtype, np.inexact) else 0
-    if lost and fill == 0:
-        report.notes.append(f"integer dtype {dtype}: failed chunks zero-filled")
-    for i in lost:
-        out[_along(axis, slices[i])] = fill
+    if lost:
+        fill = report.lost_fill(dtype, "chunks")
+        for i in lost:
+            out[_along(axis, slices[i])] = fill
     if salvage:
-        obs.inc_counter("salvage.reads")
-        obs.inc_counter("salvage.chunks_failed", len(report.failures))
-        obs.inc_counter("salvage.chunks_recovered", n_chunks - len(report.failures))
+        report.count("chunks")
         return out, report
     return out
 

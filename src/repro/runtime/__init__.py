@@ -9,7 +9,8 @@ Three building blocks:
 * :func:`atomic_write` / :func:`fsync_dir` — the durable-I/O primitive
   every artifact writer in the repo routes through (enforced by the
   DUR-001 lint rule). A crash at *any* point leaves either the old file
-  or the new file, never a torn hybrid.
+  or the new file, never a torn hybrid. :func:`append_jsonl` is its
+  append-only counterpart, the one writer of every JSONL file.
 * :class:`RunLedger` — an append-only JSONL journal of work-unit
   lifecycles (``planned -> running -> done | failed``) whose replay is
   tolerant of a torn final line, the substrate of the kill-resumable
@@ -26,6 +27,7 @@ invariant and ``docs/FORMATS.md`` for the ledger record schema.
 from repro.runtime.durable import (
     InjectedKillError,
     KillPoint,
+    append_jsonl,
     atomic_write,
     fsync_dir,
     heal_jsonl_tail,
@@ -38,6 +40,7 @@ from repro.runtime.ledger import (
 )
 
 __all__ = [
+    "append_jsonl",
     "atomic_write",
     "fsync_dir",
     "heal_jsonl_tail",

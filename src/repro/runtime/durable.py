@@ -20,19 +20,28 @@ the artifact exists but its ledger record does not). ``hard`` kills are a
 real ``SIGKILL`` to our own pid, used by the subprocess crash tests; soft
 kills raise :class:`InjectedKillError` so in-process tests can observe the
 same on-disk states.
+
+Append-only JSONL files (the run ledger, the telemetry sinks) have their
+own contract, kept by :func:`append_jsonl`: every complete line is a
+whole record, and a crash tears at most the final line, which the next
+append heals (:func:`heal_jsonl_tail`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 __all__ = [
     "KILL_POINTS",
     "KillPoint",
     "InjectedKillError",
+    "append_jsonl",
     "atomic_write",
     "fsync_dir",
     "heal_jsonl_tail",
@@ -174,3 +183,43 @@ def heal_jsonl_tail(path) -> int:
         fh.flush()
         os.fsync(fh.fileno())
         return size - keep
+
+
+# One lock per JSONL path: healing the tail while another thread of this
+# process is mid-append would truncate that thread's record.
+_append_locks: dict[str, threading.Lock] = {}
+_append_locks_guard = threading.Lock()
+
+
+def append_jsonl(path, records: Iterable[dict], *, fsync: bool = False) -> int:
+    """Append ``records`` to a JSONL file, one sorted-key object per line.
+
+    The one JSONL writer (the run ledger and the telemetry sinks): under
+    a per-path lock it heals a torn tail (:func:`heal_jsonl_tail`), then
+    appends every line in one ``O_APPEND`` write, so concurrent batches
+    never interleave and a crash tears at most the final line.
+    ``fsync=True`` makes the append durable on return, and also fsyncs
+    the directory when this call created the file. Returns the number of
+    torn-tail bytes healed (0 when the tail was clean).
+    """
+    path = Path(path)
+    payload = b"".join((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+                       for rec in records)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _append_locks_guard:
+        lock = _append_locks.setdefault(str(path), threading.Lock())
+    with lock:
+        healed = heal_jsonl_tail(path)
+        if not payload:
+            return healed
+        created = not path.exists()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, payload)
+            if fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        if fsync and created:
+            fsync_dir(path.parent)
+    return healed

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runtime.durable import fsync_dir, heal_jsonl_tail
+from repro.runtime.durable import append_jsonl, heal_jsonl_tail
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -91,15 +90,7 @@ class RunLedger:
 
     # ------------------------------------------------------------------ #
     def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        existed = self.path.exists()
-        with open(self.path, "ab") as fh:
-            fh.write(line.encode("utf-8"))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        if self.fsync and not existed:
-            fsync_dir(self.path.parent)
+        append_jsonl(self.path, [record], fsync=self.fsync)
 
     # ------------------------------------------------------------------ #
     def planned(self, cell: str, meta: dict | None = None) -> None:
@@ -137,6 +128,8 @@ class LedgerState:
     records: int = 0
     torn_lines: int = 0
     invalid_lines: int = 0
+    # id -> highest ``running`` attempt seen (attempts restart on resume)
+    max_attempt: dict[str, int] = field(default_factory=dict, init=False)
 
     def status(self, cell: str) -> str | None:
         rec = self.cells.get(cell)
@@ -182,10 +175,14 @@ def replay_ledger(path) -> LedgerState:
         is_final = i == len(lines) - 1
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict) or "rec" not in rec:
+            if not isinstance(rec, dict) or rec.get("rec") not in ("cell", "event"):
                 raise ValueError("not a ledger record object")
+            if rec["rec"] == "event" and not isinstance(rec.get("kind"), str):
+                raise ValueError("malformed event record")
             if rec["rec"] == "cell" and (
-                    "cell" not in rec or rec.get("status") not in CELL_STATUSES):
+                    not isinstance(rec.get("cell"), str)
+                    or rec.get("status") not in CELL_STATUSES
+                    or not isinstance(rec.get("attempt", 0), int)):
                 raise ValueError("malformed cell record")
         except (ValueError, UnicodeDecodeError) as exc:
             if is_final and torn_tail:
@@ -202,6 +199,10 @@ def replay_ledger(path) -> LedgerState:
         state.records += 1
         if rec["rec"] == "event":
             state.events.append(rec)
-        else:
-            state.cells[rec["cell"]] = rec
+            continue
+        cell = rec["cell"]
+        state.cells[cell] = rec
+        if "attempt" in rec:
+            state.max_attempt[cell] = max(state.max_attempt.get(cell, 0),
+                                          rec["attempt"])
     return state

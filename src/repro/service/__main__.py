@@ -33,7 +33,7 @@ import signal
 import sys
 import threading
 
-from repro.faults import parse_fault_spec
+from repro.faults import fault_spec_arg
 from repro.obs import add_session_arguments
 from repro.service.app import ServiceConfig, ServiceServer
 from repro.service.cluster import ClusterConfig, ClusterServer
@@ -78,7 +78,7 @@ def _service_config(args) -> ServiceConfig:
     """The one ServiceConfig the ``serve`` flags describe."""
     return ServiceConfig(
         port=args.port,
-        faults=parse_fault_spec(args.inject_faults) if args.inject_faults else None,
+        faults=args.inject_faults,
         **{name: getattr(args, name) for _, name, _ in _SERVE_FLAGS})
 
 
@@ -127,7 +127,7 @@ def _parser() -> argparse.ArgumentParser:
         default = getattr(ServiceConfig, name)
         p.add_argument(flag, dest=name, type=type(default), default=default,
                        help=f"{text} (default %(default)s)")
-    p.add_argument("--inject-faults", metavar="SPEC",
+    p.add_argument("--inject-faults", type=fault_spec_arg, metavar="SPEC",
                    help="deterministic fault spec (see repro.faults)")
     p.add_argument("--port", type=int, default=8765,
                    help="port to bind (default 8765; 0 = ephemeral)")

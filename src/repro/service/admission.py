@@ -69,6 +69,7 @@ class AdmissionController:
         self.burst = float(burst)
         self.clock = clock or time.monotonic
         self._depth = 0
+        self._shed = {"rate_limited": 0, "queue_full": 0}
         self._buckets: dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
         set_gauge("service.queue.depth", 0.0)
@@ -93,16 +94,12 @@ class AdmissionController:
         with self._lock:
             wait = self._bucket(client).try_take()
             if wait > 0:
-                inc_counter("service.shed.rate_limited")
-                set_gauge("service.shed",
-                          self._counter("rate_limited") + self._counter("queue_full"))
+                self._count_shed("rate_limited")
                 raise RateLimitedError(
                     f"client {client!r} exceeded {self.rate:g} req/s "
                     f"(burst {self.burst:g})", retry_after=wait)
             if self._depth >= self.max_queue:
-                inc_counter("service.shed.queue_full")
-                set_gauge("service.shed",
-                          self._counter("rate_limited") + self._counter("queue_full"))
+                self._count_shed("queue_full")
                 raise QueueFullError(
                     f"service queue is full ({self._depth}/{self.max_queue})",
                     retry_after=1.0)
@@ -116,14 +113,11 @@ class AdmissionController:
             set_gauge("service.queue.depth", float(self._depth))
 
     # ------------------------------------------------------------------ #
-    def _counter(self, which: str) -> int:
-        from repro.obs import trace
-
-        run = trace.get_run() or trace.last_run()
-        if run is None:
-            return 0
-        rec = run.metrics.snapshot().get(f"service.shed.{which}")
-        return int(rec["value"]) if rec else 0
+    def _count_shed(self, reason: str) -> None:
+        """Count one shed request (caller holds the lock)."""
+        self._shed[reason] += 1
+        inc_counter(f"service.shed.{reason}")
+        set_gauge("service.shed", sum(self._shed.values()))
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -133,6 +127,6 @@ class AdmissionController:
                 "rate_per_second": self.rate,
                 "burst": self.burst,
                 "clients": len(self._buckets),
-                "shed_rate_limited": self._counter("rate_limited"),
-                "shed_queue_full": self._counter("queue_full"),
+                "shed_rate_limited": self._shed["rate_limited"],
+                "shed_queue_full": self._shed["queue_full"],
             }

@@ -61,7 +61,7 @@ from repro.service.blobstore import BlobStore, shard_for_key
 from repro.service.cluster import ClusterConfig, ClusterServer
 from repro.service.schemas import encode_array
 
-__all__ = ["DrillClock", "run_drill", "main"]
+__all__ = ["DrillClock", "run_drill"]
 
 _SOUP_STEPS = 30
 _BREAKER_COOLDOWN = 60.0
@@ -673,28 +673,3 @@ def run_drill(seed: int = 9, report_path: str | None = None,
             print(f"  FAIL: {failure}")
     return (0 if not check.failures else 1), report
 
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-service-drill",
-        description="deterministic chaos drill against the live service")
-    parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument("--report", default=None, metavar="FILE",
-                        help="write the drill report JSON here")
-    parser.add_argument("--phases", default=None, metavar="P1,P2",
-                        help="comma-separated phase subset "
-                             f"(known: {','.join(_PHASE_FNS)})")
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    phases = None
-    if args.phases:
-        phases = tuple(p.strip() for p in args.phases.split(",") if p.strip())
-    code, _ = run_drill(seed=args.seed, report_path=args.report,
-                        verbose=not args.quiet, phases=phases)
-    return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

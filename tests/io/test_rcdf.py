@@ -132,6 +132,29 @@ class TestCfConventions:
         span = data[3:].max() - data[3:].min()
         assert np.abs(got[3:] - data[3:]).max() <= 1e-3 * span + 1e-6
 
+    def test_masked_encode_error_is_not_retried_unmasked(self, monkeypatch):
+        # a codec bug on the masked path must surface, not be hidden by an
+        # unmasked retry whose bound would resolve over the fill value
+        import repro
+
+        real = repro.compressor_for
+
+        class MaskRejecting:
+            def compress(self, data, *, mask=None, **kwargs):
+                if mask is not None:
+                    raise TypeError("masked encode broke")
+                return real("sz3").compress(data, **kwargs)
+
+        monkeypatch.setattr(repro, "compressor_for", lambda name: MaskRejecting())
+        ds = RcdfDataset()
+        ds.create_dimension("x", 64)
+        data = np.random.default_rng(3).random(64).astype(np.float32)
+        data[:8] = np.float32(1e20)
+        ds.add_variable("v", ("x",), data, attrs={"missing_value": 1e20},
+                        codec="sz3", rel_eb=1e-3)
+        with pytest.raises(TypeError, match="masked encode broke"):
+            ds.to_bytes()
+
     def test_all_fill_variable_rejected(self):
         ds = RcdfDataset()
         ds.create_dimension("x", 4)

@@ -329,3 +329,32 @@ class TestLedgerReport:
         assert "1 done" in out and "1 failed" in out
         assert "retried cells: 1" in out
         assert "requeue x1" in out
+
+    def test_reads_the_ledger_like_resume(self, tmp_path, capsys):
+        """One fold: a torn final line is skipped, a damaged interior line
+        is the schema gate's exit 2 (``--resume`` skips and counts it)."""
+        from repro.runtime import RunLedger, replay_ledger
+
+        ledger = RunLedger(tmp_path / "ledger.jsonl", fsync=False)
+        ledger.planned("a")
+        ledger.running("a", 1)
+        ledger.running("a", 2)
+        ledger.done("a", "cells/a.json", "d", 2)
+        ledger.event("resume", records=4)
+        raw = ledger.path.read_bytes()
+        ledger.path.write_bytes(raw + b'{"rec": "cell", "ce')
+        with pytest.warns(RuntimeWarning, match="torn final"):
+            assert report.main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  cells: 1 (1 done)",
+            "  retried cells: 1 (max attempt 2)",
+            "  events: resume x1",
+        ]
+        lines = raw.split(b"\n")
+        lines[1] = lines[1][:-3]  # damage one middle line
+        ledger.path.write_bytes(b"\n".join(lines))
+        with pytest.warns(RuntimeWarning, match="invalid ledger line"):
+            assert replay_ledger(ledger.path).invalid_lines == 1
+        with pytest.warns(RuntimeWarning, match="invalid ledger line"):
+            assert report.main(["report", str(tmp_path)]) == 2
+        assert "1 invalid ledger line(s)" in capsys.readouterr().err

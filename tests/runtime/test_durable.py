@@ -1,4 +1,4 @@
-"""repro.runtime.durable: atomic commits and torn-tail healing.
+"""repro.runtime.durable: atomic commits, torn-tail healing, JSONL appends.
 
 The soft-kill tests observe the exact on-disk state a power cut at each
 stage leaves behind — the same states the subprocess SIGKILL test in
@@ -12,6 +12,8 @@ import pytest
 from repro.runtime import (
     InjectedKillError,
     KillPoint,
+    RunLedger,
+    append_jsonl,
     atomic_write,
     fsync_dir,
     heal_jsonl_tail,
@@ -129,6 +131,55 @@ class TestHealJsonlTail:
         path.write_bytes(b'{"a": 1}\n' + torn)
         assert heal_jsonl_tail(path) == len(torn)
         assert path.read_bytes() == b'{"a": 1}\n'
+
+
+class TestAppendJsonl:
+    """The one JSONL appender under the run ledger and the telemetry sinks."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        import repro.runtime.durable as durable
+
+        calls = []
+        monkeypatch.setattr(durable.os, "fsync", lambda fd: calls.append("file"))
+        monkeypatch.setattr(durable, "fsync_dir", lambda path: calls.append("dir"))
+        return calls
+
+    def test_sorted_key_lines(self, tmp_path):
+        path = tmp_path / "sub" / "a.jsonl"
+        assert append_jsonl(path, [{"b": 1, "a": "é"}, {"c": None}]) == 0
+        assert path.read_bytes() == b'{"a": "\\u00e9", "b": 1}\n{"c": null}\n'
+
+    def test_heals_torn_tail_first(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"b":')
+        assert append_jsonl(path, [{"c": 3}]) == len(b'{"b":')
+        assert path.read_bytes() == b'{"a": 1}\n{"c": 3}\n'
+
+    def test_no_records_heals_but_creates_nothing(self, tmp_path):
+        assert append_jsonl(tmp_path / "none.jsonl", []) == 0
+        assert not (tmp_path / "none.jsonl").exists()
+
+    def test_fsync_only_when_asked(self, tmp_path, fsyncs):
+        path = tmp_path / "a.jsonl"
+        append_jsonl(path, [{"a": 1}])
+        assert fsyncs == []
+        append_jsonl(path, [{"a": 2}], fsync=True)
+        assert fsyncs == ["file"]
+        fsyncs.clear()
+        append_jsonl(tmp_path / "new.jsonl", [{"a": 1}], fsync=True)
+        assert fsyncs == ["file", "dir"]  # created: the directory entry too
+
+    def test_ledger_and_sink_write_the_same_bytes(self, tmp_path):
+        from repro.obs import JsonlSink
+
+        rec = {"rec": "event", "kind": "resume", "n": [1, 2.5]}
+        RunLedger(tmp_path / "ledger.jsonl", fsync=False).append(rec)
+        JsonlSink(tmp_path / "sink.jsonl").write([rec])
+        append_jsonl(tmp_path / "direct.jsonl", [rec])
+        assert ((tmp_path / "ledger.jsonl").read_bytes()
+                == (tmp_path / "sink.jsonl").read_bytes()
+                == (tmp_path / "direct.jsonl").read_bytes())
 
 
 class TestUnwritableDestination:

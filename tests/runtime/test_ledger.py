@@ -77,6 +77,32 @@ def test_replay_rejects_unknown_status(tmp_path):
     assert state.records == 0 and state.invalid_lines == 1
 
 
+@pytest.mark.parametrize("line", [
+    '{"rec": "event"}',                                    # no kind
+    '{"rec": "note", "text": "x"}',                        # unknown record kind
+    '{"rec": "cell", "status": "done"}',                   # no cell id
+    '{"rec": "cell", "cell": "c1", "status": "running", "attempt": "2"}',
+])
+def test_replay_counts_malformed_records_instead_of_raising(tmp_path, line):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(line + "\n" + '{"rec": "event", "kind": "resume"}\n')
+    with pytest.warns(RuntimeWarning, match="invalid ledger line"):
+        state = replay_ledger(path)
+    assert state.invalid_lines == 1 and state.records == 1
+
+
+def test_replay_keeps_the_highest_attempt(tmp_path):
+    """Attempts restart at 1 on resume; the fold keeps the highest seen."""
+    ledger = RunLedger(tmp_path / "ledger.jsonl", fsync=False)
+    ledger.running("c1", 1)
+    ledger.running("c1", 2)
+    ledger.running("c1", 1)  # resumed after a kill
+    ledger.done("c1", "cells/c1.json", "d", 1)
+    ledger.planned("c2")
+    state = replay_ledger(ledger.path)
+    assert state.max_attempt == {"c1": 2}
+
+
 def test_writer_heals_torn_tail_before_appending(tmp_path):
     """A new appender truncates the torn tail so the next append cannot
     fuse with the half-written record into one unparseable line."""

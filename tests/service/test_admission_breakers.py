@@ -91,6 +91,26 @@ class TestAdmission:
         assert snap["service.queue.depth"]["value"] == 1.0
         assert snap["service.queue.limit"]["value"] == 3.0
 
+    def test_shed_counts_are_the_controllers_own(self):
+        # an earlier run's shed must not show up in a new controller, and
+        # a shed with no run active still counts
+        run = trace.start_run()
+        old = AdmissionController(max_queue=1, clock=Clock())
+        old.admit("x")
+        with pytest.raises(QueueFullError):
+            old.admit("x")
+        trace.end_run()
+        adm = AdmissionController(max_queue=1, rate=1.0, burst=1, clock=Clock())
+        assert adm.snapshot()["shed_queue_full"] == 0
+        adm.admit("y")
+        with pytest.raises(RateLimitedError):
+            adm.admit("y")
+        with pytest.raises(QueueFullError):
+            adm.admit("z")
+        snap = adm.snapshot()
+        assert (snap["shed_rate_limited"], snap["shed_queue_full"]) == (1, 1)
+        assert run.metrics.snapshot()["service.shed"]["value"] == 1
+
 
 class TestBreaker:
     def test_trips_after_threshold_consecutive(self):

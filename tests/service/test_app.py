@@ -256,6 +256,19 @@ class TestConfig:
         cfg = _service_config(_parser().parse_args(["serve"]))
         assert replace(cfg, port=ServiceConfig.port) == ServiceConfig()
 
+    def test_fault_spec_is_parsed_by_the_flag(self, capsys):
+        from repro.service.__main__ import _parser, _service_config, main
+
+        cfg = _service_config(_parser().parse_args(
+            ["serve", "--inject-faults", "seed=4;abort:p=0.5"]))
+        assert cfg.faults.describe() == "seed=4;abort:p=0.5"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--inject-faults", "crash:p=2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --inject-faults:" in err
+        assert "offending token 'crash:p=2'" in err
+
 
 class TestLifecycle(ServerContract):
     @pytest.fixture

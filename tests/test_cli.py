@@ -122,12 +122,32 @@ class TestResilienceFlags:
             main(["compress", str(dpath), str(tmp_path / "x.rz"),
                   "--abs-eb", "1e-3", "--inject-faults", "seed=1;crash"])
 
-    def test_bad_fault_spec_fails_clearly(self, tmp_path, field_files):
+    def test_bad_fault_spec_fails_clearly(self, tmp_path, field_files, capsys):
         dpath, _, _, _ = field_files
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             main(["compress", str(dpath), str(tmp_path / "x.rz"),
                   "--abs-eb", "1e-3", "--chunks", "2",
                   "--inject-faults", "frobnicate"])
+        assert exc.value.code == 2
+        assert "offending token 'frobnicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "in.npy", "out.rz", "--chunks", "2"],
+        ["sweep", "--out", "sweep"],
+        ["decompress", "missing.rz", "out.npy"],
+    ])
+    def test_bad_fault_spec_is_a_usage_error(self, tmp_path, monkeypatch, argv,
+                                             capsys):
+        # parsed as the flag's argparse type: exit 2 with one error line,
+        # before any input is read or any output written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--inject-faults", "crash:p=2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: argument --inject-faults:" in err
+        assert "offending token 'crash:p=2'" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTelemetryFlags:

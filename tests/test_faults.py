@@ -34,6 +34,11 @@ class TestSpecParsing:
         assert inj.clauses[0][1]["n"] == 3
         assert isinstance(inj.clauses[0][1]["n"], int)
 
+    def test_integral_float_is_an_int(self):
+        inj = parse_fault_spec("bitflip:n=2.0")
+        assert inj.clauses[0][1]["n"] == 2
+        assert inj.describe() == "seed=0;bitflip:n=2:p=1.0"
+
     @pytest.mark.parametrize("bad", [
         "", "   ", "seed=abc", "frobnicate", "crash:wat=1",
         "bitflip:n", "slow:delay=fast",
@@ -41,6 +46,8 @@ class TestSpecParsing:
         "crash:p=1.5", "stall:p=-1", "slow:delay=-1", "truncate:frac=3",
         "bitflip:n=0", "crash:attempts=-2", "outage:dur=-1", "drop:p=2",
         "crash:p=nan", "kill:hard=2", "abort:only=-1", "shardkill:shard=-2",
+        # an int parameter with a fraction (int() would truncate it)
+        "kill:hard=0.5", "crash:only=1.5", "bitflip:n=2.7", "crash:only=inf",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(FaultSpecError):
@@ -197,6 +204,9 @@ class TestOffendingTokenErrors:
         ("seed=3;crash:p=0.5;drop:p=2", "'drop:p=2'"),
         ("outage:at=1:dur=-1", "'outage:at=1:dur=-1'"),
         ("bitflip:n=0", "'bitflip:n=0'"),
+        ("kill:hard=0.5", "'kill:hard=0.5'"),
+        ("crash:only=1.5", "'crash:only=1.5'"),
+        ("seed=2;bitflip:n=2.7", "'bitflip:n=2.7'"),
     ])
     def test_error_names_offending_token(self, spec, token):
         with pytest.raises(FaultSpecError, match="offending token") as exc:

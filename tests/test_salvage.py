@@ -1,6 +1,7 @@
 """Corruption-tolerant decode: container v2 CRCs, salvage mode, v1 compat."""
 
 import pathlib
+import re
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro import decompress
 from repro.encoding.container import (
     Container,
     CorruptStreamError,
+    SALVAGE_STAGES,
     SalvageReport,
     VERSION,
 )
@@ -282,3 +284,117 @@ class TestRcdfSalvage:
         path.write_bytes(self._dataset().to_bytes())
         ds = read_rcdf(path, salvage=True)
         assert ds.salvage_report.ok
+
+
+def rewrite_section(blob: bytes, name: str, payload: bytes | None = None) -> bytes:
+    """Re-serialize ``blob`` with section ``name`` replaced by ``payload``
+    (dropped when None); every CRC stays valid."""
+    c = Container.from_bytes(blob)
+    rebuilt = Container(c.codec, c.header)
+    for other in c.section_names:
+        if other != name:
+            rebuilt.add_section(other, c.section(other))
+        elif payload is not None:
+            rebuilt.add_section(other, payload)
+    return rebuilt.to_bytes()
+
+
+class TestOneDamagePath:
+    """Chunked and RCDF reads classify, fill and count damage the same way."""
+
+    def test_stages_are_checked(self):
+        report = SalvageReport()
+        with pytest.raises(ValueError, match="unknown salvage stage"):
+            report.add("chunk0", "truncated", "never produced")
+
+    def test_doc_lists_the_stages(self):
+        text = (pathlib.Path(__file__).parents[1] / "docs" / "ROBUSTNESS.md").read_text()
+        table = text.split("\n| stage | meaning |")[1].split("\n\n")[0]
+        assert tuple(re.findall(r"^\| `(\w+)` \|", table, re.M)) == SALVAGE_STAGES
+
+    def test_payloads_strict_and_salvage(self):
+        c = Container("demo")
+        c.add_section("s0", b"zero")
+        c.add_section("s1", b"one")
+        blob = corrupt_section(rewrite_section(c.to_bytes(), "s0"), "s1")
+        salvaged = Container.from_bytes(blob, salvage=True)
+        report = SalvageReport()
+        got = salvaged.payloads({"a": "s0", "b": "s1"}, report)
+        assert got == {}
+        assert [(f.name, f.stage) for f in report.failures] == [
+            ("a", "missing"), ("b", "crc")]
+        with pytest.raises(CorruptStreamError,
+                           match="demo stream is missing section 's0'"):
+            salvaged.payloads({"a": "s0"})
+
+    def test_rcdf_missing_variable_reads_like_a_missing_chunk(self):
+        ds = TestRcdfSalvage()._dataset()
+        blob = rewrite_section(ds.to_bytes(), "var:temp")
+        with pytest.raises(CorruptStreamError,
+                           match="rcdf stream is missing section 'var:temp'"):
+            RcdfDataset.from_bytes(blob)
+        out = RcdfDataset.from_bytes(blob, salvage=True)
+        (failure,) = out.salvage_report.failures
+        assert failure.to_dict() == {"name": "temp", "stage": "missing",
+                                     "error": "section absent (truncated container)"}
+        assert np.isnan(out.get("temp").data).all()
+        chunked = rewrite_section(compress_chunked(field(), "sz3", n_chunks=2,
+                                                abs_eb=1e-3), "chunk1")
+        _, report = decompress_chunked(chunked, salvage=True)
+        assert report.failures[0].error == failure.error
+
+    def test_rcdf_integer_variable_zero_filled_with_note(self):
+        ds = TestRcdfSalvage()._dataset()
+        out = RcdfDataset.from_bytes(corrupt_section(ds.to_bytes(), "var:ids"),
+                                     salvage=True)
+        assert (out.get("ids").data == 0).all()
+        assert out.get("ids").data.dtype == np.int32
+        assert out.salvage_report.notes == [
+            "integer dtype int32: failed vars zero-filled"]
+
+    def test_undecodable_variable_after_missing_and_crc(self):
+        ds = TestRcdfSalvage()._dataset()
+        ds.add_variable("salt", ("y", "x"), np.ones((16, 12)), codec="sz3",
+                        abs_eb=1e-3)
+        blob = rewrite_section(rewrite_section(ds.to_bytes(), "var:ids"),
+                               "var:salt", b"junk")
+        out = RcdfDataset.from_bytes(corrupt_section(blob, "var:temp"), salvage=True)
+        assert [(f.name, f.stage) for f in out.salvage_report.failures] == [
+            ("ids", "missing"), ("temp", "crc"), ("salt", "decode")]
+        assert out.salvage_report.to_dict()["recovered"] == 0
+
+    # a CRC-failed float chunk: test_chunk_dispatch's test_salvage_pooled_matches_inline
+    @pytest.mark.parametrize("damage", ["missing", "decode", "int"])
+    def test_pooled_chunked_salvage_matches_serial(self, damage):
+        if damage == "int":
+            blob = corrupt_section(compress_chunked(
+                np.arange(240, dtype=np.int32).reshape(24, 10), "zfp",
+                n_chunks=4, abs_eb=0.5), "chunk1")
+        else:
+            blob = compress_chunked(field(), "sz3", n_chunks=4, abs_eb=1e-3)
+            blob = {"missing": blob[: int(len(blob) * 0.6)],
+                    "decode": rewrite_section(blob, "chunk1", b"junk")}[damage]
+        serial, report = decompress_chunked(blob, salvage=True)
+        pooled, pooled_report = decompress_chunked(blob, workers=2, salvage=True)
+        assert not report.ok and {f.stage for f in report.failures} == (
+            {"crc"} if damage == "int" else {damage})
+        assert pooled_report.to_dict() == report.to_dict()
+        assert pooled.dtype == serial.dtype and pooled.tobytes() == serial.tobytes()
+
+    def test_both_readers_count_salvage(self):
+        from repro.obs import trace
+
+        trace.end_run()
+        run = trace.start_run()
+        try:
+            decompress_chunked(corrupt_section(compress_chunked(
+                field(), "sz3", n_chunks=2, abs_eb=1e-3), "chunk0"), salvage=True)
+            RcdfDataset.from_bytes(TestRcdfSalvage()._dataset().to_bytes(),
+                                   salvage=True)
+        finally:
+            trace.end_run()
+        counters = {name: rec["value"] for name, rec in run.metrics.snapshot().items()
+                    if name.startswith("salvage.")}
+        assert counters == {"salvage.reads": 2, "salvage.chunks_failed": 1,
+                            "salvage.chunks_recovered": 1, "salvage.vars_failed": 0,
+                            "salvage.vars_recovered": 2}
