@@ -320,7 +320,7 @@ def run_sweep(out, cells: list[SweepCell], *, resume: bool = False,
                         torn_tail_bytes=ledger.healed_bytes)
     janitor = _clean_stale_tmps(cells_dir)
     if resume:
-        ledger.event("resume", records=state.records, torn=state.torn_lines,
+        ledger.event("resume", records=state.records,
                      healed_bytes=ledger.healed_bytes, stale_tmps=janitor)
 
     t0 = time.monotonic()

@@ -55,41 +55,43 @@ def classify_file(path) -> str:
     """One of ``trace`` / ``metrics`` / ``ledger`` / ``bench`` / ``unknown``.
 
     Directories holding a ``ledger.jsonl`` classify as ``ledger`` (the
-    sweep dir is the natural handle). Content-based: the first JSON
-    object decides.
+    sweep dir is the natural handle). Content-based: the first line that
+    parses as JSON decides, so a JSONL file whose first line is damaged
+    still gets its kind (and the loader's verdict on that line).
     """
     path = Path(path)
     if path.is_dir():
         return "ledger" if (path / "ledger.jsonl").exists() else "unknown"
-    # sniff from the first non-blank line only — trace JSONL files can be
-    # huge and load_any reads them anyway, so don't slurp the file twice
-    first_line = ""
+    # sniff line by line — trace JSONL files can be huge and load_any
+    # reads them anyway, so don't slurp the file twice
     with path.open("r", errors="replace") as fh:
-        for line in fh:
-            if line.strip():
-                first_line = line.strip()
-                break
-    if not first_line or first_line[0] != "{":
+        for n, line in enumerate(filter(None, map(str.strip, fh))):
+            try:
+                return _record_kind(json.loads(line))
+            except json.JSONDecodeError:
+                if n == 0:
+                    # a multi-line pretty-printed JSON document (bench
+                    # output) is the one case that needs the full text
+                    try:
+                        return _record_kind(json.loads(path.read_text(errors="replace")))
+                    except json.JSONDecodeError:
+                        pass
+                # a damaged line: the next JSON object decides
+    return "unknown"
+
+
+def _record_kind(rec) -> str:
+    """The kind of a file whose first JSON value is ``rec``."""
+    if not isinstance(rec, dict):
         return "unknown"
-    try:
-        rec = json.loads(first_line)
-    except json.JSONDecodeError:
-        # a multi-line pretty-printed JSON document (bench output) is the
-        # one case that genuinely needs the full text
-        try:
-            doc = json.loads(path.read_text(errors="replace"))
-        except json.JSONDecodeError:
-            return "unknown"
-        return "bench" if isinstance(doc, dict) and (
-            "results" in doc or "smoke_baseline" in doc) else "unknown"
     if rec.get("type") == "span":
         return "trace"
     if rec.get("type") in ("counter", "gauge", "histogram"):
         return "metrics"
     if rec.get("rec") in ("cell", "event"):
         return "ledger"
-    if isinstance(rec, dict) and ("results" in rec or "smoke_baseline" in rec):
-        return "bench"  # bench document serialized on a single line
+    if "results" in rec or "smoke_baseline" in rec:
+        return "bench"
     return "unknown"
 
 
@@ -336,6 +338,12 @@ def _bench_rows(doc: dict, smoke: bool | None) -> list[dict]:
     return doc.get("results", [])
 
 
+def _recorded_ratios(doc: dict, smoke: bool | None) -> dict[tuple[str, str], float]:
+    """``{(codec, dataset): ratio}`` of the bench rows that record one."""
+    return {(row["codec"], row["dataset"]): row["ratio"]
+            for row in _bench_rows(doc, smoke) if "ratio" in row}
+
+
 def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], int]:
     """``(messages, n_compared)`` for the diff verdict between two files.
 
@@ -345,7 +353,9 @@ def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], i
     both gets its own verdict on its :func:`row_ratios` ratio. A row
     that either file gives no reference time is compared unnormalized,
     marked so in its message, and a ``RuntimeWarning`` says that a
-    faster or slower machine reads as a change in it.
+    faster or slower machine reads as a change in it. Between two bench
+    files, a row whose recorded ``ratio`` differs from the baseline
+    row's fails too: compression ratios are deterministic.
     """
     kind, doc = load_any(current)
     smoke = bool(doc.get("config", {}).get("smoke")) if kind == "bench" else None
@@ -360,7 +370,14 @@ def diff_files(baseline, current, tolerance: float = 0.20) -> tuple[list[str], i
                       RuntimeWarning, stacklevel=2)
     labeled = [(sep.join(key) + ("" if normalized else " (not machine-normalized)"), ratio)
                for key, (ratio, normalized) in ratios.items()]
-    return normalized_regressions(labeled, tolerance), len(ratios)
+    failures = normalized_regressions(labeled, tolerance)
+    base_kind, base_doc = load_any(baseline)
+    if kind == base_kind == "bench":
+        base, cur = _recorded_ratios(base_doc, smoke), _recorded_ratios(doc, smoke)
+        failures += [f"{'/'.join(key)}: ratio {cur[key]} differs from the baseline's "
+                     f"{base[key]}" for key in sorted(cur.keys() & base.keys())
+                     if cur[key] != base[key]]
+    return failures, len(ratios)
 
 
 # ---------------------------------------------------------------------- #

@@ -281,6 +281,34 @@ class TestDiff:
         assert n == 4 and len(failures) == 4
         assert all("not machine-normalized" in f for f in failures)
 
+    def test_unchanged_ratio_passes(self, tmp_path):
+        base, new = self._docs(tmp_path)
+        for path in (base, new):
+            doc = json.loads(path.read_text())
+            doc["results"][0]["ratio"] = 6.03
+            path.write_text(json.dumps(doc))
+        assert report.diff_files(base, new, 0.20) == ([], 4)
+
+    def test_changed_ratio_fails_its_row(self, tmp_path, capsys):
+        """Ratios are deterministic: a change of 0.01 fails, however fast the row."""
+        base, new = self._docs(tmp_path, speedup=3.0)
+        for path, ratio in ((base, 6.03), (new, 6.04)):
+            doc = json.loads(path.read_text())
+            doc["results"][1]["ratio"] = ratio
+            path.write_text(json.dumps(doc))
+        failures, n = report.diff_files(base, new, 0.20)
+        assert n == 4 and failures == ["zfp/SSH: ratio 6.04 differs from the baseline's 6.03"]
+        assert report.main(["diff", str(base), str(new)]) == 1
+        assert "zfp/SSH: ratio 6.04" in capsys.readouterr().err
+
+    def test_row_without_ratio_is_not_ratio_gated(self, tmp_path):
+        """A kernel row records no ratio; only its throughput is compared."""
+        base, new = self._docs(tmp_path)
+        doc = json.loads(base.read_text())
+        doc["results"][0]["ratio"] = 6.03
+        base.write_text(json.dumps(doc))
+        assert report.diff_files(base, new, 0.20) == ([], 4)
+
     def test_metrics_jsonl_row_reference(self, tmp_path):
         """A row's ``reference_ms`` gauge normalizes its throughput gauges."""
         def gauges(path, mb_s, ref_ms):
@@ -358,3 +386,20 @@ class TestLedgerReport:
         with pytest.warns(RuntimeWarning, match="invalid ledger line"):
             assert report.main(["report", str(tmp_path)]) == 2
         assert "1 invalid ledger line(s)" in capsys.readouterr().err
+
+    def test_ledger_file_with_damaged_first_line(self, tmp_path, capsys):
+        """Given as a file, a ledger whose first line is damaged gets the verdict
+        its sweep directory gets, not ``unrecognized telemetry file``."""
+        from repro.experiments.sweep import plan_grid, run_sweep
+
+        plan = plan_grid(["SSH"], [1e-2], ["SZ3"], shape=(12, 10, 48))
+        run_sweep(tmp_path, plan, fsync=False)
+        run_sweep(tmp_path, plan, resume=True, fsync=False)
+        ledger = tmp_path / "ledger.jsonl"
+        first, rest = ledger.read_bytes().split(b"\n", 1)
+        ledger.write_bytes(first[:-5] + b"\n" + rest)
+        assert report.classify_file(ledger) == "ledger"
+        for target in (ledger, tmp_path):
+            with pytest.warns(RuntimeWarning, match="invalid ledger line"):
+                assert report.main(["report", str(target)]) == 2
+            assert "1 invalid ledger line(s)" in capsys.readouterr().err

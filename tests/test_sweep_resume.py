@@ -109,6 +109,18 @@ class TestRunSweep:
         assert report.complete
         assert artifact_bytes(tmp_path) == before  # bytes untouched
 
+    def test_resume_event_records_the_healed_tail(self, tmp_path):
+        """The ledger heals a torn tail as it opens, before the replay: the
+        resume event carries the damage as ``healed_bytes`` alone."""
+        run_sweep(tmp_path, tiny_plan(), fsync=False)
+        with open(tmp_path / LEDGER_FILENAME, "ab") as fh:
+            fh.write(b'{"rec": "ce')  # a crash mid-append: 11 bytes, no newline
+        report = run_sweep(tmp_path, [], resume=True, fsync=False)
+        assert report.torn_tail_bytes == 11
+        (event,) = [rec for rec in replay_ledger(tmp_path / LEDGER_FILENAME).events
+                    if rec["kind"] == "resume"]
+        assert event["healed_bytes"] == 11 and "torn" not in event
+
     def test_resume_recomputes_tampered_artifact(self, tmp_path):
         run_sweep(tmp_path, tiny_plan(), fsync=False)
         victim = next((tmp_path / "cells").glob("*.json"))
